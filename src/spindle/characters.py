@@ -160,7 +160,10 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         mu_rho = tuple(m + 1 for m in mu)
         denom = norm_top - rs.inner(mu_rho, mu_rho)
         val = acc / denom
-        assert val.denominator == 1 and val > 0
+        if val.denominator != 1 or val <= 0:
+            raise InternalConsistencyError(
+                f"Freudenthal multiplicity {val} of {mu} in {lam}"
+            )
         mult[mu] = int(val)
 
     total = sum(m * rs.orbit_size(mu) for mu, m in mult.items())

@@ -282,7 +282,6 @@ def build_parser():
     pv.add_argument("suite", choices=list(vf.SUITES) + ["all"])
     pv.add_argument("--max-rank", type=int, default=None)
     pv.add_argument("--height-bound", type=int, default=None)
-    pv.add_argument("--full-weyl", action="store_true")
     return parser
 
 

@@ -118,14 +118,10 @@ class MatrixRep:
     def commutator_check(self):
         """[h,e]=2e, [h,f]=-2f, [e,f]=h, exactly."""
         e, h, f = self.e_matrix, self.h_matrix, self.f_matrix
-
-        def comm(a, b):
-            return la.mat_sub(la.mat_mul(a, b), la.mat_mul(b, a))
-
         return (
-            comm(h, e) == [[2 * x for x in row] for row in e]
-            and comm(h, f) == [[-2 * x for x in row] for row in f]
-            and comm(e, f) == h
+            la.bracket(h, e) == [[2 * x for x in row] for row in e]
+            and la.bracket(h, f) == [[-2 * x for x in row] for row in f]
+            and la.bracket(e, f) == h
         )
 
 
@@ -240,25 +236,25 @@ class GradedCommutant:
             out[g] += 1
         return out
 
-    def poincare_coefficients(self):
-        return self.graded_dimensions()
-
     def is_commutative(self):
         for i, (a, _) in enumerate(self.basis):
             for b, _g in self.basis[i + 1:]:
-                if la.mat_mul(a, b) != la.mat_mul(b, a):
+                if any(la.flatten(la.bracket(a, b))):
                     return False
         return True
 
-    def contains(self, matrix):
+    def _span(self):
         rows = [la.flatten(m) for m, _ in self.basis]
-        return la.in_row_space(rows, la.flatten(matrix))
+        return la.span(rows, self.rep.dimension**2)
+
+    def contains(self, matrix):
+        return la.flatten(matrix) in self._span()
 
     def is_closed_under_product(self):
-        rows = [la.flatten(m) for m, _ in self.basis]
+        span = self._span()
         for a, _ in self.basis:
             for b, _g in self.basis:
-                if not la.in_row_space(rows, la.flatten(la.mat_mul(a, b))):
+                if la.flatten(la.mat_mul(a, b)) not in span:
                     return False
         return True
 
@@ -270,43 +266,16 @@ def commutant(rep):
     floor(u) - floor(v) equal to the grade; [T, lift(e^j)] = 0 rows.
     """
     dim = rep.dimension
-    floors = rep.floors
-    lifts = rep.e_std_lifts
-    grades = sorted({fu - fv for fu in floors for fv in floors})
     basis = []
-    for g in grades:
-        pairs = [
-            (u, v)
-            for u in range(dim)
-            for v in range(dim)
-            if floors[u] - floors[v] == g
-        ]
-        if not pairs:
-            continue
-        cols = {p: i for i, p in enumerate(pairs)}
-        rows = {}
-        for em in lifts:
-            for t, (u, v) in enumerate(pairs):
-                # (T em)[u][q] gets em[v][q]; (em T)[p][v] gets em[p][u]
-                for q in range(dim):
-                    if em[v][q]:
-                        rows.setdefault((0, id(em), u, q), [Fraction(0)] * len(pairs))[
-                            t
-                        ] += em[v][q]
-                for p in range(dim):
-                    if em[p][u]:
-                        rows.setdefault((0, id(em), p, v), [Fraction(0)] * len(pairs))[
-                            t
-                        ] -= em[p][u]
-        sols = la.nullspace(list(rows.values()), len(pairs))
+    for g, pairs, sols in la.graded_commutant(rep.e_std_lifts, rep.floors):
         if sols and g < 0:
             raise InternalConsistencyError(
                 f"commutant element at negative grade {g}"
             )
         for vec in sols:
             m = [[Fraction(0)] * dim for _ in range(dim)]
-            for (u, v), i in cols.items():
-                m[u][v] = vec[i]
+            for (u, v), x in zip(pairs, vec):
+                m[u][v] = x
             basis.append((m, g))
     comm = GradedCommutant(rep=rep, basis=basis)
     if comm.dimension != dim:
@@ -368,11 +337,10 @@ def lefschetz_check(comm):
         src = by_grade.get(i, [])
         dst = by_grade.get(i + 1, [])
         images = [la.flatten(la.mat_mul(e, m)) for m in src]
-        target_rows = [la.flatten(m) for m in dst]
-        for img in images:
-            if not la.in_row_space(target_rows, img, rep.dimension**2):
-                raise InternalConsistencyError("product left the expected grade")
-        r = la.rank(images, rep.dimension**2) if images else 0
+        target = la.span([la.flatten(m) for m in dst], rep.dimension**2)
+        if any(img not in target for img in images):
+            raise InternalConsistencyError("product left the expected grade")
+        r = la.rank(images, rep.dimension**2)
         if i <= (top - 1) // 2 and r != len(src):
             return False
         if i >= top // 2 and r != len(dst):

@@ -137,16 +137,14 @@ def _nilradical_span(module):
     rank = module.rs.rank
     simple = [module.raising_matrix(i) for i in range(rank)]
     span = [(1, m) for m in simple]
-    flat_rows = [la.flatten(m) for m in simple]
+    space = la.span([la.flatten(m) for m in simple], module.dimension**2)
     frontier = list(span)
     while frontier:
         new = []
         for h, m in frontier:
             for s in simple:
-                br = la.mat_sub(la.mat_mul(s, m), la.mat_mul(m, s))
-                row = la.flatten(br)
-                if any(row) and not la.in_row_space(flat_rows, row):
-                    flat_rows.append(row)
+                br = la.bracket(s, m)
+                if space.add(la.flatten(br)):
                     span.append((h + 1, br))
                     new.append((h + 1, br))
         frontier = new
@@ -169,9 +167,7 @@ def _nilpotent_centralizer(module):
     n = module.dimension
     for h in sorted(by_height):
         group = by_height[h]
-        comms = [
-            la.mat_sub(la.mat_mul(e, m), la.mat_mul(m, e)) for m in group
-        ]
+        comms = [la.bracket(e, m) for m in group]
         rows = []
         for p in range(n):
             for q in range(n):
@@ -243,37 +239,13 @@ def jump_polynomial_end(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     module = HighestWeightModule(rs, lam, dim_budget)
     zs = _nilpotent_centralizer(module)
     levels = [int(2 * lv) for lv in module.levels()]  # doubled: always int
-    n = module.dimension
-    grades = sorted({(a - b) for a in levels for b in levels})
     coeffs = {}
-    for g in grades:
-        pairs = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if levels[u] - levels[v] == g
-        ]
-        if not pairs:
-            continue
-        rows = {}
-        for zi, z in enumerate(zs):
-            for t, (u, v) in enumerate(pairs):
-                for q in range(n):
-                    if z[v][q]:
-                        rows.setdefault(
-                            (zi, 0, u, q), [Fraction(0)] * len(pairs)
-                        )[t] += z[v][q]
-                for p in range(n):
-                    if z[p][u]:
-                        rows.setdefault(
-                            (zi, 0, p, v), [Fraction(0)] * len(pairs)
-                        )[t] -= z[p][u]
-        k = len(la.nullspace(list(rows.values()), len(pairs)))
-        if k:
+    for g, _, sols in la.graded_commutant(zs, levels):
+        if sols:
             if g < 0 or g % 2:
                 raise InternalConsistencyError(
                     f"End-module invariant at grade {g}/2 for {lam}"
                 )
-            coeffs[g // 2] = k
+            coeffs[g // 2] = len(sols)
     top = max(coeffs)
     return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])

@@ -141,7 +141,10 @@ def _q_mult_fn(rs, lam, wmf, method, budget):
     if method == "weyl" or (method == "auto" and not wmf):
         return lambda nu: lusztig_q_multiplicity(rs, lam, nu, budget=budget)
     if not wmf:
-        raise ValueError("closed form requires a wmf highest weight")
+        raise DomainError(
+            f"the closed form needs a weight-multiplicity-free highest "
+            f"weight; {lam} is not"
+        )
 
     def power(nu):
         h = rs.height(tuple(l - n for l, n in zip(lam, nu)))

@@ -14,7 +14,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .errors import ResourceBudgetError, UsageError
+from . import exactla as la
+from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
 
 DEFAULT_WEYL_BUDGET = 10**7
 
@@ -128,23 +129,36 @@ def _positive_roots(cartan):
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
-def _invert_fraction_matrix(m):
-    n = len(m)
-    aug = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _coroots(cartan, roots, sym):
+    """Coroot coordinates: gamma^vee = sum_i n_i d_i / d_gamma alpha_i^vee."""
+    coroots = []
+    for r in roots:
+        d_gamma = Fraction(0)
+        for i, ni in enumerate(r):
+            if ni:
+                for j, nj in enumerate(r):
+                    if nj:
+                        d_gamma += ni * nj * cartan[i][j] * sym[j]
+        d_gamma /= 2
+        cc = tuple(Fraction(ni) * sym[i] / d_gamma for i, ni in enumerate(r))
+        if any(x.denominator != 1 for x in cc):
+            raise InternalConsistencyError(f"coroot of {r} is not integral")
+        coroots.append(tuple(int(x) for x in cc))
+    return tuple(coroots)
+
+
+def _degrees(coroots):
+    """Degrees of the reflection group of one simple type: one more than
+    the exponents, which are the conjugate partition of the coroot-height
+    distribution."""
+    hist = {}
+    for c in coroots:
+        h = sum(c)
+        hist[h] = hist.get(h, 0) + 1
+    degs = []
+    for k in range(1, max(hist) + 1):
+        degs.extend([k + 1] * (hist.get(k, 0) - hist.get(k + 1, 0)))
+    return tuple(degs)
 
 
 class RootSystem:
@@ -157,48 +171,31 @@ class RootSystem:
         self._sym = _symmetrizer(self.cartan_matrix)
         self.positive_roots = _positive_roots(self.cartan_matrix)
 
-        # Coroot coordinates: gamma^vee = sum_i n_i d_i / d_gamma alpha_i^vee.
-        coroots = []
-        for r in self.positive_roots:
-            d_gamma = Fraction(0)
-            for i, ni in enumerate(r):
-                if ni == 0:
-                    continue
-                for j, nj in enumerate(r):
-                    if nj:
-                        d_gamma += ni * nj * self.cartan_matrix[i][j] * self._sym[j]
-            d_gamma /= 2
-            cc = tuple(Fraction(ni) * self._sym[i] / d_gamma for i, ni in enumerate(r))
-            assert all(x.denominator == 1 for x in cc)
-            coroots.append(tuple(int(x) for x in cc))
-        self.positive_coroots = tuple(coroots)
-
+        self.positive_coroots = _coroots(
+            self.cartan_matrix, self.positive_roots, self._sym
+        )
         self.root_heights = tuple(sum(r) for r in self.positive_roots)
         self.coroot_heights = tuple(sum(c) for c in self.positive_coroots)
-
-        # Exponents as the conjugate partition of the height distribution.
-        hist = {}
-        for h in self.coroot_heights:
-            hist[h] = hist.get(h, 0) + 1
-        exps = []
-        top = max(hist)
-        for k in range(1, top + 1):
-            exps.extend([k] * (hist.get(k, 0) - hist.get(k + 1, 0)))
-        self.exponents = tuple(sorted(exps))
-        self.degrees = tuple(e + 1 for e in self.exponents)
-        assert len(self.degrees) == rank
-        assert sum(self.exponents) == len(self.positive_roots)
+        self.degrees = _degrees(self.positive_coroots)
+        self.exponents = tuple(d - 1 for d in self.degrees)
+        if len(self.degrees) != rank or sum(self.exponents) != len(
+            self.positive_roots
+        ):
+            raise InternalConsistencyError(
+                f"degrees {self.degrees} do not fit {type_letter}{rank}"
+            )
         order = 1
         for d in self.degrees:
             order *= d
         self.weyl_order = order
 
         # Fundamental-basis -> root-basis conversion (inverse of cartan^T).
-        ct = tuple(
-            tuple(self.cartan_matrix[j][i] for j in range(rank))
+        red, _ = la.rref([
+            [self.cartan_matrix[j][i] for j in range(rank)]
+            + [int(i == j) for j in range(rank)]
             for i in range(rank)
-        )
-        self._cartan_t_inv = _invert_fraction_matrix(ct)
+        ])
+        self._cartan_t_inv = tuple(tuple(row[rank:]) for row in red)
 
         # (varpi_i, rho^vee) = half column sums of the coroot table.
         self._rho_check = tuple(
@@ -212,7 +209,10 @@ class RootSystem:
             w = self.dominant_representative(
                 tuple(-1 if k == i else 0 for k in range(rank))
             )
-            assert sorted(w) == [0] * (rank - 1) + [1]
+            if sorted(w) != [0] * (rank - 1) + [1]:
+                raise InternalConsistencyError(
+                    f"-w_0 does not permute the fundamental weights: {w}"
+                )
             perm.append(w.index(1))
         self.longest_element = tuple(perm)
 
@@ -321,7 +321,9 @@ class RootSystem:
             sub = tuple(
                 tuple(self.cartan_matrix[u][v] for v in comp) for u in comp
             )
-            degs.extend(_degrees_from_cartan(sub))
+            degs.extend(_degrees(_coroots(
+                sub, _positive_roots(sub), _symmetrizer(sub)
+            )))
         degs.extend([1] * (self.rank - len(degs)))
         return sorted(degs)
 
@@ -387,39 +389,14 @@ class RootSystem:
         for cr in self.positive_coroots:
             num *= sum((l + 1) * c for l, c in zip(lam, cr))
             den *= sum(cr)
-        assert num % den == 0
+        if num % den:
+            raise InternalConsistencyError(
+                f"Weyl dimension of {lam} is not an integer"
+            )
         return num // den
 
     def __repr__(self):
         return f"RootSystem({self.type_letter}{self.rank})"
-
-
-def _degrees_from_cartan(cartan):
-    """Degrees of the reflection group of any simple-type Cartan matrix,
-    via the conjugate partition of coroot heights (components handled by
-    the caller)."""
-    roots = _positive_roots(cartan)
-    sym = _symmetrizer(cartan)
-    l = len(cartan)
-    heights = []
-    for r in roots:
-        d_gamma = Fraction(0)
-        for i, ni in enumerate(r):
-            if ni:
-                for j, nj in enumerate(r):
-                    if nj:
-                        d_gamma += ni * nj * cartan[i][j] * sym[j]
-        d_gamma /= 2
-        h = sum(Fraction(ni) * sym[i] / d_gamma for i, ni in enumerate(r))
-        assert h.denominator == 1
-        heights.append(int(h))
-    hist = {}
-    for h in heights:
-        hist[h] = hist.get(h, 0) + 1
-    degs = []
-    for k in range(1, max(hist) + 1):
-        degs.extend([k + 1] * (hist.get(k, 0) - hist.get(k + 1, 0)))
-    return degs
 
 
 _build_lock = threading.Lock()

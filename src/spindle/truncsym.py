@@ -8,7 +8,7 @@ from __future__ import annotations
 from math import comb
 
 from .dynkin import dynkin_product
-from .errors import ResourceBudgetError
+from .errors import InternalConsistencyError, ResourceBudgetError
 from .qpoly import QPolynomial, gaussian_binomial
 from .rootsystem import build_root_system
 
@@ -33,7 +33,10 @@ def box_partition_poincare(n, m, budget=DEFAULT_ENUM_BUDGET):
             rec(part, slots - 1, size + part)
 
     rec(n, m, 0)
-    assert sum(counts) == total
+    if sum(counts) != total:
+        raise InternalConsistencyError(
+            f"{sum(counts)} box partitions enumerated, expected {total}"
+        )
     return QPolynomial(counts)
 
 

@@ -103,6 +103,22 @@ def test_exit_code_usage_error(capsys):
     assert code == 2
 
 
+def test_closed_method_rejects_non_wmf_weight(capsys):
+    code, out, err = run(
+        ["compute", "jump", "--type", "C", "--rank", "3",
+         "--weight", "0,1,0", "--method", "closed"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_has_no_full_weyl_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "kostant-t0", "--full-weyl"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_exit_code_budget(capsys):
     code, _, err = run(
         ["compute", "character", "--type", "E", "--rank", "8",
