@@ -2,9 +2,10 @@
 
 Entries are keyed by a sha256 of a canonical JSON description (schema
 version, root system, weight, operation).  Writes are atomic (tmp file +
-os.replace) and idempotent; corrupt entries are dropped with a warning and
-recomputed.  The directory comes from SPINDLE_CACHE_DIR; caching is off
-when the variable is unset.
+os.replace) and idempotent; corrupt entries, and entries of the wrong shape
+for their operation, are dropped with a warning and recomputed.  The
+directory comes from SPINDLE_CACHE_DIR; caching is off when the variable
+is unset.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -39,15 +41,51 @@ def _path(directory, key):
     return os.path.join(directory, key + ".json")
 
 
-def load(key):
-    """Cached JSON value for key, or None on miss or corruption."""
+def _is_int(x):
+    """An int, or the decimal string QPolynomial.to_json writes for one."""
+    if isinstance(x, str):
+        return re.fullmatch(r"-?[0-9]+", x) is not None
+    return type(x) is int
+
+
+def _is_polynomial(value):
+    return (isinstance(value, dict)
+            and isinstance(value.get("coefficients"), list)
+            and all(_is_int(c) for c in value["coefficients"]))
+
+
+def _is_character(value):
+    return isinstance(value, list) and all(
+        isinstance(entry, list) and len(entry) == 2
+        and isinstance(entry[0], list)
+        and all(type(x) is int for x in entry[0])
+        and type(entry[1]) is int
+        for entry in value
+    )
+
+
+# Shape of a stored value, per operation.
+_SHAPES = {
+    "dynkin": _is_polynomial,
+    "f-lambda": _is_polynomial,
+    "character": _is_character,
+}
+
+
+def load(key, operation=None):
+    """Cached JSON value for key, or None on miss, corruption or a value
+    of the wrong shape for ``operation``."""
     directory = cache_dir()
     if directory is None:
         return None
     path = _path(directory, key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            value = json.load(fh)
+        valid = _SHAPES.get(operation)
+        if valid is not None and not valid(value):
+            raise ValueError(f"wrong shape for {operation}")
+        return value
     except FileNotFoundError:
         return None
     except (ValueError, OSError) as exc:
@@ -83,7 +121,7 @@ def store(key, value):
 def cached(operation, type_letter, rank, weight, compute, extra=None):
     """Fetch-or-compute wrapper around load/store."""
     key = cache_key(operation, type_letter, rank, weight, extra)
-    hit = load(key)
+    hit = load(key, operation)
     if hit is not None:
         return hit
     value = compute()

@@ -272,11 +272,13 @@ def build_parser():
     pc.add_argument("--n", type=int, help="for end-alg-a / truncsym")
     pc.add_argument("--m", type=int, help="for truncsym")
     pc.add_argument("--kind", help="S<m> or E<k> for end-alg-a")
-    pc.add_argument("--weyl-budget", type=int, default=DEFAULT_WEYL_BUDGET)
+    pc.add_argument("--weyl-budget", type=int, default=DEFAULT_WEYL_BUDGET,
+                    help="bound on Weyl alternation walk points plus "
+                         "Kostant table cells per q-multiplicity")
     pc.add_argument("--dim-budget", type=int, default=ch.DEFAULT_DIM_BUDGET)
     pc.add_argument("--matrix-budget", type=int, default=ea.DEFAULT_DIM_BOUND)
     pc.add_argument("--full-weyl", action="store_true",
-                    help="lift the Weyl enumeration budget")
+                    help="lift the --weyl-budget cap")
 
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=list(vf.SUITES) + ["all"])

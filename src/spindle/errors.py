@@ -14,13 +14,17 @@ class UsageError(SpindleError):
 
 
 class ResourceBudgetError(SpindleError):
-    """A computation would exceed a configured enumeration budget."""
+    """A computation would exceed a configured enumeration budget.
+
+    ``what`` names the layer; ``needed`` is the work it needs or, for a
+    walk cut short, the work done so far.
+    """
 
     def __init__(self, what, needed, budget):
         self.what = what
         self.needed = needed
         self.budget = budget
-        super().__init__(f"{what} needs {needed}, exceeds budget {budget}")
+        super().__init__(f"{what}: {needed} exceeds budget {budget}")
 
 
 class ExactDivisionError(SpindleError, ArithmeticError):

@@ -6,98 +6,96 @@ the g- and t-endomorphism algebras.
 
 from __future__ import annotations
 
-import threading
+from math import prod
 
 from . import characters as ch
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
 from .qpoly import GradedSeries, QPolynomial, cyclo_product
 from .rootsystem import DEFAULT_WEYL_BUDGET
 
-# Above this Weyl-group order, wmf computations skip the alternating-sum
-# cross-check and use only the closed q-power form.
-CLOSED_FORM_WEYL_THRESHOLD = 10**4
 
-
-class QKostantTable:
-    """Memoized q-counting of nu as multisets of positive roots.
+def _box_table(rs, top, width):
+    """q-Kostant partition function on the box [0, top], row-major.
 
     P(nu) has coefficient of q^k equal to the number of ways to write nu
-    (simple-root coordinates) as a sum of exactly k positive roots.
-    Safe under concurrent reads; fills are idempotent.
+    (simple-root coordinates) as a sum of exactly k positive roots.  Each
+    cell packs its polynomial into one int with ``width``-bit slots (width
+    0 gives P(nu)(1)).  One in-place pass per positive root alpha_i fills
+    P_i(nu) = P_{i+1}(nu) + q P_i(nu - alpha_i); ascending order makes
+    P_i(nu - alpha_i) final when it is read.
     """
-
-    def __init__(self, rs):
-        self.rs = rs
-        self._memo = {}
-        self._lock = threading.Lock()
-
-    def partition_q(self, nu):
-        nu = tuple(nu)
-        if any(x < 0 for x in nu):
-            return QPolynomial.zero()
-        return self._count(0, nu)
-
-    def _count(self, i, nu):
-        if not any(nu):
-            return QPolynomial.one()
-        roots = self.rs.positive_roots
-        if i == len(roots):
-            return QPolynomial.zero()
-        key = (i, nu)
-        with self._lock:
-            hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        alpha = roots[i]
-        acc = QPolynomial.zero()
-        k = 0
-        cur = nu
-        while all(x >= 0 for x in cur):
-            acc = acc + self._count(i + 1, cur).shift(k)
-            k += 1
-            cur = tuple(x - a for x, a in zip(cur, alpha))
-        with self._lock:
-            self._memo.setdefault(key, acc)
-        return acc
+    dims = [t + 1 for t in top]
+    strides = [prod(dims[k + 1:]) for k in range(len(dims))]
+    table = [0] * prod(dims)
+    table[0] = 1
+    for alpha in rs.positive_roots:
+        if any(a > t for a, t in zip(alpha, top)):
+            continue
+        offset = sum(a * s for a, s in zip(alpha, strides))
+        cells = [0]
+        for a, d, s in zip(alpha, dims, strides):
+            cells = [c + j for c in cells for j in range(a * s, d * s, s)]
+        for i in cells:
+            table[i] += table[i - offset] << width
+    return table, strides
 
 
-_tables = {}
-_tables_lock = threading.Lock()
+def _kostant_cells(rs, top):
+    """Function nu -> coefficient list of P_q(nu), for nu in [0, top].
 
+    P(top)(1) bounds every coefficient in the box (adding simple roots
+    embeds the partitions of nu into those of top), so slots of its bit
+    length never carry.
+    """
+    width = _box_table(rs, top, 0)[0][-1].bit_length()
+    table, strides = _box_table(rs, top, width)
+    mask = (1 << width) - 1
 
-def _table(rs):
-    key = (rs.type_letter, rs.rank)
-    with _tables_lock:
-        t = _tables.get(key)
-        if t is None:
-            t = QKostantTable(rs)
-            _tables[key] = t
-    return t
+    def cell(nu):
+        x = table[sum(n * s for n, s in zip(nu, strides))]
+        return [(x >> (k * width)) & mask for k in range(sum(nu) + 1)]
+
+    return cell
 
 
 def kostant_partition_q(rs, nu):
     """P_q(nu) for nu in simple-root coordinates."""
-    return _table(rs).partition_q(nu)
+    nu = tuple(nu)
+    if any(x < 0 for x in nu):
+        return QPolynomial.zero()
+    return QPolynomial(_kostant_cells(rs, nu)(nu))
 
 
 def lusztig_q_multiplicity(rs, lam, mu, budget=DEFAULT_WEYL_BUDGET):
     """Alternating Weyl sum of P_q over w(lam+rho) - mu - rho.
 
-    Asserts the classical properties: nonnegative coefficients, support
-    iff mu is a weight of V_lam, degree (lam-mu, rho^vee).
+    Only the Weyl alternation set contributes; it is walked pruned, and
+    its terms are read from one Kostant table over the box [0, lam - mu].
+    ``budget`` bounds walk points plus table cells.  Asserts the classical
+    properties: nonnegative coefficients, support iff mu is a weight of
+    V_lam, degree (lam-mu, rho^vee).
     """
     lam = tuple(lam)
     mu = tuple(mu)
-    lam_rho = tuple(l + 1 for l in lam)
-    mu_rho = tuple(m + 1 for m in mu)
+    gap = rs.weight_to_root_coords(tuple(l - m for l, m in zip(lam, mu)))
     acc = QPolynomial.zero()
-    for point, sign in rs.signed_orbit(lam_rho, budget=budget):
-        diff = tuple(p - m for p, m in zip(point, mu_rho))
-        rc = rs.weight_to_root_coords(diff)
-        if any(x.denominator != 1 or x < 0 for x in rc):
-            continue
-        term = kostant_partition_q(rs, tuple(int(x) for x in rc))
-        acc = acc + (term if sign > 0 else -term)
+    if all(x.denominator == 1 and x >= 0 for x in gap):
+        gap = tuple(int(x) for x in gap)
+        points = rs.alternation_walk(
+            tuple(l + 1 for l in lam), gap, budget=budget
+        )
+        cells = prod(g + 1 for g in gap)
+        if len(points) + cells > budget:
+            raise ResourceBudgetError(
+                "Kostant partition table",
+                f"{len(points)} points + {cells} cells", budget,
+            )
+        cell = _kostant_cells(rs, gap)
+        coeffs = [0] * (sum(gap) + 1)
+        for nu, sign in points:
+            for k, c in enumerate(cell(nu)):
+                coeffs[k] += sign * c
+        acc = QPolynomial(coeffs)
     if any(c < 0 for c in acc.coeffs):
         raise InternalConsistencyError(
             f"negative coefficient in q-multiplicity for {lam}, {mu}"
@@ -180,18 +178,16 @@ def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
              dim_budget=ch.DEFAULT_DIM_BUDGET):
     """Jump polynomial of End V_lam.
 
-    For wmf weights the closed q-power form is used; when the Weyl group is
-    small enough the full alternating-sum route is run as well and the two
-    must agree.  Degree and value-at-1 laws are asserted.
+    For wmf weights the closed q-power form is used; unless ``method`` is
+    "closed", the alternating-sum route is run as well and the two must
+    agree.  Degree and value-at-1 laws are asserted.
     """
     lam = tuple(lam)
     wmf = ch.is_wmf(rs, lam, dim_budget)
     if wmf:
         result = jump_tensor(rs, lam, lam, method="closed",
                              budget=budget, dim_budget=dim_budget)
-        if method == "weyl" or (
-            method == "auto" and rs.weyl_order <= CLOSED_FORM_WEYL_THRESHOLD
-        ):
+        if method != "closed":
             via_sum = jump_tensor(rs, lam, lam, method="weyl",
                                   budget=budget, dim_budget=dim_budget)
             if via_sum != result:

@@ -1,5 +1,6 @@
 """Simple root systems of types A-G: Cartan data, positive roots by
-reflection closure, degrees, Weyl orbits and signed Weyl enumeration.
+reflection closure, degrees, Weyl orbits and the pruned Weyl alternation
+walk.
 
 Conventions (fixed throughout the package):
   * Bourbaki node numbering for every type.
@@ -188,6 +189,7 @@ class RootSystem:
         for d in self.degrees:
             order *= d
         self.weyl_order = order
+        self._parabolic = {}
 
         # Fundamental-basis -> root-basis conversion (inverse of cartan^T).
         red, _ = la.rref([
@@ -300,8 +302,12 @@ class RootSystem:
         The simple roots orthogonal to lam split into diagram components;
         each component contributes its own classical degree list, computed
         by the same height-distribution argument as for the full system.
+        Memoized per set of zero coordinates.
         """
-        support = [i for i, c in enumerate(lam) if c == 0]
+        support = tuple(i for i, c in enumerate(lam) if c == 0)
+        degs = self._parabolic.get(support)
+        if degs is not None:
+            return list(degs)
         degs = []
         seen = set()
         for i in support:
@@ -325,7 +331,8 @@ class RootSystem:
                 sub, _positive_roots(sub), _symmetrizer(sub)
             )))
         degs.extend([1] * (self.rank - len(degs)))
-        return sorted(degs)
+        self._parabolic[support] = degs = tuple(sorted(degs))
+        return list(degs)
 
     def stabilizer_order(self, lam):
         order = 1
@@ -333,54 +340,37 @@ class RootSystem:
             order *= d
         return order
 
-    def weyl_signed_iterate(self, budget=DEFAULT_WEYL_BUDGET):
-        """Yield (word, sign) over the whole Weyl group, each element once.
+    def alternation_walk(self, start, gap, budget=DEFAULT_WEYL_BUDGET):
+        """Signed points w(start) - target with nonnegative root coordinates.
 
-        ``word`` is a tuple of simple-reflection indices; apply it with
-        :meth:`apply_word`.  sign = det(w) = (-1)^length.  The traversal
-        walks the orbit of rho, so each orbit point is one group element,
-        and the order is deterministic: consumers may partition the stream
-        (e.g. by striding) and still aggregate deterministically.
+        ``start`` is regular dominant and ``gap`` holds the simple-root
+        coordinates of start - target.  The walk moves away from the
+        dominant chamber: s_j at p with p[j] > 0 subtracts p[j] from gap[j],
+        so coordinates only decrease and a step to a negative gap can be
+        pruned with all its descendants.  Returns [(gap, det w)], one entry
+        per w in the Weyl alternation set.
         """
-        if self.weyl_order > budget:
-            raise ResourceBudgetError("Weyl enumeration", self.weyl_order, budget)
-        rho = (1,) * self.rank
-        for point, word, sign in self._orbit_walk(rho):
-            yield word, sign
-
-    def apply_word(self, word, mu):
-        for j in reversed(word):
-            mu = self.simple_reflection(mu, j)
-        return tuple(mu)
-
-    def signed_orbit(self, lam, budget=DEFAULT_WEYL_BUDGET):
-        """Yield (w(lam), det(w)) over W for a regular dominant lam.
-
-        Faster inner loop than weyl_signed_iterate for alternating sums.
-        """
-        if self.weyl_order > budget:
-            raise ResourceBudgetError("Weyl enumeration", self.weyl_order, budget)
-        for point, word, sign in self._orbit_walk(tuple(lam)):
-            yield point, sign
-
-    def _orbit_walk(self, start):
-        # BFS away from the dominant chamber; (mu, alpha_j^vee) > 0 at mu
-        # means s_j moves further from dominance, i.e. length grows by 1.
-        # Words act as w = s_{j_1} s_{j_2} ... applied right-to-left.
-        seen = {start}
-        frontier = [(start, (), 1)]
+        frontier = {tuple(start): tuple(gap)}
+        points = []
+        sign = 1
         while frontier:
-            next_frontier = []
-            for point, word, sign in frontier:
-                yield point, word, sign
-                for j in range(self.rank):
-                    if point[j] > 0:
-                        s = self.simple_reflection(point, j)
-                        if s not in seen:
-                            seen.add(s)
-                            next_frontier.append((s, (j,) + word, -sign))
-            next_frontier.sort(key=lambda t: t[0])
-            frontier = next_frontier
+            nxt = {}
+            for p, g in frontier.items():
+                if len(points) >= budget:
+                    raise ResourceBudgetError(
+                        "Weyl alternation walk",
+                        f"{len(points)} points + 0 cells", budget,
+                    )
+                points.append((g, sign))
+                for j, c in enumerate(p):
+                    if 0 < c <= g[j]:
+                        nxt.setdefault(
+                            self.simple_reflection(p, j),
+                            g[:j] + (g[j] - c,) + g[j + 1:],
+                        )
+            frontier = nxt
+            sign = -sign
+        return points
 
     def weyl_dimension(self, lam):
         """Weyl dimension formula, exact."""

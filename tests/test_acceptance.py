@@ -1,4 +1,4 @@
-"""Acceptance gate: the twelve headline guarantees, each with an explicit
+"""Acceptance gate: the thirteen headline guarantees, each with an explicit
 runtime bound and exact (zero-tolerance) arithmetic.  Every test prints one
 PASS/FAIL line so the gate is readable from the raw pytest log.
 """
@@ -135,3 +135,15 @@ def test_criterion_11_box_partition_identity():
 def test_criterion_12_tensor_multiplicity_free():
     ok, elapsed, bad = _run_suite("tensor-mf")
     _report(12, "tensor squares of small wmf weights", ok, elapsed, 60)
+
+
+def test_criterion_13_e7_e8_adjoint_exponents():
+    start = time.monotonic()
+    ok = True
+    for rank, adjoint in [(7, (1, 0, 0, 0, 0, 0, 0)),
+                          (8, (0, 0, 0, 0, 0, 0, 0, 1))]:
+        rs = build_root_system("E", rank)
+        if qa.generalized_exponents(rs, adjoint) != list(rs.exponents):
+            ok = False
+    elapsed = time.monotonic() - start
+    _report(13, "E7 and E8 adjoint generalized exponents", ok, elapsed, 30)

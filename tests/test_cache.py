@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from spindle import cache
+from spindle import cache, cli
 
 
 @pytest.fixture
@@ -77,3 +77,25 @@ def test_cached_skips_compute_on_hit(cache_env):
     assert cache.cached("op", "A", 2, (1, 0), compute) == {"v": 7}
     assert cache.cached("op", "A", 2, (1, 0), compute) == {"v": 7}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sub, bad", [
+    ("dynkin", {}),
+    ("f-lambda", {"coefficients": ["1", "x"]}),
+    ("character", {"a": 1}),
+    ("character", [[[1, 1], "1"]]),
+])
+def test_wrong_shape_entry_is_dropped_and_recomputed(
+        sub, bad, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+    argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
+            "--rank", "2", "--weight", "1,1"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    entry = next(tmp_path.iterdir())
+    entry.write_text(json.dumps(bad))
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    assert "wrong shape" in captured.err and captured.err.count("\n") == 1
+    assert json.loads(entry.read_text()) != bad

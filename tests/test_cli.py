@@ -127,6 +127,48 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_weyl_budget_error_names_layer_and_work(capsys):
+    code, out, err = run(
+        ["compute", "lusztig", "--type", "E", "--rank", "8",
+         "--weight", "0,0,0,0,0,0,0,1", "--weyl-budget", "1000"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == ("error: Weyl alternation walk: 1000 points + 0 cells "
+                   "exceeds budget 1000\n")
+
+
+def test_e6_adjoint_lusztig_golden(capsys):
+    argv = ["compute", "lusztig", "--type", "E", "--rank", "6",
+            "--weight", "0,1,0,0,0,0"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == "q + q^4 + q^5 + q^7 + q^8 + q^11\n"
+    # 58 walk points + 432 table cells
+    code, _, err = run(argv + ["--weyl-budget", "100"], capsys)
+    assert code == 3
+    assert "Kostant partition table: 58 points + 432 cells" in err
+    code, lifted, _ = run(argv + ["--weyl-budget", "100", "--full-weyl"],
+                          capsys)
+    assert code == 0
+    assert lifted == out
+
+
+def test_f4_f_lambda_golden(capsys):
+    code, out, _ = run(
+        ["compute", "f-lambda", "--type", "F", "--rank", "4",
+         "--weight", "1,0,0,1"], capsys)
+    assert code == 0
+    assert out == (
+        "1 + 2*q + 5*q^2 + 10*q^3 + 19*q^4 + 32*q^5 + 52*q^6 + 79*q^7 "
+        "+ 113*q^8 + 151*q^9 + 197*q^10 + 248*q^11 + 301*q^12 + 350*q^13 "
+        "+ 397*q^14 + 439*q^15 + 474*q^16 + 495*q^17 + 505*q^18 "
+        "+ 502*q^19 + 489*q^20 + 463*q^21 + 428*q^22 + 384*q^23 "
+        "+ 337*q^24 + 287*q^25 + 239*q^26 + 193*q^27 + 152*q^28 "
+        "+ 115*q^29 + 85*q^30 + 61*q^31 + 43*q^32 + 28*q^33 + 17*q^34 "
+        "+ 10*q^35 + 6*q^36 + 3*q^37 + q^38\n"
+    )
+
+
 def test_output_is_deterministic(capsys):
     argv = ["compute", "jump", "--type", "C", "--rank", "3",
             "--weight", "0,1,0", "--format", "json"]

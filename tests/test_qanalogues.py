@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spindle import characters as ch
 from spindle import qanalogues as qa
-from spindle.errors import DomainError
+from spindle.errors import DomainError, ResourceBudgetError
 from spindle.qpoly import QPolynomial, cyclo_product
 from spindle.rootsystem import build_root_system
 
@@ -124,3 +127,97 @@ def test_poincare_series():
     assert ct.numerator(1) == 14
     # minuscule weight: the two series agree
     assert qa.poincare_cg(C3, (1, 0, 0)) == qa.poincare_ct(C3, (1, 0, 0))
+
+
+# Every type with |W| <= 1152, where summing over the whole group is cheap.
+SMALL = [
+    build_root_system(letter, rank)
+    for letter, rank in [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2),
+        ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 3),
+        ("D", 4), ("F", 4), ("G", 2),
+    ]
+]
+
+
+@st.composite
+def small_weight(draw, rs=None):
+    """(rs, lam): a small type and a sum of at most two fundamental weights."""
+    rs = rs or draw(st.sampled_from(SMALL))
+    lam = [0] * rs.rank
+    for i in draw(st.lists(st.integers(0, rs.rank - 1), max_size=2)):
+        lam[i] += 1
+    return rs, tuple(lam)
+
+
+def _brute_force_lusztig(rs, lam, mu):
+    """Alternating sum over the whole orbit of lam+rho; the sign of x is
+    (-1)^#{alpha > 0 : (x, alpha^vee) < 0}."""
+    acc = QPolynomial.zero()
+    mu_rho = tuple(m + 1 for m in mu)
+    for x in rs.weyl_orbit(tuple(l + 1 for l in lam)):
+        rc = rs.weight_to_root_coords(tuple(a - b for a, b in zip(x, mu_rho)))
+        if any(c.denominator != 1 or c < 0 for c in rc):
+            continue
+        negative = sum(1 for i in range(len(rs.positive_roots))
+                       if rs.pairing(x, i) < 0)
+        term = qa.kostant_partition_q(rs, tuple(int(c) for c in rc))
+        acc = acc + (-term if negative % 2 else term)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_weight(), st.data())
+def test_pruned_sum_equals_full_orbit_sum(case, data):
+    rs, lam = case
+    _, mu = data.draw(small_weight(rs))
+    assert qa.lusztig_q_multiplicity(rs, lam, mu) == _brute_force_lusztig(
+        rs, lam, mu
+    )
+
+
+def _naive_kostant(roots, nu, memo):
+    """Sum over the multiplicity k of the first root of q^k P(rest)."""
+    if not any(nu):
+        return QPolynomial.one()
+    if not roots:
+        return QPolynomial.zero()
+    key = (len(roots), nu)
+    if key not in memo:
+        acc = QPolynomial.zero()
+        k = 0
+        while all(x >= 0 for x in nu):
+            acc = acc + _naive_kostant(roots[1:], nu, memo).shift(k)
+            nu = tuple(x - a for x, a in zip(nu, roots[0]))
+            k += 1
+        memo[key] = acc
+    return memo[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL), st.data())
+def test_packed_kostant_table_equals_naive_recursion(rs, data):
+    nu = tuple(data.draw(st.lists(
+        st.integers(-1, 3), min_size=rs.rank, max_size=rs.rank
+    )))
+    want = (QPolynomial.zero() if min(nu) < 0
+            else _naive_kostant(rs.positive_roots, nu, {}))
+    assert qa.kostant_partition_q(rs, nu) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_weight())
+def test_q_multiplicity_at_one_is_freudenthal_multiplicity(case):
+    rs, lam = case
+    dom = ch.dominant_multiplicities(rs, lam)
+    for mu, m in dom.items():
+        assert qa.lusztig_q_multiplicity(rs, lam, mu)(1) == m
+
+
+def test_lusztig_budget_counts_walk_and_table():
+    e8 = build_root_system("E", 8)
+    adjoint = (0, 0, 0, 0, 0, 0, 0, 1)
+    # 2318 walk points + 151200 cells of the box [0, theta]
+    with pytest.raises(ResourceBudgetError,
+                       match=r"2318 points \+ 151200 cells"):
+        qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8, budget=153517)

@@ -94,6 +94,10 @@ def test_parabolic_degrees():
     e7 = build_root_system("E", 7)
     # stabilizer of varpi_7 is E6
     assert e7.parabolic_degrees((0, 0, 0, 0, 0, 0, 1)) == [1, 2, 5, 6, 8, 9, 12]
+    # memoized per zero set; callers get their own list
+    degs = e7.parabolic_degrees((0, 0, 0, 0, 0, 0, 2))
+    degs.append(0)
+    assert e7.parabolic_degrees((0, 0, 0, 0, 0, 0, 1)) == [1, 2, 5, 6, 8, 9, 12]
 
 
 def test_dual_weight():
@@ -106,28 +110,24 @@ def test_dual_weight():
     assert e6.dual_weight((1, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 1)
 
 
-def test_signed_orbit_covers_group():
+def test_alternation_walk_covers_group():
+    # with a gap no step can overdraw, the walk visits all of W once each
     b2 = build_root_system("B", 2)
-    points = list(b2.signed_orbit((1, 1)))
+    points = b2.alternation_walk((1, 1), (100, 100))
     assert len(points) == 8
     assert sum(sign for _, sign in points) == 0
-    assert len({p for p, _ in points}) == 8
+    assert len({g for g, _ in points}) == 8
+    # gap 0: only the identity survives the pruning
+    assert b2.alternation_walk((1, 1), (0, 0)) == [((0, 0), 1)]
 
 
-def test_weyl_signed_iterate_words():
-    a2 = build_root_system("A", 2)
-    elements = {}
-    for word, sign in a2.weyl_signed_iterate():
-        image = tuple(a2.apply_word(word, (1, 0)) + a2.apply_word(word, (0, 1)))
-        assert sign == (-1) ** len(word)
-        elements[image] = word
-    assert len(elements) == 6
-
-
-def test_weyl_budget():
+def test_alternation_walk_budget():
     e8 = build_root_system("E", 8)
-    with pytest.raises(ResourceBudgetError):
-        next(iter(e8.weyl_signed_iterate(budget=10**6)))
+    theta = max(e8.positive_roots, key=sum)
+    rho_plus_theta = (1, 1, 1, 1, 1, 1, 1, 2)
+    with pytest.raises(ResourceBudgetError, match="1000 points"):
+        e8.alternation_walk(rho_plus_theta, theta, budget=1000)
+    assert len(e8.alternation_walk(rho_plus_theta, theta)) == 2318
 
 
 def test_weyl_dimension():
