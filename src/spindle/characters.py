@@ -8,9 +8,6 @@ highest-weight stripping, floor profiles and principal-string data.
 
 from __future__ import annotations
 
-import threading
-from fractions import Fraction
-
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -54,65 +51,22 @@ class WeightCharacter:
         return [[list(mu), m] for mu, m in items]
 
 
-def _weight_system(rs, lam):
-    """All weights of V_lam: BFS from lam subtracting simple roots, pruned
-    to the convex hull of W*lam (dominant representative <= lam).
-
-    The root coordinates of lam - mu (the "gap") are integers and are
-    tracked incrementally, including through the dominance reduction, so
-    the hull test needs no rational arithmetic.
-    """
-    lam = tuple(lam)
-    rank = rs.rank
-    cartan = rs.cartan_matrix
-    seen = {lam}
-    frontier = [(lam, (0,) * rank)]
-    while frontier:
-        new = []
-        for mu, gap in frontier:
-            for j in range(rank):
-                row = cartan[j]
-                child = tuple(m - row[k] for k, m in enumerate(mu))
-                if child in seen:
-                    continue
-                cgap = list(gap)
-                cgap[j] += 1
-                # reduce child to dominance; each reflection at a negative
-                # coordinate c_j shifts the gap by c_j in slot j
-                red = list(child)
-                rgap = list(cgap)
-                while True:
-                    neg = next((k for k, m in enumerate(red) if m < 0), None)
-                    if neg is None:
-                        break
-                    c = red[neg]
-                    rgap[neg] += c
-                    rrow = cartan[neg]
-                    for k in range(rank):
-                        red[k] -= c * rrow[k]
-                if all(x >= 0 for x in rgap):
-                    seen.add(child)
-                    new.append((child, tuple(cgap)))
-        frontier = new
-    return seen
-
-
-_char_lock = threading.Lock()
-_char_memo = {}
-
-
 def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
-    """Map dominant mu -> m_lam^mu via Freudenthal's recursion.
+    """Map dominant mu -> m_lam^mu, in order of decreasing height.
 
-    Memoized per (type, rank, lam); fills are idempotent so the memo is
-    safe under concurrent use.
+    The dominant weights of V_lam are reached from lam by subtracting
+    positive roots and keeping only dominant results (Stembridge, 1998);
+    each carries the simple-root coordinates ``gap`` of lam - mu.
+    Freudenthal's recursion runs on them in integers: with e_i the
+    symmetrizer, (nu, alpha) for alpha = sum n_i alpha_i is proportional to
+    sum n_i e_i nu_i, and (lam+rho)^2 - (mu+rho)^2 to
+    sum gap_i e_i (lam_i + mu_i + 2), with the same factor.  Memoized on
+    the root system.
     """
     lam = tuple(lam)
-    key = (rs.type_letter, rs.rank, lam)
-    with _char_lock:
-        cached = _char_memo.get(key)
-    if cached is not None:
-        return cached
+    mult = rs.character_memo.get(lam)
+    if mult is not None:
+        return mult
 
     if not rs.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
@@ -120,59 +74,51 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     if dim > dim_budget:
         raise ResourceBudgetError("character dimension", dim, dim_budget)
 
-    weights = _weight_system(rs, lam)
-    dominants = sorted(
-        (mu for mu in weights if rs.is_dominant(mu)),
-        key=lambda mu: (-rs.height(mu), mu),
-    )
-    # (nu, alpha) = d_alpha * (nu, alpha^vee) with d_alpha = (alpha,alpha)/2,
-    # so the orbit walk below stays in integer arithmetic per step.
-    pos_roots = []
-    for i, r in enumerate(rs.positive_roots):
-        w = rs.root_to_weight_coords(r)
-        cr = rs.positive_coroots[i]
-        d_a = rs.inner(w, w) / 2
-        pos_roots.append((w, cr, d_a))
-    rho = (1,) * rs.rank
-    lam_rho = tuple(l + 1 for l in lam)
-    norm_top = rs.inner(lam_rho, lam_rho)
+    roots = [(r, rs.root_to_weight_coords(r)) for r in rs.positive_roots]
+    gaps = {lam: (0,) * rs.rank}
+    frontier = [lam]
+    while frontier:
+        new = []
+        for mu in frontier:
+            gap = gaps[mu]
+            for r, w in roots:
+                nu = tuple(m - a for m, a in zip(mu, w))
+                if nu not in gaps and rs.is_dominant(nu):
+                    gaps[nu] = tuple(g + n for g, n in zip(gap, r))
+                    new.append(nu)
+        frontier = new
 
+    sym = rs.symmetrizer
+    strings = [
+        (w, tuple(n * e for n, e in zip(r, sym))) for r, w in roots
+    ]
     mult = {lam: 1}
-    for mu in dominants:
+    for mu in sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu)):
         if mu == lam:
             continue
-        acc = Fraction(0)
-        for alpha, coroot, d_a in pos_roots:
-            pair_sum = 0
-            k = 1
-            while True:
-                nu = tuple(m + k * a for m, a in zip(mu, alpha))
-                nu_dom = rs.dominant_representative(nu)
-                m_nu = mult.get(nu_dom)
-                if m_nu is None:
-                    break
-                pair_sum += m_nu * sum(
-                    n * c for n, c in zip(nu, coroot)
-                )
-                k += 1
-            if pair_sum:
-                acc += 2 * d_a * pair_sum
-        mu_rho = tuple(m + 1 for m in mu)
-        denom = norm_top - rs.inner(mu_rho, mu_rho)
-        val = acc / denom
-        if val.denominator != 1 or val <= 0:
+        acc = 0
+        for w, ne in strings:
+            nu = tuple(m + a for m, a in zip(mu, w))
+            while (m_nu := mult.get(rs.dominant_representative(nu))):
+                acc += m_nu * sum(c * x for c, x in zip(ne, nu))
+                nu = tuple(x + a for x, a in zip(nu, w))
+        denom = sum(
+            g * e * (l + m + 2)
+            for g, e, l, m in zip(gaps[mu], sym, lam, mu)
+        )
+        val, rem = divmod(2 * acc, denom)
+        if rem or val <= 0:
             raise InternalConsistencyError(
-                f"Freudenthal multiplicity {val} of {mu} in {lam}"
+                f"Freudenthal multiplicity {2 * acc}/{denom} of {mu} in {lam}"
             )
-        mult[mu] = int(val)
+        mult[mu] = val
 
     total = sum(m * rs.orbit_size(mu) for mu, m in mult.items())
     if total != dim:
         raise InternalConsistencyError(
             f"character mass {total} != Weyl dimension {dim} for {lam}"
         )
-    with _char_lock:
-        _char_memo.setdefault(key, mult)
+    rs.character_memo[lam] = mult
     return mult
 
 
@@ -189,8 +135,7 @@ def irreducible_character(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
 
 def dominant_weights(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     """Dominant mu with m_lam^mu > 0, ordered by decreasing height."""
-    dom = dominant_multiplicities(rs, lam, dim_budget)
-    return sorted(dom, key=lambda mu: (-rs.height(mu), mu))
+    return list(dominant_multiplicities(rs, lam, dim_budget))
 
 
 def is_wmf(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
@@ -233,6 +178,11 @@ def is_small(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     return True
 
 
+def _doubled_height(rs, mu):
+    """2(mu, rho^vee), an integer for every weight."""
+    return sum(m * t for m, t in zip(mu, rs.two_rho_check))
+
+
 def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     """V_lam (x) V_lam^* as [(nu, c_nu), ...] by highest-weight stripping."""
     lam = tuple(lam)
@@ -243,7 +193,7 @@ def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     remaining = char.product(char.dual()).entries
     out = []
     while remaining:
-        nu = max(remaining, key=lambda mu: (rs.height(mu), mu))
+        nu = max(remaining, key=lambda mu: (_doubled_height(rs, mu), mu))
         c = remaining[nu]
         if c < 0 or not rs.is_dominant(nu):
             raise InternalConsistencyError(
@@ -265,7 +215,7 @@ def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
             else:
                 remaining.pop(mu, None)
         out.append((nu, c))
-    out.sort(key=lambda t: (-rs.height(t[0]), t[0]))
+    out.sort(key=lambda t: (-_doubled_height(rs, t[0]), t[0]))
     return out
 
 
@@ -275,14 +225,12 @@ def floor_profile(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     lam = tuple(lam)
     char = irreducible_character(rs, lam, dim_budget)
     lam_star = rs.dual_weight(lam)
-    # floor(mu) = (mu + lam*, rho^vee); 2*(varpi_i, rho^vee) is an integer,
-    # so doubled floors stay integral and the halving is checked once per
-    # weight.
-    two_k = [int(2 * k) for k in rs._rho_check]
-    base = sum(l * t for l, t in zip(lam_star, two_k))
+    # floor(mu) = (mu + lam*, rho^vee); doubled floors are integers and
+    # the halving is checked once per weight.
+    base = _doubled_height(rs, lam_star)
     coeffs = {}
     for mu, m in char.entries.items():
-        doubled = base + sum(c * t for c, t in zip(mu, two_k))
+        doubled = base + _doubled_height(rs, mu)
         if doubled % 2:
             raise InternalConsistencyError(
                 f"non-integer floor for weight {mu} of {lam}"
@@ -305,13 +253,13 @@ def string_decomposition(char):
         raise ValueError("character has no root system attached")
     levels = {}
     for mu, m in char.entries.items():
-        h = Fraction(rs.height(mu))
-        if h.denominator != 1:
+        doubled = _doubled_height(rs, mu)
+        if doubled % 2:
             raise DomainError(
                 "string decomposition needs all weights in the root lattice; "
-                f"weight {mu} sits at half-integral level {h}"
+                f"weight {mu} sits at half-integral level {doubled}/2"
             )
-        levels[int(h)] = levels.get(int(h), 0) + m
+        levels[doubled // 2] = levels.get(doubled // 2, 0) + m
     top = max(levels)
     if any(levels.get(j, 0) != levels.get(-j, 0) for j in range(top + 1)):
         raise DomainError("level profile is not symmetric; not a character")

@@ -12,8 +12,8 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import exactla as la
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
@@ -87,26 +87,28 @@ def _cartan_matrix(letter, rank):
 
 
 def _symmetrizer(cartan):
-    """d_i = (alpha_i, alpha_i)/2, normalised so max d_i = 1.
+    """Coprime integers e_i proportional to (alpha_i, alpha_i)/2.
 
-    Solves d_j a_ij = d_i a_ji (both equal (alpha_i, alpha_j)) by
+    Solves e_j a_ij = e_i a_ji (both proportional to (alpha_i, alpha_j)) by
     propagation along the Dynkin diagram.
     """
     l = len(cartan)
-    d = [None] * l
+    e = [None] * l
     for start in range(l):
-        if d[start] is not None:
+        if e[start] is not None:
             continue
-        d[start] = Fraction(1)
+        e[start] = Fraction(1)
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(l):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
+                if i != j and cartan[i][j] != 0 and e[j] is None:
+                    e[j] = e[i] * Fraction(cartan[j][i], cartan[i][j])
                     stack.append(j)
-    top = max(d)
-    return tuple(x / top for x in d)
+    scale = lcm(*(x.denominator for x in e))
+    ints = [int(x * scale) for x in e]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def _positive_roots(cartan):
@@ -131,20 +133,18 @@ def _positive_roots(cartan):
 
 
 def _coroots(cartan, roots, sym):
-    """Coroot coordinates: gamma^vee = sum_i n_i d_i / d_gamma alpha_i^vee."""
+    """Coroot coordinates: gamma^vee = sum_i n_i e_i / e_gamma alpha_i^vee,
+    where e_gamma = (gamma, gamma)/2 on the scale of ``sym``."""
     coroots = []
     for r in roots:
-        d_gamma = Fraction(0)
-        for i, ni in enumerate(r):
-            if ni:
-                for j, nj in enumerate(r):
-                    if nj:
-                        d_gamma += ni * nj * cartan[i][j] * sym[j]
-        d_gamma /= 2
-        cc = tuple(Fraction(ni) * sym[i] / d_gamma for i, ni in enumerate(r))
-        if any(x.denominator != 1 for x in cc):
+        e_gamma = sum(
+            ni * nj * cartan[i][j] * sym[j]
+            for i, ni in enumerate(r) for j, nj in enumerate(r)
+        ) // 2
+        cc = [divmod(ni * sym[i], e_gamma) for i, ni in enumerate(r)]
+        if any(rem for _, rem in cc):
             raise InternalConsistencyError(f"coroot of {r} is not integral")
-        coroots.append(tuple(int(x) for x in cc))
+        coroots.append(tuple(q for q, _ in cc))
     return tuple(coroots)
 
 
@@ -169,11 +169,10 @@ class RootSystem:
         self.type_letter = type_letter
         self.rank = rank
         self.cartan_matrix = _cartan_matrix(type_letter, rank)
-        self._sym = _symmetrizer(self.cartan_matrix)
+        self.symmetrizer = _symmetrizer(self.cartan_matrix)
         self.positive_roots = _positive_roots(self.cartan_matrix)
-
         self.positive_coroots = _coroots(
-            self.cartan_matrix, self.positive_roots, self._sym
+            self.cartan_matrix, self.positive_roots, self.symmetrizer
         )
         self.root_heights = tuple(sum(r) for r in self.positive_roots)
         self.coroot_heights = tuple(sum(c) for c in self.positive_coroots)
@@ -190,6 +189,9 @@ class RootSystem:
             order *= d
         self.weyl_order = order
         self._parabolic = {}
+        # dominant multiplicities per highest weight, filled by
+        # characters.dominant_multiplicities
+        self.character_memo = {}
 
         # Fundamental-basis -> root-basis conversion (inverse of cartan^T).
         red, _ = la.rref([
@@ -199,10 +201,9 @@ class RootSystem:
         ])
         self._cartan_t_inv = tuple(tuple(row[rank:]) for row in red)
 
-        # (varpi_i, rho^vee) = half column sums of the coroot table.
-        self._rho_check = tuple(
-            Fraction(sum(c[i] for c in self.positive_coroots), 2)
-            for i in range(rank)
+        # 2(varpi_i, rho^vee) = column sums of the coroot table.
+        self.two_rho_check = tuple(
+            sum(c[i] for c in self.positive_coroots) for i in range(rank)
         )
 
         # -w_0 as a permutation of the fundamental weights.
@@ -237,13 +238,6 @@ class RootSystem:
     def in_root_lattice(self, weight):
         return all(x.denominator == 1 for x in self.weight_to_root_coords(weight))
 
-    def inner(self, mu, nu):
-        """W-invariant form, normalised so long roots have squared length 2."""
-        r = self.weight_to_root_coords(mu)
-        return sum(
-            2 * r[i] * self._sym[i] * nu[i] for i in range(self.rank)
-        )
-
     # -- pairings and heights --------------------------------------------------
 
     def pairing(self, mu, alpha_index):
@@ -253,7 +247,7 @@ class RootSystem:
 
     def height(self, mu):
         """(mu, rho^vee); half-integral in general, Sum n_i for mu in Q."""
-        return sum(m * k for m, k in zip(mu, self._rho_check))
+        return Fraction(sum(m * t for m, t in zip(mu, self.two_rho_check)), 2)
 
     def simple_reflection(self, mu, j):
         row = self.cartan_matrix[j]
@@ -389,7 +383,6 @@ class RootSystem:
         return f"RootSystem({self.type_letter}{self.rank})"
 
 
-_build_lock = threading.Lock()
 _build_cache = {}
 
 
@@ -398,9 +391,7 @@ def build_root_system(type_letter, rank):
     if not isinstance(rank, int) or rank < 1:
         raise UsageError(f"rank must be a positive integer, got {rank!r}")
     key = (type_letter, rank)
-    with _build_lock:
-        rs = _build_cache.get(key)
-        if rs is None:
-            rs = RootSystem(type_letter, rank)
-            _build_cache[key] = rs
+    rs = _build_cache.get(key)
+    if rs is None:
+        rs = _build_cache[key] = RootSystem(type_letter, rank)
     return rs

@@ -6,6 +6,7 @@ order, never by completion order.
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections import namedtuple
 from itertools import product as iproduct
@@ -17,6 +18,7 @@ from . import endalg as ea
 from . import modulerep as mr
 from . import qanalogues as qa
 from . import truncsym as ts
+from .errors import UsageError
 from .qpoly import QPolynomial, gaussian_binomial, poly_str
 from .rootsystem import build_root_system
 
@@ -80,12 +82,11 @@ def _simple_types(max_rank, min_rank=1):
 
 def _dominant_by_height(rs, bound):
     """All dominant weights lam with (lam, rho^vee) <= bound."""
-    ks = [rs.height(_fundamental(rs.rank, i)) for i in range(rs.rank)]
-    ranges = [range(int(bound / k) + 1) for k in ks]
+    two = rs.two_rho_check
     out = [
         lam
-        for lam in iproduct(*ranges)
-        if sum(c * k for c, k in zip(lam, ks)) <= bound
+        for lam in iproduct(*(range(2 * bound // t + 1) for t in two))
+        if sum(c * t for c, t in zip(lam, two)) <= 2 * bound
     ]
     out.sort()
     return out
@@ -93,7 +94,7 @@ def _dominant_by_height(rs, bound):
 
 # -- the closed forms checked row by row ------------------------------------
 
-def suite_table1(max_rank=8, **_):
+def suite_table1(max_rank=8):
     """Closed factored forms of the Dynkin polynomial for every wmf family."""
     checks = []
     n_hi = max_rank
@@ -173,7 +174,7 @@ def suite_table1(max_rank=8, **_):
     return checks
 
 
-def suite_spindle(max_rank=6, samples=200, **_):
+def suite_spindle(max_rank=6, samples=200):
     """Symmetry and unimodality on randomly sampled dominant weights."""
     rng = random.Random(RANDOM_SEED)
     types = _simple_types(max_rank)
@@ -191,7 +192,7 @@ def suite_spindle(max_rank=6, samples=200, **_):
     return checks
 
 
-def suite_lusztig_vs_jump(height_bound=6, **_):
+def suite_lusztig_vs_jump(height_bound=6):
     """Zero-weight q-multiplicity vs the jump polynomial computed from the
     module itself (joint kernel of the nilpotent centralizer), two fully
     independent algorithms."""
@@ -248,7 +249,7 @@ def _table1_entries(max_rank=8, dim_cap=10**5):
     return unique
 
 
-def suite_dynkin_cross(max_rank=4, height_bound=5, **_):
+def suite_dynkin_cross(max_rank=4, height_bound=5):
     """Floor-count sum vs root-product formula for the Dynkin polynomial."""
     checks = []
     for letter, rank in _simple_types(max_rank):
@@ -268,7 +269,7 @@ def suite_dynkin_cross(max_rank=4, height_bound=5, **_):
     return checks
 
 
-def suite_wmf_iff(max_rank=3, height_bound=4, **_):
+def suite_wmf_iff(max_rank=3, height_bound=4):
     """F = D exactly on wmf weights and only on wmf weights."""
     checks = []
     for letter, rank in _simple_types(max_rank):
@@ -297,7 +298,7 @@ def _minuscule_fundamentals(max_rank=8):
     return out
 
 
-def suite_minuscule_series(max_rank=8, **_):
+def suite_minuscule_series(max_rank=8):
     """Graded series of the two endomorphism algebras agree on minuscule
     weights, with numerator t_0/t_lam."""
     checks = []
@@ -319,7 +320,7 @@ def suite_minuscule_series(max_rank=8, **_):
     return checks
 
 
-def suite_kostant_t0(max_rank=8, **_):
+def suite_kostant_t0(max_rank=8):
     """Parabolic t_0 from the degrees vs the root-height product."""
     checks = []
     for letter, rank in _simple_types(max_rank):
@@ -332,7 +333,7 @@ def suite_kostant_t0(max_rank=8, **_):
     return checks
 
 
-def suite_hermite(max_rank=8, **_):
+def suite_hermite(max_rank=8):
     """The two classical sl2 identities at polynomial level."""
     checks = []
     for m in range(1, max_rank + 1):
@@ -353,7 +354,7 @@ ENDALG_GRID = (
 )
 
 
-def suite_endalg(**_):
+def suite_endalg():
     """Exact matrix-model checks of the graded commutant on the type-A grid."""
     checks = []
     for n, kind in ENDALG_GRID:
@@ -395,7 +396,7 @@ def suite_endalg(**_):
     return checks
 
 
-def suite_truncsym(max_rank=8, **_):
+def suite_truncsym(max_rank=8):
     """Box partitions vs Gaussian binomial vs type-A Dynkin polynomial."""
     checks = []
     for n in range(1, max_rank + 1):
@@ -410,7 +411,7 @@ def suite_truncsym(max_rank=8, **_):
     return checks
 
 
-def suite_tensor_mf(dim_cap=60, **_):
+def suite_tensor_mf(dim_cap=60):
     """Tensor square of each small wmf module is multiplicity free; for
     minuscule weights every constituent is small."""
     checks = []
@@ -447,14 +448,27 @@ _SUITE_FNS = {
 
 
 def run_suite(name, **options):
-    """Run one named suite (or 'all'); returns [(suite, CheckResult), ...]."""
+    """Run one named suite (or 'all'); returns [(suite, CheckResult), ...].
+
+    Options set to None are left at the suite's default.  'all' passes each
+    suite the options it reads; a named suite given an option it does not
+    read raises UsageError.
+    """
+    opts = {k: v for k, v in options.items() if v is not None}
     if name == "all":
         results = []
         for s in SUITES:
-            results.extend(run_suite(s, **options))
+            params = inspect.signature(_SUITE_FNS[s]).parameters
+            results.extend(run_suite(
+                s, **{k: v for k, v in opts.items() if k in params}
+            ))
         return results
     fn = _SUITE_FNS.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}")
-    opts = {k: v for k, v in options.items() if v is not None}
+    params = inspect.signature(fn).parameters
+    for k in opts:
+        if k not in params:
+            flag = "--" + k.replace("_", "-")
+            raise UsageError(f"verify {name} does not take {flag}")
     return [(name, c) for c in fn(**opts)]

@@ -1,6 +1,12 @@
+from itertools import product
+from math import floor
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spindle import characters as ch
+from spindle import dynkin as dy
 from spindle.errors import DomainError, ResourceBudgetError
 from spindle.qpoly import QPolynomial
 from spindle.rootsystem import build_root_system
@@ -138,3 +144,47 @@ def test_dual_and_product_dimensions():
     char = ch.irreducible_character(A3, (1, 0, 0))
     assert char.dual().dimension == 4
     assert char.product(char.dual()).dimension == 16
+
+
+# (type letter, rank, largest coordinate drawn) for the property tests.
+PROPERTY_TYPES = (
+    ("A", 1, 4), ("A", 2, 3), ("A", 3, 2), ("A", 4, 2), ("B", 2, 3),
+    ("B", 3, 2), ("C", 2, 3), ("C", 3, 2), ("C", 4, 1), ("D", 4, 2),
+    ("E", 6, 1), ("F", 4, 1), ("G", 2, 3),
+)
+
+
+@st.composite
+def bounded_weights(draw):
+    letter, rank, cap = draw(st.sampled_from(PROPERTY_TYPES))
+    rs = build_root_system(letter, rank)
+    lam = tuple(draw(st.integers(0, cap)) for _ in range(rank))
+    assume(rs.weyl_dimension(lam) <= 2000)
+    return rs, lam
+
+
+def _brute_force_dominant_weights(rs, lam):
+    """Every lam - sum g_i alpha_i that is dominant, over the integer box
+    0 <= g <= floor(root coordinates of lam)."""
+    top = [floor(x) for x in rs.weight_to_root_coords(lam)]
+    out = set()
+    for g in product(*(range(t + 1) for t in top)):
+        mu = tuple(l - a for l, a in zip(lam, rs.root_to_weight_coords(g)))
+        if rs.is_dominant(mu):
+            out.add(mu)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_weights())
+def test_dominant_weights_match_brute_force(case):
+    rs, lam = case
+    got = set(ch.dominant_multiplicities(rs, lam))
+    assert got == _brute_force_dominant_weights(rs, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_weights())
+def test_dynkin_sum_equals_product(case):
+    rs, lam = case
+    assert dy.dynkin_sum(rs, lam) == dy.dynkin_product(rs, lam)

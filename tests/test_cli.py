@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,33 @@ def test_character_rows(capsys):
     assert code == 0
     assert "(0,0),2" in out
     assert "(1,1),1" in out
+
+
+def test_character_g2_csv_golden(capsys):
+    code, out, _ = run(
+        ["compute", "character", "--type", "G", "--rank", "2",
+         "--weight", "1,1", "--format", "csv"], capsys)
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 31
+    assert max(int(r.rsplit(",", 1)[1]) for r in rows) == 4
+    assert hashlib.md5(out.encode()).hexdigest() == (
+        "4a46554dbe3d3253e18e9f400d8e38b1")
+
+
+@pytest.mark.parametrize("letter,rank,weight,want", [
+    ("G", 2, "1,0", ["(2,0)", "(0,1)", "(1,0)", "(0,0)"]),
+    ("E", 6, "1,0,0,0,0,0",
+     ["(1,0,0,0,0,1)", "(0,1,0,0,0,0)", "(0,0,0,0,0,0)"]),
+])
+def test_tensor_square_golden(capsys, letter, rank, weight, want):
+    code, out, _ = run(
+        ["compute", "tensor-square", "--type", letter, "--rank", str(rank),
+         "--weight", weight], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].split() == ["highest_weight", "multiplicity"]
+    assert [line.split() for line in lines[1:]] == [[w, "1"] for w in want]
 
 
 def test_end_alg_a_table(capsys):
@@ -215,6 +243,13 @@ def test_verify_respects_options(capsys):
     code, out, _ = run(["verify", "hermite", "--max-rank", "3"], capsys)
     assert code == 0
     assert "checks passed" in out
+
+
+def test_verify_rejects_option_the_suite_does_not_read(capsys):
+    code, out, err = run(["verify", "tensor-mf", "--max-rank", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: verify tensor-mf does not take --max-rank\n"
 
 
 def test_verify_rejects_unknown_suite(capsys):
