@@ -274,7 +274,8 @@ def build_parser():
     pc.add_argument("--kind", help="S<m> or E<k> for end-alg-a")
     pc.add_argument("--weyl-budget", type=int, default=DEFAULT_WEYL_BUDGET,
                     help="bound on Weyl alternation walk points plus "
-                         "Kostant table cells per q-multiplicity")
+                         "Kostant table cells, and plus the table's packed "
+                         "64-bit words, per q-multiplicity")
     pc.add_argument("--dim-budget", type=int, default=ch.DEFAULT_DIM_BUDGET)
     pc.add_argument("--matrix-budget", type=int, default=ea.DEFAULT_DIM_BOUND)
     pc.add_argument("--full-weyl", action="store_true",

@@ -53,38 +53,30 @@ def _sym_basis(n, m):
 def _lift_symmetric(mat_std, basis, index):
     """Derivation action of an (n+1)x(n+1) matrix on monomials: the entry
     M[i][j] acts as x_i d/dx_j."""
-    dim = len(basis)
-    n1 = len(mat_std)
-    out = [[Fraction(0)] * dim for _ in range(dim)]
+    cols = la.transpose(mat_std)
+    terms = []
     for col, a in enumerate(basis):
-        for j in range(n1):
+        for j, column in cols.items():
             if a[j] == 0:
                 continue
-            for i in range(n1):
-                c = mat_std[i][j]
-                if c == 0:
-                    continue
+            for i, c in column.items():
                 target = list(a)
                 target[j] -= 1
                 target[i] += 1
-                out[index[tuple(target)]][col] += c * a[j]
-    return out
+                terms.append((index[tuple(target)], col, c * a[j]))
+    return _collect(terms)
 
 
 def _lift_exterior(mat_std, basis, index):
     """Action on wedge monomials e_S: M[i][j] sends e_j to e_i inside S."""
-    dim = len(basis)
-    n1 = len(mat_std)
-    out = [[Fraction(0)] * dim for _ in range(dim)]
+    cols = la.transpose(mat_std)
+    terms = []
     for col, subset in enumerate(basis):
         pos = {v: p for p, v in enumerate(subset)}
         for j in subset:
-            for i in range(n1):
-                c = mat_std[i][j]
-                if c == 0:
-                    continue
+            for i, c in cols.get(j, {}).items():
                 if i == j:
-                    out[col][col] += c
+                    terms.append((col, col, c))
                     continue
                 if i in pos:
                     continue
@@ -94,8 +86,16 @@ def _lift_exterior(mat_std, basis, index):
                 old = pos[j]
                 new = target_sorted.index(i)
                 sign = -1 if (old + new) % 2 else 1
-                out[index[target_sorted]][col] += c * sign
-    return out
+                terms.append((index[target_sorted], col, c * sign))
+    return _collect(terms)
+
+
+def _collect(terms):
+    """The sparse matrix with the sum of the x over (row, col, x) in terms
+    at (row, col)."""
+    return la.combination(
+        (Fraction(x), {row: {col: 1}}) for row, col, x in terms
+    )
 
 
 @dataclass
@@ -119,8 +119,8 @@ class MatrixRep:
         """[h,e]=2e, [h,f]=-2f, [e,f]=h, exactly."""
         e, h, f = self.e_matrix, self.h_matrix, self.f_matrix
         return (
-            la.bracket(h, e) == [[2 * x for x in row] for row in e]
-            and la.bracket(h, f) == [[-2 * x for x in row] for row in f]
+            la.bracket(h, e) == la.combination([(2, e)])
+            and la.bracket(h, f) == la.combination([(-2, f)])
             and la.bracket(e, f) == h
         )
 
@@ -133,14 +133,9 @@ def build_rep(n, kind, dim_bound=DEFAULT_DIM_BOUND):
     n1 = n + 1
 
     # principal triple in the defining representation
-    e_std = [[1 if j == i + 1 else 0 for j in range(n1)] for i in range(n1)]
-    h_std = [
-        [n - 2 * i if j == i else 0 for j in range(n1)] for i in range(n1)
-    ]
-    f_std = [
-        [(i) * (n1 - i) if j == i - 1 else 0 for j in range(n1)]
-        for i in range(n1)
-    ]
+    e_std = {i: {i + 1: 1} for i in range(n)}
+    h_std = {i: {i: n - 2 * i} for i in range(n1) if n != 2 * i}
+    f_std = {i: {i - 1: i * (n1 - i)} for i in range(1, n1)}
 
     if flavor == "S":
         basis = _sym_basis(n, power)
@@ -181,7 +176,7 @@ def build_rep(n, kind, dim_bound=DEFAULT_DIM_BOUND):
                     w[k] += a * x
         weights.append(tuple(w))
 
-    h_eigs = [h[i][i] for i in range(dim)]
+    h_eigs = [h.get(i, {}).get(i, 0) for i in range(dim)]
     low = min(h_eigs)
     if h_eigs.count(low) != 1:
         raise InternalConsistencyError("lowest weight space is not a line")
@@ -195,8 +190,7 @@ def build_rep(n, kind, dim_bound=DEFAULT_DIM_BOUND):
     p = e_std
     for _ in range(n):
         lifts.append(lift(p, basis, index))
-        p = [[sum(p[i][k] * e_std[k][j] for k in range(n1)) for j in range(n1)]
-             for i in range(n1)]
+        p = la.mat_mul(p, e_std)
 
     rep = MatrixRep(
         n=n,
@@ -239,22 +233,23 @@ class GradedCommutant:
     def is_commutative(self):
         for i, (a, _) in enumerate(self.basis):
             for b, _g in self.basis[i + 1:]:
-                if any(la.flatten(la.bracket(a, b))):
+                if la.bracket(a, b):
                     return False
         return True
 
     def _span(self):
-        rows = [la.flatten(m) for m, _ in self.basis]
-        return la.span(rows, self.rep.dimension**2)
+        dim = self.rep.dimension
+        return la.span([la.flatten(m, dim) for m, _ in self.basis], dim**2)
 
     def contains(self, matrix):
-        return la.flatten(matrix) in self._span()
+        return la.flatten(matrix, self.rep.dimension) in self._span()
 
     def is_closed_under_product(self):
+        dim = self.rep.dimension
         span = self._span()
         for a, _ in self.basis:
             for b, _g in self.basis:
-                if la.flatten(la.mat_mul(a, b)) not in span:
+                if la.flatten(la.mat_mul(a, b), dim) not in span:
                     return False
         return True
 
@@ -273,9 +268,10 @@ def commutant(rep):
                 f"commutant element at negative grade {g}"
             )
         for vec in sols:
-            m = [[Fraction(0)] * dim for _ in range(dim)]
+            m = {}
             for (u, v), x in zip(pairs, vec):
-                m[u][v] = x
+                if x:
+                    m.setdefault(u, {})[v] = x
             basis.append((m, g))
     comm = GradedCommutant(rep=rep, basis=basis)
     if comm.dimension != dim:
@@ -292,8 +288,8 @@ def check_bijection(rep, comm):
     low = rep.lowest_index
     columns = []
     for m, g in comm.basis:
-        vec = [m[r][low] for r in range(dim)]
-        if any(vec[r] != 0 and rep.floors[r] != g for r in range(dim)):
+        vec = {r: row[low] for r, row in m.items() if low in row}
+        if any(rep.floors[r] != g for r in vec):
             return False
         columns.append(vec)
     return la.rank(columns, dim) == dim
@@ -303,30 +299,26 @@ def socle_dimension(comm):
     """Dimension of the annihilator of the positive-grade part."""
     if not comm.is_commutative():
         raise DomainError("socle check requires a commutative commutant")
-    n = comm.dimension
     rows = []
     for m, g in comm.basis:
         if g <= 0:
             continue
         # row block: coefficients x_i of sum x_i b_i with (sum x_i b_i) m = 0
-        products = [la.mat_mul(b, m) for b, _ in comm.basis]
-        dim = comm.rep.dimension
-        for p in range(dim):
-            for q in range(dim):
-                row = [products[i][p][q] for i in range(n)]
-                if any(row):
-                    rows.append(row)
-    return len(la.nullspace(rows, n))
+        rows.extend(la.coefficient_rows(
+            la.mat_mul(b, m) for b, _ in comm.basis
+        ))
+    return len(la.nullspace(rows, comm.dimension))
 
 
 def lefschetz_check(comm):
     """Multiplication by the grade-1 triple element e is injective on the
     lower half of the grading and surjective on the upper half."""
     rep = comm.rep
-    e = [[Fraction(x) for x in row] for row in rep.e_matrix]
+    e = rep.e_matrix
     if not comm.contains(e):
         raise InternalConsistencyError("e is not in the commutant")
     top = rep.top_floor
+    dim = rep.dimension
     by_grade = {}
     for m, g in comm.basis:
         by_grade.setdefault(g, []).append(m)
@@ -336,11 +328,11 @@ def lefschetz_check(comm):
     for i in range(top):
         src = by_grade.get(i, [])
         dst = by_grade.get(i + 1, [])
-        images = [la.flatten(la.mat_mul(e, m)) for m in src]
-        target = la.span([la.flatten(m) for m in dst], rep.dimension**2)
+        images = [la.flatten(la.mat_mul(e, m), dim) for m in src]
+        target = la.span([la.flatten(m, dim) for m in dst], dim**2)
         if any(img not in target for img in images):
             raise InternalConsistencyError("product left the expected grade")
-        r = la.rank(images, rep.dimension**2)
+        r = la.rank(images, dim**2)
         if i <= (top - 1) // 2 and r != len(src):
             return False
         if i >= top // 2 and r != len(dst):
@@ -350,13 +342,11 @@ def lefschetz_check(comm):
 
 def e_power_projections(rep):
     """e^n applied to the lowest vector hits every weight line on floor n."""
-    dim = rep.dimension
-    vec = [Fraction(0)] * dim
-    vec[rep.lowest_index] = Fraction(1)
+    vec = {rep.lowest_index: Fraction(1)}
     for step in range(1, rep.top_floor + 1):
         vec = la.mat_vec(rep.e_matrix, vec)
-        for b in range(dim):
-            if rep.floors[b] == step and vec[b] == 0:
+        for b, floor in enumerate(rep.floors):
+            if floor == step and b not in vec:
                 return False
     return True
 
@@ -365,5 +355,5 @@ def a_invariants_dimension(rep):
     """Dimension of the joint kernel of the lifted nilpotent powers."""
     rows = []
     for em in rep.e_std_lifts:
-        rows.extend(em)
+        rows.extend(em.values())
     return len(la.nullspace(rows, rep.dimension))

@@ -9,9 +9,12 @@ order of the rows, because the reduced echelon form of a row space is
 unique.  ``graded_commutant`` solves the graded commutant equations of
 both matrix oracles through ``nullspace``.
 
-Matrices are dense lists of lists.  Rows handed to the kernel may be
-dense sequences or sparse dicts.  Everything downstream needs exact ranks
-and nullspaces, never numerics.
+A matrix is sparse: ``{row: {col: value}}``, with no stored zeros and
+no empty rows, so equal matrices are equal dicts.  A vector is
+``{index: value}`` in the same way.  Rows handed to the kernel may be
+dense sequences or sparse dicts; ``rref`` and ``nullspace`` return dense
+lists.  Everything downstream needs exact ranks and nullspaces, never
+numerics.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def rref(rows, ncols=None):
 
 
 def rank(rows, ncols=None):
-    return len(rref(rows, ncols)[1])
+    return len(span(rows, ncols))
 
 
 def nullspace(rows, ncols):
@@ -119,58 +122,100 @@ def graded_commutant(ops, levels):
     (g, pairs, basis) for each grade in increasing order, where basis is a
     nullspace basis of coefficient vectors over ``pairs``.
     """
-    n = len(levels)
-    for g in sorted({a - b for a in levels for b in levels}):
+    by_level = {}
+    for v, lv in enumerate(levels):
+        by_level.setdefault(lv, []).append(v)
+    cols = [transpose(op) for op in ops]
+    for g in sorted({a - b for a in by_level for b in by_level}):
         pairs = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if levels[u] - levels[v] == g
+            (u, v) for u, lv in enumerate(levels)
+            for v in by_level.get(lv - g, ())
         ]
         rows = {}
-        for k, op in enumerate(ops):
+        for k, (op, op_cols) in enumerate(zip(ops, cols)):
             for t, (u, v) in enumerate(pairs):
                 # (T op)[u][q] gets op[v][q]; (op T)[p][v] gets op[p][u]
-                for q in range(n):
-                    if op[v][q]:
-                        row = rows.setdefault((k, u, q), {})
-                        row[t] = row.get(t, 0) + op[v][q]
-                for p in range(n):
-                    if op[p][u]:
-                        row = rows.setdefault((k, p, v), {})
-                        row[t] = row.get(t, 0) - op[p][u]
+                for q, x in op.get(v, {}).items():
+                    row = rows.setdefault((k, u, q), {})
+                    row[t] = row.get(t, 0) + x
+                for p, x in op_cols.get(u, {}).items():
+                    row = rows.setdefault((k, p, v), {})
+                    row[t] = row.get(t, 0) - x
         yield g, pairs, nullspace(rows.values(), len(pairs))
 
 
+def coefficient_rows(mats):
+    """Rows of the system sum_k x_k mats[k] = 0 in the unknowns x_k: one
+    sparse row {k: mats[k][p][q]} per entry (p, q) nonzero in some mats[k]."""
+    rows = {}
+    for k, m in enumerate(mats):
+        for p, row in m.items():
+            for q, x in row.items():
+                rows.setdefault((p, q), {})[k] = x
+    return list(rows.values())
+
+
+def transpose(a):
+    out = {}
+    for i, row in a.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def combination(terms):
+    """The sparse matrix sum of c * m over the (c, m) in terms."""
+    out = {}
+    for c, m in terms:
+        for i, row in m.items():
+            _subtract(out.setdefault(i, {}), -c, row)
+    return {i: row for i, row in out.items() if row}
+
+
+def _row_product(row, b):
+    """The vector row @ b, possibly holding zeros."""
+    out = {}
+    for t, x in row.items():
+        for j, y in b.get(t, {}).items():
+            out[j] = out.get(j, 0) + x * y
+    return out
+
+
+def _nonzero(row):
+    return {j: x for j, x in row.items() if x}
+
+
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                row = out[i]
-                for j in range(m):
-                    if bt[j]:
-                        row[j] += x * bt[j]
+    out = {}
+    for i, row in a.items():
+        r = _nonzero(_row_product(row, b))
+        if r:
+            out[i] = r
     return out
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = {}
+    for i, row in a.items():
+        x = sum(y * v[c] for c, y in row.items() if c in v)
+        if x:
+            out[i] = x
+    return out
 
 
 def bracket(a, b):
     """The commutator ab - ba."""
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    out = {}
+    for i in sorted(a.keys() | b.keys()):
+        r = _row_product(a.get(i, {}), b)
+        for j, y in _row_product(b.get(i, {}), a).items():
+            r[j] = r.get(j, 0) - y
+        r = _nonzero(r)
+        if r:
+            out[i] = r
+    return out
 
 
-def flatten(a):
-    return [x for row in a for x in row]
+def flatten(a, ncols):
+    """Row-major vector of a matrix with ncols columns."""
+    return {i * ncols + j: x for i, row in a.items() for j, x in row.items()}

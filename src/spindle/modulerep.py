@@ -69,18 +69,9 @@ class HighestWeightModule:
             new_indices = []
             for mu in sorted(groups):
                 group = groups[mu]
-                coords = sorted({
-                    (j, r)
-                    for cand in group
-                    for j, img in enumerate(cand[3])
-                    for r in img
-                })
-                m = [
-                    [group[c][3][j].get(r, Fraction(0))
-                     for c in range(len(group))]
-                    for (j, r) in coords
-                ]
-                red, pivots = la.rref(m, len(group))
+                # relations among the candidates: those of their e_j-images
+                images = [dict(enumerate(cand[3])) for cand in group]
+                red, pivots = la.rref(la.coefficient_rows(images), len(group))
                 new_of_pivot = []
                 for c_pos in pivots:
                     i, gb, _, imgs = group[c_pos]
@@ -112,43 +103,41 @@ class HighestWeightModule:
         self._e_cols = e_cols
         self._f_cols = f_cols
 
-    def _dense(self, cols):
-        n = self.dimension
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for col, entries in cols.items():
-            for row, v in entries.items():
-                m[row][col] = v
-        return m
-
     def raising_matrix(self, i):
-        return self._dense(self._e_cols[i])
+        return la.transpose(self._e_cols[i])
 
     def lowering_matrix(self, i):
-        return self._dense(self._f_cols[i])
+        return la.transpose(self._f_cols[i])
 
     def levels(self):
-        """hot(mu) per basis vector, as exact fractions."""
-        return [self.rs.height(w) for w in self.weights]
+        """2 hot(mu) per basis vector, as integers."""
+        two_rho_check = self.rs.two_rho_check
+        return [
+            sum(m * t for m, t in zip(w, two_rho_check)) for w in self.weights
+        ]
 
 
 def _nilradical_span(module):
     """Bracket closure of the simple raising operators: the image of the
-    positive nilradical, each element homogeneous of definite height."""
+    positive nilradical, each element homogeneous of definite height.
+
+    Yields (height, m, [e, m]) per basis element m, where e is the sum of
+    the simple raising operators.
+    """
     rank = module.rs.rank
+    n = module.dimension
     simple = [module.raising_matrix(i) for i in range(rank)]
-    span = [(1, m) for m in simple]
-    space = la.span([la.flatten(m) for m in simple], module.dimension**2)
-    frontier = list(span)
+    space = la.span([la.flatten(m, n) for m in simple], n * n)
+    frontier = [(1, m) for m in simple]
     while frontier:
         new = []
         for h, m in frontier:
-            for s in simple:
-                br = la.bracket(s, m)
-                if space.add(la.flatten(br)):
-                    span.append((h + 1, br))
+            brackets = [la.bracket(s, m) for s in simple]
+            for br in brackets:
+                if space.add(la.flatten(br, n)):
                     new.append((h + 1, br))
+            yield h, m, la.combination((1, br) for br in brackets)
         frontier = new
-    return span
 
 
 def _nilpotent_centralizer(module):
@@ -156,33 +145,17 @@ def _nilpotent_centralizer(module):
     operators inside the nilradical image; dimension equals the rank for
     any faithful module."""
     rank = module.rs.rank
-    e = module.raising_matrix(0)
-    for i in range(1, rank):
-        m = module.raising_matrix(i)
-        e = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(e, m)]
     by_height = {}
-    for h, m in _nilradical_span(module):
-        by_height.setdefault(h, []).append(m)
+    for h, m, em in _nilradical_span(module):
+        by_height.setdefault(h, []).append((m, em))
     out = []
-    n = module.dimension
     for h in sorted(by_height):
         group = by_height[h]
-        comms = [la.bracket(e, m) for m in group]
-        rows = []
-        for p in range(n):
-            for q in range(n):
-                row = [comms[k][p][q] for k in range(len(group))]
-                if any(row):
-                    rows.append(row)
+        rows = la.coefficient_rows(em for _, em in group)
         for vec in la.nullspace(rows, len(group)):
-            z = [[Fraction(0)] * n for _ in range(n)]
-            for k, c in enumerate(vec):
-                if c:
-                    for p in range(n):
-                        for q in range(n):
-                            if group[k][p][q]:
-                                z[p][q] += c * group[k][p][q]
-            out.append(z)
+            out.append(la.combination(
+                (c, m) for c, (m, _) in zip(vec, group) if c
+            ))
     if len(out) != rank:
         raise InternalConsistencyError(
             f"nilpotent centralizer has dimension {len(out)}, "
@@ -205,23 +178,25 @@ def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         return QPolynomial.one()
     module = HighestWeightModule(rs, lam, dim_budget)
     zs = _nilpotent_centralizer(module)
-    levels = module.levels()
-    by_level = {}
-    for idx, lv in enumerate(levels):
-        if Fraction(lv).denominator != 1:
+    level_of = []
+    for lv in module.levels():
+        if lv % 2:
             raise InternalConsistencyError(f"half-integral level for {lam}")
-        by_level.setdefault(int(lv), []).append(idx)
+        level_of.append(lv // 2)
+    # number the basis vectors of each level within their level
+    size = {}
+    slot = []
+    for lv in level_of:
+        slot.append(size.get(lv, 0))
+        size[lv] = slot[-1] + 1
+    rows = {lv: {} for lv in size}  # level -> (z, p) -> kernel row
+    for k, z in enumerate(zs):
+        for p, row in z.items():
+            for c, x in row.items():
+                rows[level_of[c]].setdefault((k, p), {})[slot[c]] = x
     coeffs = {}
-    n = module.dimension
-    for lv in sorted(by_level):
-        cols = by_level[lv]
-        rows = []
-        for z in zs:
-            for p in range(n):
-                row = [z[p][c] for c in cols]
-                if any(row):
-                    rows.append(row)
-        k = len(la.nullspace(rows, len(cols)))
+    for lv in sorted(size):
+        k = len(la.nullspace(rows[lv].values(), size[lv]))
         if k:
             if lv < 0:
                 raise InternalConsistencyError(
@@ -238,9 +213,8 @@ def jump_polynomial_end(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     lam = tuple(lam)
     module = HighestWeightModule(rs, lam, dim_budget)
     zs = _nilpotent_centralizer(module)
-    levels = [int(2 * lv) for lv in module.levels()]  # doubled: always int
     coeffs = {}
-    for g, _, sols in la.graded_commutant(zs, levels):
+    for g, _, sols in la.graded_commutant(zs, module.levels()):
         if sols:
             if g < 0 or g % 2:
                 raise InternalConsistencyError(

@@ -40,14 +40,22 @@ def _box_table(rs, top, width):
     return table, strides
 
 
-def _kostant_cells(rs, top):
+def _kostant_cells(rs, top, points=0, budget=None):
     """Function nu -> coefficient list of P_q(nu), for nu in [0, top].
 
     P(top)(1) bounds every coefficient in the box (adding simple roots
     embeds the partitions of nu into those of top), so slots of its bit
-    length never carry.
+    length never carry.  With a ``budget``, ``points`` plus the 64-bit
+    words of the packed cells must fit in it.
     """
-    width = _box_table(rs, top, 0)[0][-1].bit_length()
+    counts = _box_table(rs, top, 0)[0]
+    width = counts[-1].bit_length()
+    words = -(-width * (sum(top) + 1) // 64)
+    if budget is not None and points + len(counts) * words > budget:
+        raise ResourceBudgetError(
+            "Kostant partition table",
+            f"{points} points + {len(counts)} cells of {words} words", budget,
+        )
     table, strides = _box_table(rs, top, width)
     mask = (1 << width) - 1
 
@@ -71,7 +79,8 @@ def lusztig_q_multiplicity(rs, lam, mu, budget=DEFAULT_WEYL_BUDGET):
 
     Only the Weyl alternation set contributes; it is walked pruned, and
     its terms are read from one Kostant table over the box [0, lam - mu].
-    ``budget`` bounds walk points plus table cells.  Asserts the classical
+    ``budget`` bounds walk points plus table cells, and walk points plus
+    the 64-bit words of the packed table.  Asserts the classical
     properties: nonnegative coefficients, support iff mu is a weight of
     V_lam, degree (lam-mu, rho^vee).
     """
@@ -90,7 +99,7 @@ def lusztig_q_multiplicity(rs, lam, mu, budget=DEFAULT_WEYL_BUDGET):
                 "Kostant partition table",
                 f"{len(points)} points + {cells} cells", budget,
             )
-        cell = _kostant_cells(rs, gap)
+        cell = _kostant_cells(rs, gap, len(points), budget)
         coeffs = [0] * (sum(gap) + 1)
         for nu, sign in points:
             for k, c in enumerate(cell(nu)):

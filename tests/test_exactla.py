@@ -14,6 +14,40 @@ matrices = st.integers(1, 5).flatmap(
 )
 
 
+def _squares(n):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+square_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(_squares(n), _squares(n))
+)
+
+
+def _sparse(a):
+    """A dense list-of-rows matrix in the sparse form of exactla."""
+    out = {i: {j: Fraction(x) for j, x in enumerate(row) if x}
+           for i, row in enumerate(a)}
+    return {i: row for i, row in out.items() if row}
+
+
+def _dense_product(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_pairs)
+def test_sparse_product_and_bracket_match_dense(pair):
+    a, b = pair
+    ab, ba = _dense_product(a, b), _dense_product(b, a)
+    commutator = [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    assert la.mat_mul(_sparse(a), _sparse(b)) == _sparse(ab)
+    assert la.bracket(_sparse(a), _sparse(b)) == _sparse(commutator)
+    # no stored zeros: a matrix commutes with itself to the empty dict
+    assert la.bracket(_sparse(a), _sparse(a)) == {}
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_rref_is_reduced_echelon_with_leftmost_pivots(a):
@@ -33,7 +67,7 @@ def test_nullspace_is_annihilated_and_complements_rank(a):
     basis = la.nullspace(a, ncols)
     assert len(basis) == ncols - la.rank(a)
     for v in basis:
-        assert la.mat_vec(a, v) == [0] * len(a)
+        assert la.mat_vec(_sparse(a), dict(enumerate(v))) == {}
     assert la.rank(basis, ncols) == len(basis)
 
 
@@ -64,7 +98,7 @@ def test_row_space_accepts_sparse_rows():
 
 def test_graded_commutant_of_a_jordan_block():
     n = 4
-    jordan = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    jordan = _sparse([[int(j == i + 1) for j in range(n)] for i in range(n)])
     levels = list(range(n - 1, -1, -1))
     dims = {g: len(basis)
             for g, _, basis in la.graded_commutant([jordan], levels)}

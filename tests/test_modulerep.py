@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindle import modulerep as mr
 from spindle import qanalogues as qa
@@ -10,6 +14,7 @@ A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
 B2 = build_root_system("B", 2)
+C2 = build_root_system("C", 2)
 C3 = build_root_system("C", 3)
 G2 = build_root_system("G", 2)
 
@@ -36,13 +41,16 @@ def test_module_weight_multiplicities():
 def test_sl2_commutation_relation():
     import spindle.exactla as la
 
-    module = mr.HighestWeightModule(A2, (2, 1))
-    for i in range(2):
-        e = module.raising_matrix(i)
-        f = module.lowering_matrix(i)
-        comm = la.mat_sub(la.mat_mul(e, f), la.mat_mul(f, e))
-        for col, w in enumerate(module.weights):
-            assert comm[col][col] == w[i]
+    # [e_i, f_j] = delta_ij h_i, with h_i diagonal: mu_i on a weight-mu vector
+    for rs, lam in [(A2, (2, 1)), (G2, (0, 1))]:
+        module = mr.HighestWeightModule(rs, lam)
+        for i in range(rs.rank):
+            h = {col: {col: w[i]}
+                 for col, w in enumerate(module.weights) if w[i]}
+            for j in range(rs.rank):
+                comm = la.bracket(module.raising_matrix(i),
+                                  module.lowering_matrix(j))
+                assert comm == (h if i == j else {}), (rs.type_letter, i, j)
 
 
 def test_module_budget():
@@ -59,6 +67,24 @@ def test_jump_matches_lusztig_zero_weight():
         assert mr.jump_polynomial(rs, lam) == qa.lusztig_q_multiplicity(
             rs, lam, zero
         ), (rs.type_letter, lam)
+
+
+# Nonzero root-lattice weights with coordinates <= 6 and dimension <= 100.
+ROOT_LATTICE_WEIGHTS = [
+    (rs, lam)
+    for rs in (A1, A2, A3, B2, C2, G2)
+    for lam in product(range(7), repeat=rs.rank)
+    if any(lam) and rs.in_root_lattice(lam) and rs.weyl_dimension(lam) <= 100
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ROOT_LATTICE_WEIGHTS))
+def test_module_jump_equals_alternating_sum(case):
+    rs, lam = case
+    assert mr.jump_polynomial(rs, lam) == qa.lusztig_q_multiplicity(
+        rs, lam, (0,) * rs.rank
+    )
 
 
 def test_jump_distinguishes_from_level_differences():

@@ -221,3 +221,15 @@ def test_lusztig_budget_counts_walk_and_table():
     with pytest.raises(ResourceBudgetError,
                        match=r"2318 points \+ 151200 cells"):
         qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8, budget=153517)
+
+
+def test_lusztig_budget_counts_packed_table_words():
+    e8 = build_root_system("E", 8)
+    adjoint = (0, 0, 0, 0, 0, 0, 0, 1)
+    # 2318 + 151200 fits, 2318 + 151200 cells * 12 words does not
+    with pytest.raises(
+        ResourceBudgetError,
+        match=r"^Kostant partition table: 2318 points \+ 151200 cells of "
+              r"12 words exceeds budget 1000000$",
+    ):
+        qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8, budget=10**6)
