@@ -61,20 +61,23 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     symmetrizer, (nu, alpha) for alpha = sum n_i alpha_i is proportional to
     sum n_i e_i nu_i, and (lam+rho)^2 - (mu+rho)^2 to
     sum gap_i e_i (lam_i + mu_i + 2), with the same factor.  Memoized on
-    the root system.
+    the root system with the dimension, so that a memo hit meets the same
+    budget as the first call.
     """
     lam = tuple(lam)
-    mult = rs.character_memo.get(lam)
-    if mult is not None:
-        return mult
-
-    if not rs.is_dominant(lam):
-        raise DomainError(f"{lam} is not dominant")
-    dim = rs.weyl_dimension(lam)
+    hit = rs.character_memo.get(lam)
+    if hit is None:
+        if not rs.is_dominant(lam):
+            raise DomainError(f"{lam} is not dominant")
+        dim = rs.weyl_dimension(lam)
+    else:
+        dim, mult = hit
     if dim > dim_budget:
         raise ResourceBudgetError("character dimension", dim, dim_budget)
+    if hit is not None:
+        return mult
 
-    roots = [(r, rs.root_to_weight_coords(r)) for r in rs.positive_roots]
+    roots = list(zip(rs.positive_roots, rs.positive_root_weights))
     gaps = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
@@ -92,6 +95,14 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     strings = [
         (w, tuple(n * e for n, e in zip(r, sym))) for r, w in roots
     ]
+    reps = {}  # weight -> dominant representative, for this call only
+
+    def rep(nu):
+        r = reps.get(nu)
+        if r is None:
+            r = reps[nu] = rs.dominant_representative(nu)
+        return r
+
     mult = {lam: 1}
     for mu in sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu)):
         if mu == lam:
@@ -99,7 +110,7 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         acc = 0
         for w, ne in strings:
             nu = tuple(m + a for m, a in zip(mu, w))
-            while (m_nu := mult.get(rs.dominant_representative(nu))):
+            while (m_nu := mult.get(rep(nu))):
                 acc += m_nu * sum(c * x for c, x in zip(ne, nu))
                 nu = tuple(x + a for x, a in zip(nu, w))
         denom = sum(
@@ -118,7 +129,7 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         raise InternalConsistencyError(
             f"character mass {total} != Weyl dimension {dim} for {lam}"
         )
-    rs.character_memo[lam] = mult
+    rs.character_memo[lam] = (dim, mult)
     return mult
 
 
@@ -171,8 +182,8 @@ def is_small(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     if not rs.in_root_lattice(lam):
         raise DomainError(f"smallness is defined for weights in Q; {lam} is not")
     dom = dominant_multiplicities(rs, lam, dim_budget)
-    for r in rs.positive_roots:
-        doubled = tuple(2 * x for x in rs.root_to_weight_coords(r))
+    for w in rs.positive_root_weights:
+        doubled = tuple(2 * x for x in w)
         if rs.dominant_representative(doubled) in dom:
             return False
     return True
@@ -184,13 +195,25 @@ def _doubled_height(rs, mu):
 
 
 def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
-    """V_lam (x) V_lam^* as [(nu, c_nu), ...] by highest-weight stripping."""
+    """V_lam (x) V_lam^* as [(nu, c_nu), ...] by highest-weight stripping.
+
+    Only the dominant part of the product character is kept: each weight
+    of largest height of a W-invariant character is dominant, so the
+    leading terms are the same, and each constituent is stripped through
+    its dominant multiplicities.
+    """
     lam = tuple(lam)
     dim = rs.weyl_dimension(lam)
     if dim * dim > dim_budget:
         raise ResourceBudgetError("tensor square dimension", dim * dim, dim_budget)
-    char = irreducible_character(rs, lam, dim_budget)
-    remaining = char.product(char.dual()).entries
+    weights = list(irreducible_character(rs, lam, dim_budget).entries.items())
+    # the weights of V_lam^* are the negatives of those of V_lam
+    remaining = {}
+    for x, a in weights:
+        for y, b in weights:
+            nu = tuple(p - q for p, q in zip(x, y))
+            if min(nu) >= 0:  # dominant
+                remaining[nu] = remaining.get(nu, 0) + a * b
     out = []
     while remaining:
         nu = max(remaining, key=lambda mu: (_doubled_height(rs, mu), mu))
@@ -203,8 +226,7 @@ def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
             raise InternalConsistencyError(
                 f"tensor-square constituent {nu} outside the root lattice"
             )
-        piece = irreducible_character(rs, nu, dim_budget)
-        for mu, m in piece.entries.items():
+        for mu, m in dominant_multiplicities(rs, nu, dim_budget).items():
             val = remaining.get(mu, 0) - c * m
             if val < 0:
                 raise InternalConsistencyError(
@@ -221,22 +243,26 @@ def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
 
 def floor_profile(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     """Weight-space dimensions by floor number: coefficient of q^n is the
-    total multiplicity at lattice distance n above the lowest weight."""
+    total multiplicity at lattice distance n above the lowest weight.
+
+    Sums m_lam(mu) times the orbit-height histogram of each dominant mu,
+    so no orbit point is visited twice across calls.
+    """
     lam = tuple(lam)
-    char = irreducible_character(rs, lam, dim_budget)
-    lam_star = rs.dual_weight(lam)
-    # floor(mu) = (mu + lam*, rho^vee); doubled floors are integers and
-    # the halving is checked once per weight.
-    base = _doubled_height(rs, lam_star)
+    dom = dominant_multiplicities(rs, lam, dim_budget)
+    # floor(x) = (x + lam*, rho^vee); doubled floors are integers and the
+    # halving is checked once per orbit height.
+    base = _doubled_height(rs, rs.dual_weight(lam))
     coeffs = {}
-    for mu, m in char.entries.items():
-        doubled = base + _doubled_height(rs, mu)
-        if doubled % 2:
-            raise InternalConsistencyError(
-                f"non-integer floor for weight {mu} of {lam}"
-            )
-        floor = doubled // 2
-        coeffs[floor] = coeffs.get(floor, 0) + m
+    for mu, m in dom.items():
+        for h, n in rs.orbit_heights(mu).items():
+            doubled = base + h
+            if doubled % 2:
+                raise InternalConsistencyError(
+                    f"non-integer floor for the orbit of {mu} in {lam}"
+                )
+            floor = doubled // 2
+            coeffs[floor] = coeffs.get(floor, 0) + m * n
     top = max(coeffs)
     return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])
 

@@ -99,7 +99,56 @@ def _weight_str(w):
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
+_WEIGHT = ("type", "rank", "weight")
+_WEYL = ("method", "weyl_budget", "full_weyl", "dim_budget")
+
+# The options each compute subcommand reads, besides --format.
+COMPUTE_OPTIONS = {
+    "root-system": ("type", "rank"),
+    "character": _WEIGHT + ("dim_budget",),
+    "dynkin": _WEIGHT,
+    "jump": _WEIGHT + ("mu",) + _WEYL,
+    "lusztig": _WEIGHT + ("mu", "weyl_budget", "full_weyl"),
+    "t-poly": _WEIGHT,
+    "f-lambda": _WEIGHT + _WEYL,
+    "poincare-cg": _WEIGHT + _WEYL,
+    "poincare-ct": _WEIGHT + ("dim_budget",),
+    "tensor-square": _WEIGHT + ("dim_budget",),
+    "end-alg-a": ("n", "kind", "matrix_budget"),
+    "truncsym": ("n", "m"),
+}
+
+# Defaults of the options that have one; every option parses to None when
+# it is not given, so that an option a subcommand does not read is seen.
+COMPUTE_DEFAULTS = {
+    "method": "auto",
+    "weyl_budget": DEFAULT_WEYL_BUDGET,
+    "full_weyl": False,
+    "dim_budget": ch.DEFAULT_DIM_BUDGET,
+    "matrix_budget": ea.DEFAULT_DIM_BOUND,
+}
+
+
+def _check_compute_options(args):
+    """Reject options the subcommand does not read; fill in defaults."""
+    reads = COMPUTE_OPTIONS[args.subcommand]
+    unread = [
+        "--" + name.replace("_", "-")
+        for name in dict.fromkeys(n for opts in COMPUTE_OPTIONS.values()
+                                  for n in opts)
+        if name not in reads and getattr(args, name) is not None
+    ]
+    if unread:
+        raise UsageError(
+            f"compute {args.subcommand} does not take {', '.join(unread)}"
+        )
+    for name, value in COMPUTE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def cmd_compute(args, out):
+    _check_compute_options(args)
     sub = args.subcommand
     fmt = args.format
     if sub == "truncsym":
@@ -255,11 +304,7 @@ def build_parser():
     pc = sub.add_parser("compute", help="compute one invariant")
     pc.add_argument(
         "subcommand",
-        choices=[
-            "root-system", "character", "dynkin", "jump", "lusztig",
-            "t-poly", "f-lambda", "poincare-cg", "poincare-ct",
-            "tensor-square", "end-alg-a", "truncsym",
-        ],
+        choices=list(COMPUTE_OPTIONS),
     )
     pc.add_argument("--type", help="type letter A-G")
     pc.add_argument("--rank", type=int)
@@ -268,17 +313,20 @@ def build_parser():
     pc.add_argument("--format", choices=["text", "json", "csv"],
                     default="text")
     pc.add_argument("--method", choices=["auto", "weyl", "closed"],
-                    default="auto")
+                    help="default auto")
     pc.add_argument("--n", type=int, help="for end-alg-a / truncsym")
     pc.add_argument("--m", type=int, help="for truncsym")
     pc.add_argument("--kind", help="S<m> or E<k> for end-alg-a")
-    pc.add_argument("--weyl-budget", type=int, default=DEFAULT_WEYL_BUDGET,
+    pc.add_argument("--weyl-budget", type=int,
                     help="bound on Weyl alternation walk points plus "
                          "Kostant table cells, and plus the table's packed "
-                         "64-bit words, per q-multiplicity")
-    pc.add_argument("--dim-budget", type=int, default=ch.DEFAULT_DIM_BUDGET)
-    pc.add_argument("--matrix-budget", type=int, default=ea.DEFAULT_DIM_BOUND)
-    pc.add_argument("--full-weyl", action="store_true",
+                         "64-bit words, per q-multiplicity (default "
+                         f"{DEFAULT_WEYL_BUDGET})")
+    pc.add_argument("--dim-budget", type=int,
+                    help=f"default {ch.DEFAULT_DIM_BUDGET}")
+    pc.add_argument("--matrix-budget", type=int,
+                    help=f"default {ea.DEFAULT_DIM_BOUND}")
+    pc.add_argument("--full-weyl", action="store_true", default=None,
                     help="lift the --weyl-budget cap")
 
     pv = sub.add_parser("verify", help="run an identity suite")

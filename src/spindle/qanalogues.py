@@ -86,10 +86,9 @@ def lusztig_q_multiplicity(rs, lam, mu, budget=DEFAULT_WEYL_BUDGET):
     """
     lam = tuple(lam)
     mu = tuple(mu)
-    gap = rs.weight_to_root_coords(tuple(l - m for l, m in zip(lam, mu)))
+    gap = rs.root_lattice_coords(tuple(l - m for l, m in zip(lam, mu)))
     acc = QPolynomial.zero()
-    if all(x.denominator == 1 and x >= 0 for x in gap):
-        gap = tuple(int(x) for x in gap)
+    if gap is not None and min(gap) >= 0:
         points = rs.alternation_walk(
             tuple(l + 1 for l in lam), gap, budget=budget
         )

@@ -169,6 +169,10 @@ class RootSystem:
         self.type_letter = type_letter
         self.rank = rank
         self.cartan_matrix = _cartan_matrix(type_letter, rank)
+        self._bonds = tuple(
+            tuple((k, a) for k, a in enumerate(row) if a and k != j)
+            for j, row in enumerate(self.cartan_matrix)
+        )
         self.symmetrizer = _symmetrizer(self.cartan_matrix)
         self.positive_roots = _positive_roots(self.cartan_matrix)
         self.positive_coroots = _coroots(
@@ -189,17 +193,31 @@ class RootSystem:
             order *= d
         self.weyl_order = order
         self._parabolic = {}
-        # dominant multiplicities per highest weight, filled by
-        # characters.dominant_multiplicities
+        # (dimension, dominant multiplicities) per highest weight, filled
+        # by characters.dominant_multiplicities
         self.character_memo = {}
+        # doubled-height histogram of W mu per dominant mu
+        self._orbit_heights = {}
 
-        # Fundamental-basis -> root-basis conversion (inverse of cartan^T).
+        self.positive_root_weights = tuple(
+            self.root_to_weight_coords(r) for r in self.positive_roots
+        )
+
+        # Fundamental-basis -> root-basis conversion: the inverse of
+        # cartan^T, kept as the integer matrix N * inverse with N the least
+        # common denominator of its entries.
         red, _ = la.rref([
             [self.cartan_matrix[j][i] for j in range(rank)]
             + [int(i == j) for j in range(rank)]
             for i in range(rank)
         ])
-        self._cartan_t_inv = tuple(tuple(row[rank:]) for row in red)
+        self._root_denominator = lcm(
+            *(x.denominator for row in red for x in row[rank:])
+        )
+        self._scaled_cartan_t_inv = tuple(
+            tuple(int(x * self._root_denominator) for x in row[rank:])
+            for row in red
+        )
 
         # 2(varpi_i, rho^vee) = column sums of the coroot table.
         self.two_rho_check = tuple(
@@ -228,15 +246,31 @@ class RootSystem:
             for j in range(self.rank)
         )
 
-    def weight_to_root_coords(self, weight):
-        """Fundamental-weight coordinates -> rational simple-root coordinates."""
+    def _scaled_root_coords(self, weight):
+        """``_root_denominator`` times the simple-root coordinates."""
         return tuple(
-            sum(self._cartan_t_inv[i][j] * weight[j] for j in range(self.rank))
-            for i in range(self.rank)
+            sum(a * w for a, w in zip(row, weight))
+            for row in self._scaled_cartan_t_inv
         )
 
+    def weight_to_root_coords(self, weight):
+        """Fundamental-weight coordinates -> rational simple-root coordinates."""
+        n = self._root_denominator
+        return tuple(Fraction(x, n) for x in self._scaled_root_coords(weight))
+
+    def root_lattice_coords(self, weight):
+        """Integer simple-root coordinates of ``weight``, or None when it
+        lies outside the root lattice."""
+        coords = []
+        for x in self._scaled_root_coords(weight):
+            q, r = divmod(x, self._root_denominator)
+            if r:
+                return None
+            coords.append(q)
+        return tuple(coords)
+
     def in_root_lattice(self, weight):
-        return all(x.denominator == 1 for x in self.weight_to_root_coords(weight))
+        return self.root_lattice_coords(weight) is not None
 
     # -- pairings and heights --------------------------------------------------
 
@@ -249,38 +283,72 @@ class RootSystem:
         """(mu, rho^vee); half-integral in general, Sum n_i for mu in Q."""
         return Fraction(sum(m * t for m, t in zip(mu, self.two_rho_check)), 2)
 
+    def _reflect(self, mu, j):
+        """s_j mu as a list: only coordinate j and the neighbours of node j
+        in the Dynkin diagram change."""
+        c = mu[j]
+        y = list(mu)
+        y[j] = -c
+        for k, a in self._bonds[j]:
+            y[k] -= c * a
+        return y
+
     def simple_reflection(self, mu, j):
-        row = self.cartan_matrix[j]
-        return tuple(m - mu[j] * row[k] for k, m in enumerate(mu))
+        return tuple(self._reflect(mu, j))
 
     def dominant_representative(self, mu):
         mu = tuple(mu)
         while True:
-            j = next((k for k, m in enumerate(mu) if m < 0), None)
-            if j is None:
+            for j, m in enumerate(mu):
+                if m < 0:
+                    mu = self.simple_reflection(mu, j)
+                    break
+            else:
                 return mu
-            mu = self.simple_reflection(mu, j)
 
     def is_dominant(self, mu):
         return all(m >= 0 for m in mu)
 
+    def _orbit_walk(self, mu):
+        """Yield (x, 2(x, rho^vee)) once for each x in the orbit W mu.
+
+        The walk is a tree rooted at the dominant point: the parent of a
+        non-dominant y is s_j y for j its first negative coordinate.  So the
+        children of x are the s_j x with x_j > 0 whose first negative
+        coordinate is j, and no point is reached twice.  Since
+        (alpha_j, rho^vee) = 1, the doubled height drops by 2 x_j.
+        """
+        x = self.dominant_representative(mu)
+        stack = [(x, sum(m * t for m, t in zip(x, self.two_rho_check)))]
+        while stack:
+            x, h = stack.pop()
+            yield x, h
+            for j, c in enumerate(x):
+                if c > 0:
+                    y = self._reflect(x, j)
+                    if j == 0 or min(y[:j]) >= 0:
+                        stack.append((tuple(y), h - 2 * c))
+
     def weyl_orbit(self, mu):
-        """Full W-orbit of mu, as a set of weight tuples."""
-        seed = tuple(mu)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            new = []
-            for w in frontier:
-                for j in range(self.rank):
-                    if w[j] == 0:
-                        continue
-                    s = self.simple_reflection(w, j)
-                    if s not in orbit:
-                        orbit.add(s)
-                        new.append(s)
-            frontier = new
-        return orbit
+        """Full W-orbit of mu, as a list of distinct weight tuples."""
+        return [x for x, _ in self._orbit_walk(mu)]
+
+    def orbit_heights(self, mu):
+        """Doubled-height histogram {2(x, rho^vee): count} of the orbit of
+        dominant mu, memoized.  Its total is checked against orbit_size,
+        which comes from the parabolic degrees instead of the walk."""
+        hist = self._orbit_heights.get(mu)
+        if hist is None:
+            hist = {}
+            for _, h in self._orbit_walk(mu):
+                hist[h] = hist.get(h, 0) + 1
+            if sum(hist.values()) != self.orbit_size(mu):
+                raise InternalConsistencyError(
+                    f"orbit walk of {mu} found {sum(hist.values())} points, "
+                    f"orbit size is {self.orbit_size(mu)}"
+                )
+            self._orbit_heights[mu] = hist
+        return hist
 
     def orbit_size(self, mu):
         """|W| / |W_mu| without enumerating the orbit."""

@@ -188,3 +188,39 @@ def test_dominant_weights_match_brute_force(case):
 def test_dynkin_sum_equals_product(case):
     rs, lam = case
     assert dy.dynkin_sum(rs, lam) == dy.dynkin_product(rs, lam)
+
+
+def test_dimension_budget_holds_on_a_memo_hit():
+    rs = build_root_system("A", 2)
+    ch.dominant_multiplicities(rs, (3, 3))
+    with pytest.raises(ResourceBudgetError):
+        ch.dominant_multiplicities(rs, (3, 3), dim_budget=10)
+
+
+def _strip_full_characters(rs, lam):
+    """Tensor-square stripping over full characters: the product of every
+    weight of V_lam with every weight of V_lam^*, each constituent
+    subtracted with its whole W-orbit."""
+    char = ch.irreducible_character(rs, lam)
+    remaining = char.product(char.dual()).entries
+    out = []
+    while remaining:
+        nu = max(remaining, key=lambda mu: (sum(
+            m * t for m, t in zip(mu, rs.two_rho_check)), mu))
+        c = remaining[nu]
+        for mu, m in ch.irreducible_character(rs, nu).entries.items():
+            remaining[mu] = remaining.get(mu, 0) - c * m
+            assert remaining[mu] >= 0
+            if not remaining[mu]:
+                del remaining[mu]
+        out.append((nu, c))
+    return sorted(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_weights())
+def test_dominant_stripping_equals_full_character_stripping(case):
+    rs, lam = case
+    assume(rs.weyl_dimension(lam) <= 40)
+    got = ch.decompose_tensor_square(rs, lam)
+    assert sorted(got) == _strip_full_characters(rs, lam)

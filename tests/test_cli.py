@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from spindle import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -87,6 +93,15 @@ def test_tensor_square_golden(capsys, letter, rank, weight, want):
     lines = out.strip().split("\n")
     assert lines[0].split() == ["highest_weight", "multiplicity"]
     assert [line.split() for line in lines[1:]] == [[w, "1"] for w in want]
+
+
+def test_tensor_square_e8_adjoint_golden(capsys):
+    code, out, _ = run(
+        ["compute", "tensor-square", "--type", "E", "--rank", "8",
+         "--weight", "0,0,0,0,0,0,0,1"], capsys)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == (
+        "7b63a83e33059b0df3ebd77cfb5c56c5")
 
 
 def test_end_alg_a_table(capsys):
@@ -250,6 +265,40 @@ def test_verify_rejects_option_the_suite_does_not_read(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: verify tensor-mf does not take --max-rank\n"
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["dynkin", "--type", "A", "--rank", "2", "--weight", "1,1",
+      "--method", "weyl", "--dim-budget", "1"], "--dim-budget, --method"),
+    (["character", "--type", "A", "--rank", "2", "--weight", "1,1",
+      "--full-weyl", "--mu", "1,0"], "--mu, --full-weyl"),
+    (["root-system", "--type", "A", "--rank", "2", "--weight", "1,1"],
+     "--weight"),
+    (["truncsym", "--n", "2", "--m", "2", "--type", "A"], "--type"),
+])
+def test_compute_rejects_option_the_subcommand_does_not_read(
+        capsys, argv, flags):
+    code, out, err = run(["compute"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: compute {argv[0]} does not take {flags}\n"
+
+
+@pytest.mark.parametrize("suite", ["dynkin-cross", "tensor-mf"])
+def test_verify_output_is_the_same_under_optimize(suite):
+    # invariant checks raise exceptions, never assert, so -O changes nothing
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "spindle.cli", "verify", suite],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        for flags in ((), ("-O",))
+    ]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+    assert outs[0].stdout.endswith(" checks passed\n")
 
 
 def test_verify_rejects_unknown_suite(capsys):

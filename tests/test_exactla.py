@@ -103,3 +103,15 @@ def test_graded_commutant_of_a_jordan_block():
     dims = {g: len(basis)
             for g, _, basis in la.graded_commutant([jordan], levels)}
     assert dims == {g: 1 if g >= 0 else 0 for g in range(1 - n, n)}
+
+
+def test_graded_commutant_of_two_operators_pins_the_sign():
+    # With one homogeneous operator, or only odd-degree ones, the commutant
+    # and the anticommutant have equal grade dimensions (conjugate by
+    # diag((-1)^level)); J and J^2 of degrees 1 and 2 tell them apart.
+    n = 4
+    jordan = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    ops = [_sparse(jordan), _sparse(_dense_product(jordan, jordan))]
+    levels = list(range(n - 1, -1, -1))
+    dims = {g: len(basis) for g, _, basis in la.graded_commutant(ops, levels)}
+    assert dims == {g: 1 if g >= 0 else 0 for g in range(1 - n, n)}

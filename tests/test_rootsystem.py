@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindle.errors import ResourceBudgetError, UsageError
 from spindle.rootsystem import build_root_system
@@ -144,3 +146,49 @@ def test_weyl_dimension():
 
 def test_build_is_memoized():
     assert build_root_system("A", 2) is build_root_system("A", 2)
+
+
+# Every type whose Weyl group has at most 1152 elements.
+SMALL_WEYL = (
+    [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)]
+    + [("C", r) for r in range(2, 5)] + [("D", 3), ("D", 4), ("F", 4),
+                                          ("G", 2)]
+)
+
+
+def _bfs_height_histogram(rs, mu):
+    """Doubled heights of W mu by a seen-set search over simple reflections."""
+    seen = {mu}
+    frontier = [mu]
+    while frontier:
+        new = []
+        for x in frontier:
+            for j in range(rs.rank):
+                y = rs.simple_reflection(x, j)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    hist = {}
+    for x in seen:
+        h = sum(m * t for m, t in zip(x, rs.two_rho_check))
+        hist[h] = hist.get(h, 0) + 1
+    return seen, hist
+
+
+@st.composite
+def small_weyl_weights(draw):
+    letter, rank = draw(st.sampled_from(SMALL_WEYL))
+    rs = build_root_system(letter, rank)
+    return rs, tuple(draw(st.integers(0, 2)) for _ in range(rank))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_weyl_weights())
+def test_orbit_heights_match_seen_set_search(case):
+    rs, mu = case
+    orbit, hist = _bfs_height_histogram(rs, mu)
+    assert rs.orbit_heights(mu) == hist
+    assert sum(hist.values()) == rs.orbit_size(mu)
+    walked = rs.weyl_orbit(mu)
+    assert len(walked) == len(orbit) and set(walked) == orbit
