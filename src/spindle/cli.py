@@ -102,15 +102,16 @@ def _weight_str(w):
 _WEIGHT = ("type", "rank", "weight")
 _WEYL = ("method", "weyl_budget", "full_weyl", "dim_budget")
 
-# The options each compute subcommand reads, besides --format.
+# The options each compute subcommand reads, besides --format; the
+# top-level --cache-dir counts as "cache_dir".  No other command reads it.
 COMPUTE_OPTIONS = {
     "root-system": ("type", "rank"),
-    "character": _WEIGHT + ("dim_budget",),
-    "dynkin": _WEIGHT,
+    "character": _WEIGHT + ("dim_budget", "cache_dir"),
+    "dynkin": _WEIGHT + ("cache_dir",),
     "jump": _WEIGHT + ("mu",) + _WEYL,
     "lusztig": _WEIGHT + ("mu", "weyl_budget", "full_weyl"),
     "t-poly": _WEIGHT,
-    "f-lambda": _WEIGHT + _WEYL,
+    "f-lambda": _WEIGHT + _WEYL + ("cache_dir",),
     "poincare-cg": _WEIGHT + _WEYL,
     "poincare-ct": _WEIGHT + ("dim_budget",),
     "tensor-square": _WEIGHT + ("dim_budget",),
@@ -149,6 +150,8 @@ def _check_compute_options(args):
 
 def cmd_compute(args, out):
     _check_compute_options(args)
+    if args.cache_dir:
+        os.environ["SPINDLE_CACHE_DIR"] = args.cache_dir
     sub = args.subcommand
     fmt = args.format
     if sub == "truncsym":
@@ -265,6 +268,8 @@ def cmd_compute(args, out):
 
 
 def cmd_verify(args, out):
+    if args.cache_dir is not None:
+        raise UsageError("verify does not take --cache-dir")
     options = {
         "max_rank": args.max_rank,
         "height_bound": args.height_bound,
@@ -295,10 +300,10 @@ def build_parser():
             "fundamental-weight coordinates with Bourbaki node numbering."
         ),
     )
-    parser.add_argument(
-        "--cache-dir",
-        help="result cache directory (also via SPINDLE_CACHE_DIR)",
-    )
+    cached = [k for k, opts in COMPUTE_OPTIONS.items() if "cache_dir" in opts]
+    parser.add_argument("--cache-dir", help=(
+        "result cache directory (also via SPINDLE_CACHE_DIR), read by "
+        f"compute {', '.join(cached)}"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute one invariant")
@@ -339,8 +344,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_dir:
-        os.environ["SPINDLE_CACHE_DIR"] = args.cache_dir
     out = sys.stdout
     try:
         if args.command == "compute":

@@ -1,16 +1,16 @@
 """Desk-scale matrix model of the graded commutant algebra for type A.
 
 For sl_{n+1} acting on S^m(C^{n+1}) or Lambda^k(C^{n+1}) we realise the
-principal triple {e, h, f} explicitly, compute the joint commutant of the
-powers of the regular nilpotent exactly over Q, and check the structural
-claims: lowest-vector bijection, 1-dimensional socle, Lefschetz ranges,
-nonvanishing projections of e-powers, and the graded dimension count.
+principal triple {e, h, f} explicitly in integer matrices, compute the
+joint commutant of the powers of the regular nilpotent exactly, and check
+the structural claims: lowest-vector bijection, 1-dimensional socle,
+Lefschetz ranges, nonvanishing projections of e-powers, and the graded
+dimension count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from . import exactla as la
@@ -63,8 +63,8 @@ def _lift_symmetric(mat_std, basis, index):
                 target = list(a)
                 target[j] -= 1
                 target[i] += 1
-                terms.append((index[tuple(target)], col, c * a[j]))
-    return _collect(terms)
+                terms.append((c * a[j], {index[tuple(target)]: {col: 1}}))
+    return la.combination(terms)
 
 
 def _lift_exterior(mat_std, basis, index):
@@ -76,7 +76,7 @@ def _lift_exterior(mat_std, basis, index):
         for j in subset:
             for i, c in cols.get(j, {}).items():
                 if i == j:
-                    terms.append((col, col, c))
+                    terms.append((c, {col: {col: 1}}))
                     continue
                 if i in pos:
                     continue
@@ -86,16 +86,8 @@ def _lift_exterior(mat_std, basis, index):
                 old = pos[j]
                 new = target_sorted.index(i)
                 sign = -1 if (old + new) % 2 else 1
-                terms.append((index[target_sorted], col, c * sign))
-    return _collect(terms)
-
-
-def _collect(terms):
-    """The sparse matrix with the sum of the x over (row, col, x) in terms
-    at (row, col)."""
-    return la.combination(
-        (Fraction(x), {row: {col: 1}}) for row, col, x in terms
-    )
+                terms.append((c * sign, {index[target_sorted]: {col: 1}}))
+    return la.combination(terms)
 
 
 @dataclass
@@ -180,7 +172,7 @@ def build_rep(n, kind, dim_bound=DEFAULT_DIM_BOUND):
     low = min(h_eigs)
     if h_eigs.count(low) != 1:
         raise InternalConsistencyError("lowest weight space is not a line")
-    floors = [int((x - low) // 2) for x in h_eigs]
+    floors = [(x - low) // 2 for x in h_eigs]
     if any((x - low) % 2 for x in h_eigs):
         raise InternalConsistencyError("h eigenvalues not on one parity class")
 
@@ -307,7 +299,7 @@ def socle_dimension(comm):
         rows.extend(la.coefficient_rows(
             la.mat_mul(b, m) for b, _ in comm.basis
         ))
-    return len(la.nullspace(rows, comm.dimension))
+    return comm.dimension - la.rank(rows, comm.dimension)
 
 
 def lefschetz_check(comm):
@@ -342,7 +334,7 @@ def lefschetz_check(comm):
 
 def e_power_projections(rep):
     """e^n applied to the lowest vector hits every weight line on floor n."""
-    vec = {rep.lowest_index: Fraction(1)}
+    vec = {rep.lowest_index: 1}
     for step in range(1, rep.top_floor + 1):
         vec = la.mat_vec(rep.e_matrix, vec)
         for b, floor in enumerate(rep.floors):
@@ -356,4 +348,4 @@ def a_invariants_dimension(rep):
     rows = []
     for em in rep.e_std_lifts:
         rows.extend(em.values())
-    return len(la.nullspace(rows, rep.dimension))
+    return rep.dimension - la.rank(rows, rep.dimension)

@@ -1,25 +1,27 @@
-"""Exact rational linear algebra over fractions.Fraction.
+"""Exact linear algebra over the integers, fraction-free.
 
 One elimination kernel: ``RowSpace``, an incremental reduced row echelon
-basis.  Its rows are sparse ``{column: Fraction}`` dicts; each has a 1 in
-its pivot column, which is its leftmost nonzero column, and a 0 in every
-other pivot column.  ``rref``, ``rank`` and ``nullspace`` read a
-``RowSpace`` built from their rows; their results do not depend on the
-order of the rows, because the reduced echelon form of a row space is
-unique.  ``graded_commutant`` solves the graded commutant equations of
-both matrix oracles through ``nullspace``.
+basis of sparse primitive integer rows ``{column: int}``, each positive
+in its pivot column (its leftmost nonzero column) and 0 in every other
+pivot column.  A row is reduced by r <- a*r - r[p]*b against the basis
+row b of pivot p, a = b[p] (Bareiss's integer-preserving elimination); a
+row with ``Fraction`` entries is first scaled by the lcm of their
+denominators, which changes no rank, span or kernel.  ``rref`` (rows of
+``Fraction`` with pivot 1), ``rank`` and ``nullspace`` (one primitive
+integer vector per free column, positive there and 0 in the other free
+columns) read a ``RowSpace``, so they do not depend on the row order.
 
 A matrix is sparse: ``{row: {col: value}}``, with no stored zeros and
 no empty rows, so equal matrices are equal dicts.  A vector is
 ``{index: value}`` in the same way.  Rows handed to the kernel may be
 dense sequences or sparse dicts; ``rref`` and ``nullspace`` return dense
-lists.  Everything downstream needs exact ranks and nullspaces, never
-numerics.
+lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _subtract(r, f, b):
@@ -32,8 +34,24 @@ def _subtract(r, f, b):
             del r[c]
 
 
+def _eliminate(r, b, p):
+    """Clear column p of r by r <- a*r - f*b, a/f = b[p]/r[p] reduced."""
+    g = gcd(b[p], r[p])
+    a, f = b[p] // g, r[p] // g
+    if a != 1:
+        for c in r:
+            r[c] *= a
+    _subtract(r, f, b)
+
+
+def _primitive(r):
+    """r divided by the gcd of its entries, with a positive leading entry."""
+    g = gcd(*r.values()) if r[min(r)] > 0 else -gcd(*r.values())
+    return {c: x // g for c, x in r.items()}
+
+
 class RowSpace:
-    """Subspace of Q^ncols, kept as its reduced row echelon basis."""
+    """Subspace of Q^ncols, kept as its reduced echelon integer basis."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -43,12 +61,15 @@ class RowSpace:
         return len(self._rows)
 
     def _reduce(self, row):
-        """The remainder of row after clearing every pivot column."""
+        """A multiple of the remainder of row after clearing every pivot."""
         entries = row.items() if isinstance(row, dict) else enumerate(row)
-        r = {c: Fraction(x) for c, x in entries if x}
+        r = {c: x for c, x in entries if x}
+        if not all(type(x) is int for x in r.values()):
+            den = lcm(*(x.denominator for x in r.values()))
+            r = {c: int(x * den) for c, x in r.items()}
         # Clearing one pivot column writes only to non-pivot columns.
         for p in self._rows.keys() & r.keys():
-            _subtract(r, r[p], self._rows[p])
+            _eliminate(r, self._rows[p], p)
         return r
 
     def __contains__(self, row):
@@ -59,12 +80,12 @@ class RowSpace:
         r = self._reduce(row)
         if not r:
             return False
+        r = _primitive(r)
         p = min(r)
-        inv = 1 / r[p]
-        r = {c: x * inv for c, x in r.items()}
-        for b in self._rows.values():
+        for q, b in self._rows.items():
             if p in b:
-                _subtract(b, b[p], r)
+                _eliminate(b, r, p)
+                self._rows[q] = _primitive(b)
         self._rows[p] = r
         return True
 
@@ -78,16 +99,16 @@ def span(rows, ncols):
 
 
 def rref(rows, ncols=None):
-    """Reduced row echelon form; returns (nonzero_rows, pivot_columns)."""
+    """Reduced row echelon form with pivots 1: (nonzero_rows, pivots)."""
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     basis = span(rows, ncols)._rows
     pivots = sorted(basis)
-    red = [[Fraction(0)] * ncols for _ in pivots]
+    red = [[0] * ncols for _ in pivots]
     for row, p in zip(red, pivots):
         for c, x in basis[p].items():
-            row[c] = x
+            row[c] = Fraction(x, basis[p][p])
     return red, pivots
 
 
@@ -98,19 +119,23 @@ def rank(rows, ncols=None):
 def nullspace(rows, ncols):
     """Basis of {x : rows @ x = 0}, one vector per free column.
 
-    Each basis vector has a 1 in its free column, giving a deterministic,
-    duplicate-free basis.
+    Each basis vector is a primitive integer vector with a positive entry
+    in its free column and a 0 in every other free column, giving a
+    deterministic, duplicate-free basis.
     """
     reduced = span(rows, ncols)._rows
     basis = []
     for fc in range(ncols):
         if fc in reduced:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in reduced.items():
-            v[pc] = -row.get(fc, Fraction(0))
-        basis.append(v)
+        pcs = [pc for pc, row in reduced.items() if fc in row]
+        den = lcm(*(reduced[pc][pc] for pc in pcs))
+        v = [0] * ncols
+        v[fc] = den
+        for pc in pcs:
+            v[pc] = -reduced[pc][fc] * den // reduced[pc][pc]
+        g = gcd(*v)
+        basis.append([x // g for x in v])
     return basis
 
 

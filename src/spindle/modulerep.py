@@ -11,17 +11,25 @@ The construction builds the module level by level.  Level-k vectors are
 f_i-images of level-(k-1) basis vectors; linear relations among them are
 detected through their e_j-images, because in an irreducible module a
 vector of weight below the highest killed by every raising operator is
-zero.  Everything is exact over Q.
+zero.  Everything is exact, and in integers: each operator column is
+kept as integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import exactla as la
 from .characters import DEFAULT_DIM_BUDGET
 from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
 from .qpoly import QPolynomial
+
+
+def _matrix(cols, entry):
+    """The sparse matrix of entry(x, den) over the columns (den, num)."""
+    return la.transpose({gb: {r: entry(x, den) for r, x in num.items()}
+                         for gb, (den, num) in cols.items()})
 
 
 class HighestWeightModule:
@@ -40,7 +48,8 @@ class HighestWeightModule:
         self.weights = [lam]
         rank = rs.rank
         cartan = rs.cartan_matrix
-        # column dicts: op_cols[i][col] = {row: coeff}
+        # Column gb of op_cols[i] is (den, {row: int}): the integer
+        # numerators over one positive denominator.
         e_cols = [dict() for _ in range(rank)]
         f_cols = [dict() for _ in range(rank)]
 
@@ -53,16 +62,23 @@ class HighestWeightModule:
                     mu = tuple(
                         wb[k] - cartan[i][k] for k in range(rank)
                     )
+                    # e_j f_i v_gb for every j, over one common denominator
+                    cols = [e_cols[j].get(gb, (1, {})) for j in range(rank)]
+                    den = lcm(*(d for d, _ in cols)) * lcm(*(
+                        f_cols[i][gb2][0] for _, col in cols for gb2 in col))
                     imgs = []
-                    for j in range(rank):
-                        img = {}
-                        for gb2, c in e_cols[j].get(gb, {}).items():
-                            for r, c2 in f_cols[i].get(gb2, {}).items():
-                                img[r] = img.get(r, Fraction(0)) + c * c2
-                        if i == j:
-                            img[gb] = img.get(gb, Fraction(0)) + wb[j]
-                        imgs.append({r: v for r, v in img.items() if v})
-                    candidates.append((i, gb, mu, imgs))
+                    for j, (d_e, e_col) in enumerate(cols):
+                        num = {gb: wb[j] * den} if i == j else {}
+                        for gb2, c in e_col.items():
+                            d_f, f_col = f_cols[i][gb2]
+                            c *= den // (d_e * d_f)
+                            for r, c2 in f_col.items():
+                                num[r] = num.get(r, 0) + c * c2
+                        imgs.append({r: x for r, x in num.items() if x})
+                    g = gcd(den, *(x for num in imgs for x in num.values()))
+                    imgs = [{r: x // g for r, x in num.items()}
+                            for num in imgs]
+                    candidates.append((i, gb, mu, den // g, imgs))
             groups = {}
             for cand in candidates:
                 groups.setdefault(cand[2], []).append(cand)
@@ -70,28 +86,33 @@ class HighestWeightModule:
             for mu in sorted(groups):
                 group = groups[mu]
                 # relations among the candidates: those of their e_j-images
-                images = [dict(enumerate(cand[3])) for cand in group]
+                images = [dict(enumerate(cand[4])) for cand in group]
                 red, pivots = la.rref(la.coefficient_rows(images), len(group))
                 new_of_pivot = []
                 for c_pos in pivots:
-                    i, gb, _, imgs = group[c_pos]
+                    i, gb, _, den, imgs = group[c_pos]
                     gb_new = len(self.weights)
                     self.weights.append(mu)
                     new_indices.append(gb_new)
                     new_of_pivot.append(gb_new)
-                    f_cols[i][gb] = {gb_new: Fraction(1)}
+                    f_cols[i][gb] = (1, {gb_new: 1})
                     for j in range(rank):
                         if imgs[j]:
-                            e_cols[j][gb_new] = imgs[j]
+                            e_cols[j][gb_new] = (den, imgs[j])
                 pivot_set = set(pivots)
-                for c_pos, (i, gb, _, _) in enumerate(group):
+                for c_pos, (i, gb, _, den, _) in enumerate(group):
                     if c_pos in pivot_set:
                         continue
-                    expr = {}
-                    for r, gb_new in enumerate(new_of_pivot):
-                        if red[r][c_pos]:
-                            expr[gb_new] = red[r][c_pos]
-                    f_cols[i][gb] = expr
+                    # red relates the numerators, each over its own den
+                    expr = {
+                        gb_new: red[r][c_pos] * group[p][3] / den
+                        for r, (p, gb_new) in enumerate(
+                            zip(pivots, new_of_pivot))
+                        if red[r][c_pos]
+                    }
+                    d = lcm(*(x.denominator for x in expr.values()))
+                    f_cols[i][gb] = (d, {r: int(x * d)
+                                         for r, x in expr.items()})
             prev = new_indices
 
         if len(self.weights) != expected:
@@ -104,10 +125,10 @@ class HighestWeightModule:
         self._f_cols = f_cols
 
     def raising_matrix(self, i):
-        return la.transpose(self._e_cols[i])
+        return _matrix(self._e_cols[i], Fraction)
 
     def lowering_matrix(self, i):
-        return la.transpose(self._f_cols[i])
+        return _matrix(self._f_cols[i], Fraction)
 
     def levels(self):
         """2 hot(mu) per basis vector, as integers."""
@@ -121,12 +142,14 @@ def _nilradical_span(module):
     """Bracket closure of the simple raising operators: the image of the
     positive nilradical, each element homogeneous of definite height.
 
-    Yields (height, m, [e, m]) per basis element m, where e is the sum of
-    the simple raising operators.
+    Yields (height, m, [e, m]) per basis element m, in integer matrices:
+    e is D times the sum of the simple raising operators, D the common
+    denominator of their entries, which leaves its centralizer unchanged.
     """
-    rank = module.rs.rank
     n = module.dimension
-    simple = [module.raising_matrix(i) for i in range(rank)]
+    cols = module._e_cols
+    den = lcm(*(d for op in cols for d, _ in op.values()))
+    simple = [_matrix(op, lambda x, d: x * (den // d)) for op in cols]
     space = la.span([la.flatten(m, n) for m in simple], n * n)
     frontier = [(1, m) for m in simple]
     while frontier:
@@ -196,7 +219,7 @@ def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
                 rows[level_of[c]].setdefault((k, p), {})[slot[c]] = x
     coeffs = {}
     for lv in sorted(size):
-        k = len(la.nullspace(rows[lv].values(), size[lv]))
+        k = size[lv] - la.rank(rows[lv].values(), size[lv])
         if k:
             if lv < 0:
                 raise InternalConsistencyError(

@@ -1,4 +1,4 @@
-"""Acceptance gate: the thirteen headline guarantees, each with an explicit
+"""Acceptance gate: the fourteen headline guarantees, each with an explicit
 runtime bound and exact (zero-tolerance) arithmetic.  Every test prints one
 PASS/FAIL line so the gate is readable from the raw pytest log.
 """
@@ -147,3 +147,19 @@ def test_criterion_13_e7_e8_adjoint_exponents():
             ok = False
     elapsed = time.monotonic() - start
     _report(13, "E7 and E8 adjoint generalized exponents", ok, elapsed, 30)
+
+
+def test_criterion_14_module_oracle_at_dimension_1539():
+    # E7 with highest weight omega_6 (dimension 1539): the graded kernel of
+    # the regular nilpotent centralizer, computed in the module itself,
+    # equals the zero-weight q-multiplicity from the alternating Weyl sum.
+    rs = build_root_system("E", 7)
+    lam = (0, 0, 0, 0, 0, 1, 0)
+    start = time.monotonic()
+    via_module = mr.jump_polynomial(rs, lam)
+    via_weyl = qa.lusztig_q_multiplicity(rs, lam, (0,) * 7)
+    elapsed = time.monotonic() - start
+    ok = (rs.weyl_dimension(lam) == 1539 and via_module == via_weyl
+          and via_module(1) == 27)
+    _report(14, "E7 omega_6 jump polynomial, module vs Weyl sum", ok,
+            elapsed, 15)

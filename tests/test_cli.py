@@ -284,6 +284,38 @@ def test_compute_rejects_option_the_subcommand_does_not_read(
     assert err == f"error: compute {argv[0]} does not take {flags}\n"
 
 
+@pytest.mark.parametrize("argv,command", [
+    (["verify", "kostant-t0"], "verify"),
+    (["compute", "t-poly", "--type", "A", "--rank", "2", "--weight", "1,1"],
+     "compute t-poly"),
+    (["compute", "end-alg-a", "--n", "2", "--kind", "S2"],
+     "compute end-alg-a"),
+])
+def test_cache_dir_is_rejected_where_it_is_not_read(
+        tmp_path, capsys, monkeypatch, argv, command):
+    # set, so that teardown also undoes what the call writes there
+    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
+    code, out, err = run(["--cache-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {command} does not take --cache-dir\n"
+    assert list(tmp_path.iterdir()) == []
+    assert os.environ["SPINDLE_CACHE_DIR"] == ""
+
+
+@pytest.mark.parametrize("sub", ["character", "dynkin", "f-lambda"])
+def test_cache_dir_is_read_by_the_cached_subcommands(
+        tmp_path, capsys, monkeypatch, sub):
+    # set, so that teardown also undoes what the call writes there
+    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
+    argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
+            "--rank", "2", "--weight", "1,0"]
+    code, cold, _ = run(argv, capsys)
+    assert code == 0
+    assert len(list(tmp_path.iterdir())) == 1
+    assert run(argv, capsys) == (0, cold, "")
+
+
 @pytest.mark.parametrize("suite", ["dynkin-cross", "tensor-mf"])
 def test_verify_output_is_the_same_under_optimize(suite):
     # invariant checks raise exceptions, never assert, so -O changes nothing

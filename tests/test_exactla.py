@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,3 +116,63 @@ def test_graded_commutant_of_two_operators_pins_the_sign():
     levels = list(range(n - 1, -1, -1))
     dims = {g: len(basis) for g, _, basis in la.graded_commutant(ops, levels)}
     assert dims == {g: 1 if g >= 0 else 0 for g in range(1 - n, n)}
+
+
+def _gauss_jordan(rows, ncols):
+    """Textbook Gauss-Jordan over Fraction: (reduced rows, pivot columns)."""
+    red = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(red)) if red[i][c]), None)
+        if k is None:
+            continue
+        red[r], red[k] = red[k], red[r]
+        red[r] = [x / red[r][c] for x in red[r]]
+        for i in range(len(red)):
+            if i != r and red[i][c]:
+                f = red[i][c]
+                red[i] = [x - f * y for x, y in zip(red[i], red[r])]
+        pivots.append(c)
+    return red[:len(pivots)], pivots
+
+
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+rational_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                 min_size=1, max_size=6),
+        st.lists(entries, min_size=ncols, max_size=ncols),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+def test_integer_row_space_matches_fraction_gauss_jordan(case):
+    a, probe = case
+    ncols = len(probe)
+    want, pivots = _gauss_jordan(a, ncols)
+    assert la.rref(a, ncols) == (want, pivots)
+    space = la.span(a, ncols)
+    for p, row in space._rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert not (row.keys() & space._rows.keys()) - {p}
+    assert all(row in space for row in a)
+    in_span = len(_gauss_jordan(a + [probe], ncols)[1]) == len(pivots)
+    assert (probe in space) == in_span
+    assert ({c: x for c, x in enumerate(probe) if x} in space) == in_span
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = la.nullspace(a, ncols)
+    assert len(basis) == ncols - len(pivots)
+    for fc, v in zip(free, basis):
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+        assert v[fc] > 0
+        assert all(v[c] == 0 for c in free if c != fc)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)

@@ -53,6 +53,52 @@ def test_sl2_commutation_relation():
                 assert comm == (h if i == j else {}), (rs.type_letter, i, j)
 
 
+def _is_integer_matrix(m):
+    return all(type(x) is int for row in m.values() for x in row.values())
+
+
+def test_module_route_is_integer_only(monkeypatch):
+    import spindle.exactla as la
+
+    # Every basis row the kernel stores along the module route is an int
+    # row, and so is every operator, bracket and centralizer element.
+    stored = []
+    add = la.RowSpace.add
+
+    def recording_add(self, row):
+        grew = add(self, row)
+        stored.extend(self._rows.values())
+        return grew
+
+    monkeypatch.setattr(la.RowSpace, "add", recording_add)
+    fractional = False
+    for rs, lam in [(A2, (1, 1)), (B2, (0, 2)), (C3, (0, 1, 0)),
+                    (G2, (0, 1))]:
+        module = mr.HighestWeightModule(rs, lam)
+        for cols in module._e_cols + module._f_cols:
+            for den, num in cols.values():
+                assert type(den) is int and den > 0
+                assert all(type(x) is int for x in num.values())
+        fractional |= any(
+            x.denominator != 1
+            for i in range(rs.rank)
+            for row in module.raising_matrix(i).values()
+            for x in row.values()
+        )
+        for _, m, em in mr._nilradical_span(module):
+            assert _is_integer_matrix(m) and _is_integer_matrix(em)
+        zs = mr._nilpotent_centralizer(module)
+        assert all(_is_integer_matrix(z) for z in zs)
+        assert mr.jump_polynomial(rs, lam) == qa.lusztig_q_multiplicity(
+            rs, lam, (0,) * rs.rank
+        )
+    # the raising operators of these modules have non-integer entries, so
+    # the common denominator is really cleared
+    assert fractional
+    assert stored
+    assert all(type(x) is int for row in stored for x in row.values())
+
+
 def test_module_budget():
     with pytest.raises(ResourceBudgetError):
         mr.HighestWeightModule(G2, (2, 2), dim_budget=50)

@@ -233,3 +233,26 @@ def test_lusztig_budget_counts_packed_table_words():
               r"12 words exceeds budget 1000000$",
     ):
         qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8, budget=10**6)
+
+
+# The F(1) mass law: F_lam(1) = dim End V_lam^T = sum over all weights of
+# m_lam(mu)^2, read from the full character rather than the dominant ones.
+MASS_TYPES = [
+    build_root_system(letter, rank)
+    for letter, rank in [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+        ("C", 2), ("C", 3), ("D", 4), ("G", 2),
+    ]
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MASS_TYPES), st.data())
+def test_f_lambda_mass_law(rs, data):
+    lam = [0] * rs.rank
+    for i in data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=3)):
+        lam[i] += 1
+    char = ch.irreducible_character(rs, tuple(lam))
+    assert qa.f_lambda(rs, tuple(lam))(1) == sum(
+        m * m for m in char.entries.values()
+    )
