@@ -4,8 +4,8 @@ Entries are keyed by a sha256 of a canonical JSON description (schema
 version, root system, weight, operation).  Writes are atomic (tmp file +
 os.replace) and idempotent; corrupt entries, and entries of the wrong shape
 for their operation, are dropped with a warning and recomputed.  The
-directory comes from SPINDLE_CACHE_DIR; caching is off when the variable
-is unset.
+directory is the caller's ``directory`` argument, else SPINDLE_CACHE_DIR;
+caching is off when both are unset or empty.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import tempfile
 SCHEMA_VERSION = 1
 
 
-def cache_dir():
-    return os.environ.get("SPINDLE_CACHE_DIR") or None
+def cache_dir(directory=None):
+    return directory or os.environ.get("SPINDLE_CACHE_DIR") or None
 
 
 def cache_key(operation, type_letter, rank, weight, extra=None):
@@ -72,10 +72,10 @@ _SHAPES = {
 }
 
 
-def load(key, operation=None):
+def load(key, operation=None, directory=None):
     """Cached JSON value for key, or None on miss, corruption or a value
     of the wrong shape for ``operation``."""
-    directory = cache_dir()
+    directory = cache_dir(directory)
     if directory is None:
         return None
     path = _path(directory, key)
@@ -98,9 +98,9 @@ def load(key, operation=None):
         return None
 
 
-def store(key, value):
+def store(key, value, directory=None):
     """Atomically write value under key; no-op without a cache directory."""
-    directory = cache_dir()
+    directory = cache_dir(directory)
     if directory is None:
         return
     os.makedirs(directory, exist_ok=True)
@@ -118,12 +118,13 @@ def store(key, value):
         raise
 
 
-def cached(operation, type_letter, rank, weight, compute, extra=None):
+def cached(operation, type_letter, rank, weight, compute, extra=None,
+           directory=None):
     """Fetch-or-compute wrapper around load/store."""
     key = cache_key(operation, type_letter, rank, weight, extra)
-    hit = load(key, operation)
+    hit = load(key, operation, directory)
     if hit is not None:
         return hit
     value = compute()
-    store(key, value)
+    store(key, value, directory)
     return value

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cache
@@ -150,8 +149,6 @@ def _check_compute_options(args):
 
 def cmd_compute(args, out):
     _check_compute_options(args)
-    if args.cache_dir:
-        os.environ["SPINDLE_CACHE_DIR"] = args.cache_dir
     sub = args.subcommand
     fmt = args.format
     if sub == "truncsym":
@@ -207,6 +204,7 @@ def cmd_compute(args, out):
             lambda: ch.irreducible_character(
                 rs, lam, dim_budget=args.dim_budget
             ).to_json(),
+            directory=args.cache_dir,
         )
         rows = [(_weight_str(mu), m) for mu, m in entries]
         _emit_rows(rows, ("weight", "multiplicity"), fmt, out)
@@ -215,6 +213,7 @@ def cmd_compute(args, out):
         data = cache.cached(
             "dynkin", rs.type_letter, rs.rank, lam,
             lambda: dy.dynkin_product(rs, lam).to_json(),
+            directory=args.cache_dir,
         )
         _emit_poly(QPolynomial.from_json(data), fmt, out)
         return 0
@@ -243,7 +242,7 @@ def cmd_compute(args, out):
                 rs, lam, method=args.method,
                 budget=weyl_budget, dim_budget=args.dim_budget,
             ).to_json(),
-            extra=args.method,
+            extra=args.method, directory=args.cache_dir,
         )
         _emit_poly(QPolynomial.from_json(data), fmt, out)
         return 0

@@ -232,13 +232,21 @@ def poly_str(p):
 
 
 def cyclo_product(numer_exps, denom_exps):
-    """Expand prod_i (1 - q^{a_i}) / prod_j (1 - q^{b_j}) exactly.
+    """Expand prod_i (1 - q^{a_i}) / prod_j (1 - q^{b_j}) exactly, for
+    positive exponents.
 
-    Common exponents are cancelled as sorted multisets first; the remaining
-    quotient must be a polynomial.
+    Common exponents are cancelled as sorted multisets first.  The rest is
+    one pass per factor over one coefficient list c: times (1 - q^a) is
+    c[i] -= c[i-a] with i descending, and over (1 - q^b) is c[i] += c[i-b]
+    with i ascending, exact when the top b coefficients then vanish.  Each
+    denominator is divided out right after a numerator it divides, which
+    keeps intermediates small.  Raises ExactDivisionError when the quotient
+    is not a polynomial.
     """
     numer = sorted(numer_exps)
     denom = sorted(denom_exps)
+    if min(numer + denom, default=1) < 1:
+        raise ValueError("cyclo_product needs positive exponents")
     i = j = 0
     keep_n, keep_d = [], []
     while i < len(numer) and j < len(denom):
@@ -254,26 +262,28 @@ def cyclo_product(numer_exps, denom_exps):
     keep_n.extend(numer[i:])
     keep_d.extend(denom[j:])
 
-    # Pair each denominator with a numerator it divides: (1-q^a)/(1-q^b)
-    # expands to a geometric series when b | a, dodging big intermediates.
-    acc = QPolynomial.one()
-    unmatched = []
+    c = [1]
     for a in keep_n:
-        acc_factor = None
+        c.extend([0] * a)
+        for i in range(len(c) - 1, a - 1, -1):
+            c[i] -= c[i - a]
         for k, b in enumerate(keep_d):
             if a % b == 0:
-                acc_factor = QPolynomial.geometric(a // b, b)
-                del keep_d[k]
+                _divide_cyclo(c, keep_d.pop(k))
                 break
-        if acc_factor is None:
-            unmatched.append(a)
-        else:
-            acc = acc * acc_factor
-    for a in unmatched:
-        acc = acc * (QPolynomial.one() - QPolynomial.monomial(a))
     for b in keep_d:
-        acc = acc.exact_divide(QPolynomial.one() - QPolynomial.monomial(b))
-    return acc
+        _divide_cyclo(c, b)
+    return QPolynomial(c)
+
+
+def _divide_cyclo(c, b):
+    """c /= (1 - q^b) in place; raises ExactDivisionError if inexact."""
+    for i in range(b, len(c)):
+        c[i] += c[i - b]
+    top = max(len(c) - b, 0)
+    if any(c[top:]):
+        raise ExactDivisionError(f"quotient not divisible by 1 - q^{b}")
+    del c[top:]
 
 
 def gaussian_binomial(m, n):

@@ -111,41 +111,40 @@ def _symmetrizer(cartan):
     return tuple(x // g for x in ints)
 
 
-def _positive_roots(cartan):
-    """Reflection closure of the simple roots, in simple-root coordinates."""
+def _closure(cartan, sym):
+    """Positive roots, their weight coordinates and their coroots, each
+    sorted by (height, root), from one upward reflection closure of the
+    simple roots.
+
+    A root r with weights w steps to s_j r = r - w_j alpha_j, with weights
+    w - w_j (row j of ``cartan``), wherever w_j < 0.  A reflection keeps
+    the length, so each root carries the entry e of ``sym`` for its length
+    class, and gamma^vee = sum_i n_i e_i / e alpha_i^vee.
+    """
     l = len(cartan)
-    simple = [tuple(1 if k == i else 0 for k in range(l)) for i in range(l)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for r in frontier:
-            for j in range(l):
-                pairing = sum(r[i] * cartan[i][j] for i in range(l))
-                s = list(r)
-                s[j] -= pairing
-                s = tuple(s)
-                if all(x >= 0 for x in s) and s not in roots:
-                    roots.add(s)
-                    new.append(s)
-        frontier = new
-    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
-
-
-def _coroots(cartan, roots, sym):
-    """Coroot coordinates: gamma^vee = sum_i n_i e_i / e_gamma alpha_i^vee,
-    where e_gamma = (gamma, gamma)/2 on the scale of ``sym``."""
+    found = {}
+    for i in range(l):
+        found[tuple(int(k == i) for k in range(l))] = (cartan[i], sym[i])
+    order = list(found)
+    for r in order:  # grows while it is read
+        w, e = found[r]
+        for j, c in enumerate(w):
+            if c < 0:
+                s = r[:j] + (r[j] - c,) + r[j + 1:]
+                if s not in found:
+                    found[s] = (
+                        tuple(x - c * y for x, y in zip(w, cartan[j])), e
+                    )
+                    order.append(s)
+    roots = tuple(sorted(found, key=lambda r: (sum(r), r)))
     coroots = []
     for r in roots:
-        e_gamma = sum(
-            ni * nj * cartan[i][j] * sym[j]
-            for i, ni in enumerate(r) for j, nj in enumerate(r)
-        ) // 2
-        cc = [divmod(ni * sym[i], e_gamma) for i, ni in enumerate(r)]
+        e = found[r][1]
+        cc = [divmod(n * ei, e) for n, ei in zip(r, sym)]
         if any(rem for _, rem in cc):
             raise InternalConsistencyError(f"coroot of {r} is not integral")
         coroots.append(tuple(q for q, _ in cc))
-    return tuple(coroots)
+    return roots, tuple(found[r][0] for r in roots), tuple(coroots)
 
 
 def _degrees(coroots):
@@ -174,10 +173,9 @@ class RootSystem:
             for j, row in enumerate(self.cartan_matrix)
         )
         self.symmetrizer = _symmetrizer(self.cartan_matrix)
-        self.positive_roots = _positive_roots(self.cartan_matrix)
-        self.positive_coroots = _coroots(
-            self.cartan_matrix, self.positive_roots, self.symmetrizer
-        )
+        (self.positive_roots, self.positive_root_weights,
+         self.positive_coroots) = _closure(
+            self.cartan_matrix, self.symmetrizer)
         self.root_heights = tuple(sum(r) for r in self.positive_roots)
         self.coroot_heights = tuple(sum(c) for c in self.positive_coroots)
         self.degrees = _degrees(self.positive_coroots)
@@ -198,10 +196,6 @@ class RootSystem:
         self.character_memo = {}
         # doubled-height histogram of W mu per dominant mu
         self._orbit_heights = {}
-
-        self.positive_root_weights = tuple(
-            self.root_to_weight_coords(r) for r in self.positive_roots
-        )
 
         # Fundamental-basis -> root-basis conversion: the inverse of
         # cartan^T, kept as the integer matrix N * inverse with N the least
@@ -363,8 +357,9 @@ class RootSystem:
 
         The simple roots orthogonal to lam split into diagram components;
         each component contributes its own classical degree list, computed
-        by the same height-distribution argument as for the full system.
-        Memoized per set of zero coordinates.
+        by the same closure and height-distribution argument as for the full
+        system, once per component Cartan matrix in a process.  Memoized per
+        set of zero coordinates.
         """
         support = tuple(i for i, c in enumerate(lam) if c == 0)
         degs = self._parabolic.get(support)
@@ -389,9 +384,11 @@ class RootSystem:
             sub = tuple(
                 tuple(self.cartan_matrix[u][v] for v in comp) for u in comp
             )
-            degs.extend(_degrees(_coroots(
-                sub, _positive_roots(sub), _symmetrizer(sub)
-            )))
+            comp_degs = _component_degrees.get(sub)
+            if comp_degs is None:
+                comp_degs = _component_degrees[sub] = _degrees(
+                    _closure(sub, _symmetrizer(sub))[2])
+            degs.extend(comp_degs)
         degs.extend([1] * (self.rank - len(degs)))
         self._parabolic[support] = degs = tuple(sorted(degs))
         return list(degs)
@@ -452,6 +449,9 @@ class RootSystem:
 
 
 _build_cache = {}
+# degrees per Cartan matrix of a stabilizer component, shared by every
+# root system of the process
+_component_degrees = {}
 
 
 def build_root_system(type_letter, rank):

@@ -233,6 +233,21 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert warm == cold
 
 
+def test_cache_dir_flag_does_not_outlive_its_call(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
+    code, _, _ = run(["--cache-dir", str(tmp_path), "compute", "dynkin",
+                      "--type", "A", "--rank", "2", "--weight", "1,0"], capsys)
+    assert code == 0
+    before = sorted(tmp_path.iterdir())
+    assert len(before) == 1
+    code, _, _ = run(["compute", "character", "--type", "A", "--rank", "2",
+                      "--weight", "1,0"], capsys)
+    assert code == 0
+    assert sorted(tmp_path.iterdir()) == before
+    assert os.environ["SPINDLE_CACHE_DIR"] == ""
+
+
 def test_cache_corruption_recovery(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
     argv = ["--cache-dir", str(tmp_path), "compute", "dynkin", "--type",
@@ -293,7 +308,7 @@ def test_compute_rejects_option_the_subcommand_does_not_read(
 ])
 def test_cache_dir_is_rejected_where_it_is_not_read(
         tmp_path, capsys, monkeypatch, argv, command):
-    # set, so that teardown also undoes what the call writes there
+    # caching is off unless the flag turns it on
     monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
     code, out, err = run(["--cache-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
@@ -306,7 +321,7 @@ def test_cache_dir_is_rejected_where_it_is_not_read(
 @pytest.mark.parametrize("sub", ["character", "dynkin", "f-lambda"])
 def test_cache_dir_is_read_by_the_cached_subcommands(
         tmp_path, capsys, monkeypatch, sub):
-    # set, so that teardown also undoes what the call writes there
+    # caching is off unless the flag turns it on
     monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
     argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
             "--rank", "2", "--weight", "1,0"]
@@ -331,6 +346,24 @@ def test_verify_output_is_the_same_under_optimize(suite):
     assert [p.returncode for p in outs] == [0, 0]
     assert outs[0].stdout == outs[1].stdout
     assert outs[0].stdout.endswith(" checks passed\n")
+
+
+def test_verify_all_output_is_pinned():
+    # every check of every suite, line for line: a change that moves any
+    # check's label or verdict changes this digest
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("PYTHON") and k != "SPINDLE_CACHE_DIR"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spindle.cli", "verify", "all"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1280
+    assert lines[-1] == "1279/1279 checks passed"
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == (
+        "311ff35790ea5d3f3b7c948190a20657")
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -103,6 +103,39 @@ def test_cyclo_product_and_gaussian():
     assert cyclo_product([4, 6], [6, 4]) == P.one()
     with pytest.raises(ExactDivisionError):
         cyclo_product([3], [2])
+    with pytest.raises(ValueError):
+        cyclo_product([2, 0], [1])
+
+
+@st.composite
+def cyclo_exponents(draw):
+    """Numerator and denominator exponents in 1..12, up to ten a side.
+    Some denominators divide distinct numerators, so that exact and
+    inexact quotients are both drawn."""
+    numer = draw(st.lists(st.integers(1, 12), max_size=10))
+    denom = [
+        draw(st.sampled_from([d for d in range(1, a + 1) if a % d == 0]))
+        for a in numer if draw(st.booleans())
+    ]
+    denom += draw(st.lists(st.integers(1, 12), max_size=10 - len(denom)))
+    return numer, draw(st.permutations(denom))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclo_exponents())
+def test_cyclo_product_matches_ring_operations(exps):
+    numer, denom = exps
+    expected = P.one()
+    for a in numer:
+        expected = expected * (P.one() - P.monomial(a))
+    try:
+        for b in denom:
+            expected = expected.exact_divide(P.one() - P.monomial(b))
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            cyclo_product(numer, denom)
+    else:
+        assert cyclo_product(numer, denom) == expected
 
 
 def test_gaussian_symmetry_in_arguments():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -192,3 +193,58 @@ def test_orbit_heights_match_seen_set_search(case):
     assert sum(hist.values()) == rs.orbit_size(mu)
     walked = rs.weyl_orbit(mu)
     assert len(walked) == len(orbit) and set(walked) == orbit
+
+
+ALL_TYPES = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _reference_tables(rs):
+    """Roots, root weights and coroots computed without the closure's
+    carried weights and length classes: each pairing as sum_i r_i C_ij,
+    each coroot from (gamma, gamma)/2 as a Gram sum."""
+    cartan, sym, l = rs.cartan_matrix, rs.symmetrizer, rs.rank
+    simple = [tuple(int(k == i) for k in range(l)) for i in range(l)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for r in frontier:
+            for j in range(l):
+                s = list(r)
+                s[j] -= sum(r[i] * cartan[i][j] for i in range(l))
+                s = tuple(s)
+                if min(s) >= 0 and s not in roots:
+                    roots.add(s)
+                    new.append(s)
+        frontier = new
+    roots = sorted(roots, key=lambda r: (sum(r), r))
+    coroots = []
+    for r in roots:
+        e_gamma = sum(ni * nj * cartan[i][j] * sym[j]
+                      for i, ni in enumerate(r) for j, nj in enumerate(r)) // 2
+        assert all(ni * sym[i] % e_gamma == 0 for i, ni in enumerate(r))
+        coroots.append(tuple(ni * sym[i] // e_gamma for i, ni in enumerate(r)))
+    weights = [rs.root_to_weight_coords(r) for r in roots]
+    return tuple(roots), tuple(weights), tuple(coroots)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_root_tables_match_reference(key):
+    rs = build_root_system(*key)
+    assert (rs.positive_roots, rs.positive_root_weights,
+            rs.positive_coroots) == _reference_tables(rs)
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in ALL_TYPES if build_root_system(*k).weyl_order <= 2000])
+def test_stabilizer_orders_match_orbit_walks(key):
+    # every 0/1 weight: every set of zero coordinates, so every
+    # stabilizer component type of this root system
+    rs = build_root_system(*key)
+    for lam in itertools.product((0, 1), repeat=rs.rank):
+        assert rs.stabilizer_order(lam) == (
+            rs.weyl_order // len(rs.weyl_orbit(lam)))
