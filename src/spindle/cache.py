@@ -2,16 +2,14 @@
 
 Entries are keyed by a sha256 of a canonical JSON description (schema
 version, root system, weight, operation).  Writes are atomic (tmp file +
-os.replace) and idempotent; corrupt entries, and entries of the wrong shape
-for their operation, are dropped with a warning and recomputed.  The
-directory is the caller's ``directory`` argument, else SPINDLE_CACHE_DIR;
-caching is off when both are unset or empty.
+os.replace) and idempotent.  A corrupt entry, an entry of the wrong shape
+for its operation and an unwritable directory draw a warning and a fresh
+computation.  The directory is the caller's ``directory`` argument, else
+SPINDLE_CACHE_DIR; with neither, caching is off and nothing is hashed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
 import sys
@@ -25,6 +23,9 @@ def cache_dir(directory=None):
 
 
 def cache_key(operation, type_letter, rank, weight, extra=None):
+    import hashlib
+    import json
+
     payload = {
         "schema": SCHEMA_VERSION,
         "operation": operation,
@@ -78,6 +79,8 @@ def load(key, operation=None, directory=None):
     directory = cache_dir(directory)
     if directory is None:
         return None
+    import json
+
     path = _path(directory, key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,7 +89,8 @@ def load(key, operation=None, directory=None):
         if valid is not None and not valid(value):
             raise ValueError(f"wrong shape for {operation}")
         return value
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
+        # a missing entry, or a directory that is a file: store reports it
         return None
     except (ValueError, OSError) as exc:
         print(f"warning: dropping corrupt cache entry {path}: {exc}",
@@ -103,9 +107,15 @@ def store(key, value, directory=None):
     directory = cache_dir(directory)
     if directory is None:
         return
-    os.makedirs(directory, exist_ok=True)
+    import json
+
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        print(f"warning: unusable cache directory {directory}: {exc}", file=sys.stderr)
+        return
     path = _path(directory, key)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(value, fh, sort_keys=True)
@@ -121,6 +131,8 @@ def store(key, value, directory=None):
 def cached(operation, type_letter, rank, weight, compute, extra=None,
            directory=None):
     """Fetch-or-compute wrapper around load/store."""
+    if cache_dir(directory) is None:  # json and hashlib stay unimported
+        return compute()
     key = cache_key(operation, type_letter, rank, weight, extra)
     hit = load(key, operation, directory)
     if hit is not None:

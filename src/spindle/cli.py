@@ -8,7 +8,6 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import cache
@@ -45,11 +44,17 @@ def _parse_weight(text, rank):
     return coords
 
 
+def _emit_json(obj, out):
+    import json
+
+    out.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
 def _emit_poly(poly, fmt, out):
     if fmt == "text":
         out.write(factored_str(poly) + "\n")
     elif fmt == "json":
-        out.write(json.dumps(poly.to_json(), sort_keys=True) + "\n")
+        _emit_json(poly.to_json(), out)
     else:
         out.write("exponent,coefficient\n")
         for e, c in enumerate(poly.coeffs):
@@ -63,7 +68,7 @@ def _emit_series(series, fmt, out):
         )
         out.write(f"({factored_str(series.numerator)}) / {denom}\n")
     elif fmt == "json":
-        out.write(json.dumps(series.to_json(), sort_keys=True) + "\n")
+        _emit_json(series.to_json(), out)
     else:
         out.write("exponent,coefficient\n")
         for e, c in enumerate(series.numerator.coeffs):
@@ -76,9 +81,7 @@ def _emit_series(series, fmt, out):
 def _emit_rows(rows, header, fmt, out):
     """rows: list of tuples of printable scalars."""
     if fmt == "json":
-        out.write(json.dumps(
-            [dict(zip(header, r)) for r in rows], sort_keys=True
-        ) + "\n")
+        _emit_json([dict(zip(header, r)) for r in rows], out)
         return
     if fmt == "csv":
         out.write(",".join(header) + "\n")
@@ -129,6 +132,14 @@ COMPUTE_DEFAULTS = {
 }
 
 
+def _require_positive(args, names):
+    """Reject a value below 1 for any of the named options."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _check_compute_options(args):
     """Reject options the subcommand does not read; fill in defaults."""
     reads = COMPUTE_OPTIONS[args.subcommand]
@@ -142,6 +153,7 @@ def _check_compute_options(args):
         raise UsageError(
             f"compute {args.subcommand} does not take {', '.join(unread)}"
         )
+    _require_positive(args, ("weyl_budget", "dim_budget", "matrix_budget"))
     for name, value in COMPUTE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -154,6 +166,7 @@ def cmd_compute(args, out):
     if sub == "truncsym":
         if args.n is None or args.m is None:
             raise UsageError("truncsym needs --n and --m")
+        _require_positive(args, ("n", "m"))
         _emit_poly(ts.box_partition_poincare(args.n, args.m), fmt, out)
         return 0
     if sub == "end-alg-a":
@@ -269,11 +282,9 @@ def cmd_compute(args, out):
 def cmd_verify(args, out):
     if args.cache_dir is not None:
         raise UsageError("verify does not take --cache-dir")
-    options = {
-        "max_rank": args.max_rank,
-        "height_bound": args.height_bound,
-    }
-    results = vf.run_suite(args.suite, **options)
+    _require_positive(args, ("max_rank", "height_bound"))
+    results = vf.run_suite(args.suite, max_rank=args.max_rank,
+                           height_bound=args.height_bound)
     failures = 0
     for suite, check in results:
         status = "PASS" if check.ok else "FAIL"

@@ -10,7 +10,6 @@ dimension count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import exactla as la
@@ -90,22 +89,24 @@ def _lift_exterior(mat_std, basis, index):
     return la.combination(terms)
 
 
-@dataclass
 class MatrixRep:
     """Principal sl2 triple acting on a symmetric or exterior power."""
 
-    n: int
-    kind: str
-    dimension: int
-    e_matrix: list
-    h_matrix: list
-    f_matrix: list
-    weight_of_basis: list
-    floors: list
-    lowest_index: int
-    highest_weight: tuple
-    top_floor: int
-    e_std_lifts: list = field(repr=False, default=None)
+    def __init__(self, n, kind, dimension, e_matrix, h_matrix, f_matrix,
+                 weight_of_basis, floors, lowest_index, highest_weight,
+                 top_floor, e_std_lifts=None):
+        self.n = n
+        self.kind = kind
+        self.dimension = dimension
+        self.e_matrix = e_matrix
+        self.h_matrix = h_matrix
+        self.f_matrix = f_matrix
+        self.weight_of_basis = weight_of_basis
+        self.floors = floors
+        self.lowest_index = lowest_index
+        self.highest_weight = highest_weight
+        self.top_floor = top_floor
+        self.e_std_lifts = e_std_lifts
 
     def commutator_check(self):
         """[h,e]=2e, [h,f]=-2f, [e,f]=h, exactly."""
@@ -203,13 +204,13 @@ def build_rep(n, kind, dim_bound=DEFAULT_DIM_BOUND):
     return rep
 
 
-@dataclass
 class GradedCommutant:
     """Basis of the joint commutant of the nilpotent powers, graded by
     half the ad(h) eigenvalue."""
 
-    rep: MatrixRep
-    basis: list  # [(matrix, grade)]
+    def __init__(self, rep, basis):
+        self.rep = rep
+        self.basis = basis  # [(matrix, grade)]
 
     @property
     def dimension(self):

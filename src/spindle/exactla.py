@@ -112,6 +112,18 @@ def rref(rows, ncols=None):
     return red, pivots
 
 
+def scaled_inverse(rows):
+    """(N, N * M^-1) for an invertible integer M, N the least common
+    denominator of M^-1: row p of the basis of [M | I] is primitive, with
+    d_p in column p and d_p times row p of M^-1 on the right."""
+    n = len(rows)
+    basis = span([list(r) + [int(i == j) for j in range(n)]
+                  for i, r in enumerate(rows)], 2 * n)._rows
+    den = lcm(*(basis[p][p] for p in range(n)))
+    return den, tuple(tuple(basis[p].get(n + j, 0) * (den // basis[p][p])
+                            for j in range(n)) for p in range(n))
+
+
 def rank(rows, ncols=None):
     return len(span(rows, ncols))
 

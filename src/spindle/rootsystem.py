@@ -13,7 +13,7 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import exactla as la
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
@@ -90,25 +90,26 @@ def _symmetrizer(cartan):
     """Coprime integers e_i proportional to (alpha_i, alpha_i)/2.
 
     Solves e_j a_ij = e_i a_ji (both proportional to (alpha_i, alpha_j)) by
-    propagation along the Dynkin diagram.
+    integer propagation along the Dynkin diagram, scaling e up as needed.
     """
     l = len(cartan)
-    e = [None] * l
+    e = [0] * l
     for start in range(l):
-        if e[start] is not None:
+        if e[start]:
             continue
-        e[start] = Fraction(1)
+        e[start] = 1
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(l):
-                if i != j and cartan[i][j] != 0 and e[j] is None:
-                    e[j] = e[i] * Fraction(cartan[j][i], cartan[i][j])
+                if i != j and cartan[i][j] != 0 and not e[j]:
+                    num, den = e[i] * cartan[j][i], cartan[i][j]
+                    k = abs(den) // gcd(num, den)
+                    e = [x * k for x in e]
+                    e[j] = num * k // den
                     stack.append(j)
-    scale = lcm(*(x.denominator for x in e))
-    ints = [int(x * scale) for x in e]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    g = gcd(*e)
+    return tuple(x // g for x in e)
 
 
 def _closure(cartan, sym):
@@ -200,36 +201,23 @@ class RootSystem:
         # Fundamental-basis -> root-basis conversion: the inverse of
         # cartan^T, kept as the integer matrix N * inverse with N the least
         # common denominator of its entries.
-        red, _ = la.rref([
-            [self.cartan_matrix[j][i] for j in range(rank)]
-            + [int(i == j) for j in range(rank)]
-            for i in range(rank)
-        ])
-        self._root_denominator = lcm(
-            *(x.denominator for row in red for x in row[rank:])
-        )
-        self._scaled_cartan_t_inv = tuple(
-            tuple(int(x * self._root_denominator) for x in row[rank:])
-            for row in red
-        )
+        self._root_denominator, self._scaled_cartan_t_inv = la.scaled_inverse(
+            tuple(zip(*self.cartan_matrix)))
 
         # 2(varpi_i, rho^vee) = column sums of the coroot table.
         self.two_rho_check = tuple(
             sum(c[i] for c in self.positive_coroots) for i in range(rank)
         )
 
-        # -w_0 as a permutation of the fundamental weights.
-        perm = []
-        for i in range(rank):
-            w = self.dominant_representative(
-                tuple(-1 if k == i else 0 for k in range(rank))
+        # -w_0 as a permutation sigma of the fundamental weights.  As -w_0
+        # maps sum c_i varpi_i to sum c_i varpi_sigma(i), one walk from
+        # -sum (i+1) varpi_i, whose coordinates are distinct, gives sigma.
+        w = self.dominant_representative(tuple(-i - 1 for i in range(rank)))
+        if sorted(w) != list(range(1, rank + 1)):
+            raise InternalConsistencyError(
+                f"-w_0 does not permute the fundamental weights: {w}"
             )
-            if sorted(w) != [0] * (rank - 1) + [1]:
-                raise InternalConsistencyError(
-                    f"-w_0 does not permute the fundamental weights: {w}"
-                )
-            perm.append(w.index(1))
-        self.longest_element = tuple(perm)
+        self.longest_element = tuple(w.index(i + 1) for i in range(rank))
 
     # -- coordinate plumbing ------------------------------------------------
 

@@ -6,7 +6,6 @@ order, never by completion order.
 
 from __future__ import annotations
 
-import inspect
 import random
 from collections import namedtuple
 from itertools import product as iproduct
@@ -447,6 +446,13 @@ _SUITE_FNS = {
 }
 
 
+def suite_parameters(name):
+    """Option names a suite reads: each suite takes only defaulted
+    positional-or-keyword parameters, so they lead ``co_varnames``."""
+    code = _SUITE_FNS[name].__code__
+    return code.co_varnames[:code.co_argcount]
+
+
 def run_suite(name, **options):
     """Run one named suite (or 'all'); returns [(suite, CheckResult), ...].
 
@@ -458,7 +464,7 @@ def run_suite(name, **options):
     if name == "all":
         results = []
         for s in SUITES:
-            params = inspect.signature(_SUITE_FNS[s]).parameters
+            params = suite_parameters(s)
             results.extend(run_suite(
                 s, **{k: v for k, v in opts.items() if k in params}
             ))
@@ -466,7 +472,7 @@ def run_suite(name, **options):
     fn = _SUITE_FNS.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}")
-    params = inspect.signature(fn).parameters
+    params = suite_parameters(name)
     for k in opts:
         if k not in params:
             flag = "--" + k.replace("_", "-")

@@ -99,3 +99,26 @@ def test_wrong_shape_entry_is_dropped_and_recomputed(
     assert captured.out == want
     assert "wrong shape" in captured.err and captured.err.count("\n") == 1
     assert json.loads(entry.read_text()) != bad
+
+
+def test_cached_without_a_directory_hashes_nothing(monkeypatch):
+    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+
+    def no_key(*args, **kwargs):
+        raise AssertionError("cache_key called with caching off")
+
+    monkeypatch.setattr(cache, "cache_key", no_key)
+    assert cache.cached("op", "A", 2, (1, 0), lambda: {"v": 7}) == {"v": 7}
+
+
+def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for directory in (not_a_dir, not_a_dir / "sub"):
+        value = cache.cached("op", "A", 2, (1, 0), lambda: {"v": 7},
+                             directory=str(directory))
+        assert value == {"v": 7}
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: unusable cache directory {directory}")
+        assert err.count("\n") == 1
+    assert not_a_dir.read_text() == ""

@@ -370,3 +370,88 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "nonsense"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n,m,flag,value", [
+    ("0", "2", "--n", "0"), ("2", "-1", "--m", "-1"), ("-3", "0", "--n", "-3"),
+])
+def test_truncsym_nonpositive_sides_are_a_usage_error(capsys, n, m, flag,
+                                                      value):
+    code, out, err = run(["compute", "truncsym", "--n", n, "--m", m], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "lusztig", "--type", "A", "--rank", "1", "--weight", "2",
+     "--weyl-budget", "-5"],
+    ["compute", "jump", "--type", "A", "--rank", "1", "--weight", "2",
+     "--weyl-budget", "0"],
+    ["compute", "character", "--type", "A", "--rank", "1", "--weight", "2",
+     "--dim-budget", "0"],
+    ["compute", "end-alg-a", "--n", "2", "--kind", "S2",
+     "--matrix-budget", "-1"],
+    ["verify", "table1", "--max-rank", "0"],
+    ["verify", "lusztig-vs-jump", "--height-bound", "-1"],
+])
+def test_nonpositive_budgets_and_bounds_are_a_usage_error(capsys, argv):
+    flag, value = argv[-2:]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+def test_cache_dir_that_is_a_file_warns_and_still_answers(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = ["compute", "dynkin", "--type", "E", "--rank", "6",
+            "--weight", "1,0,0,0,0,0"]
+    code, want, _ = run(argv, capsys)
+    assert code == 0
+    code, out, err = run(["--cache-dir", str(not_a_dir)] + argv, capsys)
+    assert (code, out) == (0, want)
+    assert err.startswith(f"warning: unusable cache directory {not_a_dir}")
+    assert err.count("\n") == 1
+
+
+# Start-up guard: stdlib modules that a compute or verify call does not use.
+UNUSED_AT_START_UP = {"dataclasses", "inspect", "hashlib", "json"}
+
+
+def _modules_after(code):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("PYTHON") and k != "SPINDLE_CACHE_DIR"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_start_up_imports_no_unused_stdlib_module():
+    bare = _modules_after("pass")
+    imported = _modules_after("import spindle.cli") - bare
+    assert "spindle.cli" in imported
+    assert not imported & UNUSED_AT_START_UP
+    after_call = _modules_after(
+        "from spindle import cli\n"
+        "cli.main(['compute', 'root-system', '--type', 'A', '--rank', '1'])"
+    ) - bare
+    assert "spindle.rootsystem" in after_call
+    assert not after_call & UNUSED_AT_START_UP
+
+
+def test_suite_parameters_match_the_signatures():
+    import inspect
+
+    from spindle import verify as vf
+
+    for name in vf.SUITES:
+        fn = vf._SUITE_FNS[name]
+        params = inspect.signature(fn).parameters
+        assert vf.suite_parameters(name) == tuple(params)
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD
+                   and p.default is not p.empty for p in params.values())

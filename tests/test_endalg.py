@@ -73,3 +73,14 @@ def test_sym_square_a2_is_gaussian():
     rep = ea.build_rep(2, "S2")
     comm = ea.commutant(rep)
     assert QPolynomial(comm.graded_dimensions()) == gaussian_binomial(2, 2)
+
+
+def test_rep_and_commutant_are_plain_objects():
+    rep = ea.build_rep(2, "S2")
+    assert (rep.n, rep.kind, rep.dimension, rep.top_floor) == (2, "S2", 6, 4)
+    assert len(rep.e_std_lifts) == 2
+    bare = ea.MatrixRep(1, "S1", 2, {0: {1: 1}}, {}, {}, [(1,), (-1,)],
+                        [1, 0], 1, (1,), 1)
+    assert bare.e_std_lifts is None
+    comm = ea.commutant(rep)
+    assert comm.rep is rep and comm.dimension == 6

@@ -176,3 +176,23 @@ def test_integer_row_space_matches_fraction_gauss_jordan(case):
         assert v[fc] > 0
         assert all(v[c] == 0 for c in free if c != fc)
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+
+def test_scaled_inverse():
+    # the A2 Cartan matrix has determinant 3; the B2 one has 2
+    assert la.scaled_inverse([[2, -1], [-1, 2]]) == (3, ((2, 1), (1, 2)))
+    assert la.scaled_inverse([[2, -2], [-1, 2]]) == (2, ((2, 2), (1, 2)))
+    assert la.scaled_inverse([[1, 0], [0, 1]]) == (1, ((1, 0), (0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_squares(3))
+def test_scaled_inverse_inverts(m):
+    if la.rank(m, 3) < 3:
+        return
+    den, inv = la.scaled_inverse(m)
+    assert den >= 1
+    assert gcd(den, *(x for row in inv for x in row)) == 1
+    product = [[sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+               for i in range(3)]
+    assert product == [[den * int(i == j) for j in range(3)] for i in range(3)]

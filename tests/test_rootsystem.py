@@ -1,10 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindle import exactla as la
 from spindle.errors import ResourceBudgetError, UsageError
 from spindle.rootsystem import build_root_system
 
@@ -248,3 +250,39 @@ def test_stabilizer_orders_match_orbit_walks(key):
     for lam in itertools.product((0, 1), repeat=rs.rank):
         assert rs.stabilizer_order(lam) == (
             rs.weyl_order // len(rs.weyl_orbit(lam)))
+
+
+def _reference_fixed_tables(rs):
+    """The symmetrizer, the scaled inverse of cartan^T with its
+    denominator, and -w_0 as the root system built them before they went
+    integer-only: Fraction propagation, Fraction Gauss-Jordan, and one
+    dominant_representative walk per fundamental weight."""
+    cartan, l = rs.cartan_matrix, rs.rank
+    e = [None] * l
+    e[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(l):
+            if i != j and cartan[i][j] != 0 and e[j] is None:
+                e[j] = e[i] * Fraction(cartan[j][i], cartan[i][j])
+                stack.append(j)
+    ints = [int(x * math.lcm(*(y.denominator for y in e))) for x in e]
+    sym = tuple(x // math.gcd(*ints) for x in ints)
+    red, _ = la.rref([[cartan[j][i] for j in range(l)]
+                      + [int(i == j) for j in range(l)] for i in range(l)])
+    den = math.lcm(*(x.denominator for row in red for x in row[l:]))
+    inv = tuple(tuple(int(x * den) for x in row[l:]) for row in red)
+    perm = []
+    for i in range(l):
+        w = rs.dominant_representative(tuple(-int(k == i) for k in range(l)))
+        assert sorted(w) == [0] * (l - 1) + [1]
+        perm.append(w.index(1))
+    return sym, den, inv, tuple(perm)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_fixed_tables_match_fraction_reference(key):
+    rs = build_root_system(*key)
+    assert (rs.symmetrizer, rs._root_denominator, rs._scaled_cartan_t_inv,
+            rs.longest_element) == _reference_fixed_tables(rs)
