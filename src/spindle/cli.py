@@ -172,20 +172,21 @@ def cmd_compute(args, out):
     if sub == "end-alg-a":
         if args.n is None or args.kind is None:
             raise UsageError("end-alg-a needs --n and --kind")
-        rep = ea.build_rep(args.n, args.kind, dim_bound=args.matrix_budget)
-        comm = ea.commutant(rep)
+        module = ea.type_a_module(args.n, args.kind,
+                                  dim_bound=args.matrix_budget)
+        comm = ea.commutant(module)
         rows = [
-            ("dimension", rep.dimension),
-            ("highest_weight", _weight_str(rep.highest_weight)),
+            ("dimension", module.dimension),
+            ("highest_weight", _weight_str(module.lam)),
             ("commutant_dimension", comm.dimension),
             ("graded_polynomial",
              poly_str(QPolynomial(comm.graded_dimensions()))),
             ("commutative", comm.is_commutative()),
             ("socle_dimension", ea.socle_dimension(comm)),
-            ("lowest_vector_bijection", ea.check_bijection(rep, comm)),
+            ("lowest_vector_bijection", ea.check_bijection(comm)),
             ("lefschetz", ea.lefschetz_check(comm)),
-            ("e_power_projections", ea.e_power_projections(rep)),
-            ("invariants_dimension", ea.a_invariants_dimension(rep)),
+            ("e_power_projections", ea.e_power_projections(module)),
+            ("invariants_dimension", ea.a_invariants_dimension(module)),
         ]
         _emit_rows(rows, ("property", "value"), fmt, out)
         return 0

@@ -1,27 +1,32 @@
-"""Desk-scale matrix model of the graded commutant algebra for type A.
+"""Structure checks of the graded commutant algebra End_{z(e)} V.
 
-For sl_{n+1} acting on S^m(C^{n+1}) or Lambda^k(C^{n+1}) we realise the
-principal triple {e, h, f} explicitly in integer matrices, compute the
-joint commutant of the powers of the regular nilpotent exactly, and check
-the structural claims: lowest-vector bijection, 1-dimensional socle,
-Lefschetz ranges, nonvanishing projections of e-powers, and the graded
-dimension count.
+The commutant of the centralizer z(e) of a regular nilpotent e is solved
+on the module route, ``modulerep.commutant``, graded by floor.  For a
+weight-multiplicity-free module we check the structural claims on it:
+commutativity, a 1-dimensional socle, the lowest-vector bijection, the
+Lefschetz ranges of e, nonvanishing projections of e-powers and a
+1-dimensional joint kernel of z(e).  Everything is read off the module:
+e is D times the sum of the simple raising operators, and the lowest
+vector is the one basis vector of minimal level.
+
+``type_a_module`` names the type-A cases: S^m and Lambda^k of the
+defining representation of sl_{n+1} are V(m w_1) and V(w_k).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 
 from . import exactla as la
+from . import modulerep as mr
 from .errors import DomainError, InternalConsistencyError, ResourceBudgetError, UsageError
+from .rootsystem import build_root_system
 
 DEFAULT_DIM_BOUND = 60
 
 
 def _parse_kind(kind):
     """'S3' -> symmetric cube, 'E2' -> second exterior power."""
-    if isinstance(kind, tuple) and len(kind) == 2:
-        kind = f"{kind[0]}{kind[1]}"
     if not isinstance(kind, str) or len(kind) < 2 or kind[0] not in "SE":
         raise UsageError(f"kind must look like 'S2' or 'E2', got {kind!r}")
     try:
@@ -33,212 +38,64 @@ def _parse_kind(kind):
     return kind[0], power
 
 
-def _sym_basis(n, m):
-    """Exponent vectors of monomials of degree m in n+1 variables, sorted."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], m, n + 1)
-    out.sort()
-    return out
-
-
-def _lift_symmetric(mat_std, basis, index):
-    """Derivation action of an (n+1)x(n+1) matrix on monomials: the entry
-    M[i][j] acts as x_i d/dx_j."""
-    cols = la.transpose(mat_std)
-    terms = []
-    for col, a in enumerate(basis):
-        for j, column in cols.items():
-            if a[j] == 0:
-                continue
-            for i, c in column.items():
-                target = list(a)
-                target[j] -= 1
-                target[i] += 1
-                terms.append((c * a[j], {index[tuple(target)]: {col: 1}}))
-    return la.combination(terms)
-
-
-def _lift_exterior(mat_std, basis, index):
-    """Action on wedge monomials e_S: M[i][j] sends e_j to e_i inside S."""
-    cols = la.transpose(mat_std)
-    terms = []
-    for col, subset in enumerate(basis):
-        pos = {v: p for p, v in enumerate(subset)}
-        for j in subset:
-            for i, c in cols.get(j, {}).items():
-                if i == j:
-                    terms.append((c, {col: {col: 1}}))
-                    continue
-                if i in pos:
-                    continue
-                target = [v for v in subset if v != j] + [i]
-                target_sorted = tuple(sorted(target))
-                # sign: move i from the old slot of j to its sorted slot
-                old = pos[j]
-                new = target_sorted.index(i)
-                sign = -1 if (old + new) % 2 else 1
-                terms.append((c * sign, {index[target_sorted]: {col: 1}}))
-    return la.combination(terms)
-
-
-class MatrixRep:
-    """Principal sl2 triple acting on a symmetric or exterior power."""
-
-    def __init__(self, n, kind, dimension, e_matrix, h_matrix, f_matrix,
-                 weight_of_basis, floors, lowest_index, highest_weight,
-                 top_floor, e_std_lifts=None):
-        self.n = n
-        self.kind = kind
-        self.dimension = dimension
-        self.e_matrix = e_matrix
-        self.h_matrix = h_matrix
-        self.f_matrix = f_matrix
-        self.weight_of_basis = weight_of_basis
-        self.floors = floors
-        self.lowest_index = lowest_index
-        self.highest_weight = highest_weight
-        self.top_floor = top_floor
-        self.e_std_lifts = e_std_lifts
-
-    def commutator_check(self):
-        """[h,e]=2e, [h,f]=-2f, [e,f]=h, exactly."""
-        e, h, f = self.e_matrix, self.h_matrix, self.f_matrix
-        return (
-            la.bracket(h, e) == la.combination([(2, e)])
-            and la.bracket(h, f) == la.combination([(-2, f)])
-            and la.bracket(e, f) == h
-        )
-
-
-def build_rep(n, kind, dim_bound=DEFAULT_DIM_BOUND):
-    """Matrix model of S^m or Lambda^k of the defining rep of sl_{n+1}."""
+def type_a_module(n, kind, dim_bound=DEFAULT_DIM_BOUND):
+    """S^m or Lambda^k of the defining rep of sl_{n+1} as the module of
+    A_n with highest weight m w_1 or w_k (0 for k = n+1).  Its dimension
+    is checked against dim_bound before anything is built."""
     if n < 1:
         raise UsageError("n must be >= 1")
     flavor, power = _parse_kind(kind)
-    n1 = n + 1
-
-    # principal triple in the defining representation
-    e_std = {i: {i + 1: 1} for i in range(n)}
-    h_std = {i: {i: n - 2 * i} for i in range(n1) if n != 2 * i}
-    f_std = {i: {i - 1: i * (n1 - i)} for i in range(1, n1)}
-
     if flavor == "S":
-        basis = _sym_basis(n, power)
+        dim = comb(n + power, power)
         lam = (power,) + (0,) * (n - 1)
-        lift = _lift_symmetric
     else:
-        if power > n1:
-            raise UsageError(f"exterior power {power} exceeds {n1}")
-        basis = sorted(combinations(range(n1), power))
-        lam = tuple(1 if i == power - 1 else 0 for i in range(n))  # 0 if power=n+1
-        lift = _lift_exterior
-    dim = len(basis)
+        if power > n + 1:
+            raise UsageError(f"exterior power {power} exceeds {n + 1}")
+        dim = comb(n + 1, power)
+        lam = tuple(int(i == power - 1) for i in range(n))
     if dim > dim_bound:
         raise ResourceBudgetError("matrix model dimension", dim, dim_bound)
-    index = {b: i for i, b in enumerate(basis)}
-
-    e = lift(e_std, basis, index)
-    h = lift(h_std, basis, index)
-    f = lift(f_std, basis, index)
-
-    # weights of the basis vectors in the fundamental basis of A_n:
-    # eps_i has +1 in slot i and -1 in slot i-1 (slots clipped to 1..n).
-    def eps(i):
-        w = [0] * n
-        if i < n:
-            w[i] += 1
-        if i > 0:
-            w[i - 1] -= 1
-        return w
-
-    weights = []
-    for b in basis:
-        w = [0] * n
-        occupancy = b if flavor == "S" else [1 if i in b else 0 for i in range(n1)]
-        for i, a in enumerate(occupancy):
-            if a:
-                for k, x in enumerate(eps(i)):
-                    w[k] += a * x
-        weights.append(tuple(w))
-
-    h_eigs = [h.get(i, {}).get(i, 0) for i in range(dim)]
-    low = min(h_eigs)
-    if h_eigs.count(low) != 1:
-        raise InternalConsistencyError("lowest weight space is not a line")
-    floors = [(x - low) // 2 for x in h_eigs]
-    if any((x - low) % 2 for x in h_eigs):
-        raise InternalConsistencyError("h eigenvalues not on one parity class")
-
-    # lifts of the powers of the regular nilpotent (traceless part is
-    # irrelevant for commutators, scalars commute with everything)
-    lifts = []
-    p = e_std
-    for _ in range(n):
-        lifts.append(lift(p, basis, index))
-        p = la.mat_mul(p, e_std)
-
-    rep = MatrixRep(
-        n=n,
-        kind=f"{flavor}{power}",
-        dimension=dim,
-        e_matrix=e,
-        h_matrix=h,
-        f_matrix=f,
-        weight_of_basis=weights,
-        floors=floors,
-        lowest_index=h_eigs.index(low),
-        highest_weight=lam,
-        top_floor=max(floors),
-        e_std_lifts=lifts,
-    )
-    if not rep.commutator_check():
-        raise InternalConsistencyError("principal triple relations failed")
-    return rep
+    return mr.HighestWeightModule(build_root_system("A", n), lam, dim_bound)
 
 
 class GradedCommutant:
-    """Basis of the joint commutant of the nilpotent powers, graded by
-    half the ad(h) eigenvalue."""
+    """Homogeneous basis [(T, grade)] of the commutant of z(e) on a
+    module, graded by floor."""
 
-    def __init__(self, rep, basis):
-        self.rep = rep
-        self.basis = basis  # [(matrix, grade)]
+    def __init__(self, module, basis):
+        self.module = module
+        self.basis = basis
+        self._commutative = None
 
     @property
     def dimension(self):
         return len(self.basis)
 
     def graded_dimensions(self):
-        top = self.rep.top_floor
-        out = [0] * (top + 1)
+        out = [0] * (max(self.module.floors()) + 1)
         for _, g in self.basis:
             out[g] += 1
         return out
 
     def is_commutative(self):
-        for i, (a, _) in enumerate(self.basis):
-            for b, _g in self.basis[i + 1:]:
-                if la.bracket(a, b):
-                    return False
-        return True
+        """Decided once per commutant; socle_dimension asks again."""
+        if self._commutative is None:
+            self._commutative = not any(
+                la.bracket(a, b)
+                for i, (a, _) in enumerate(self.basis)
+                for b, _g in self.basis[i + 1:]
+            )
+        return self._commutative
 
     def _span(self):
-        dim = self.rep.dimension
+        dim = self.module.dimension
         return la.span([la.flatten(m, dim) for m, _ in self.basis], dim**2)
 
     def contains(self, matrix):
-        return la.flatten(matrix, self.rep.dimension) in self._span()
+        return la.flatten(matrix, self.module.dimension) in self._span()
 
     def is_closed_under_product(self):
-        dim = self.rep.dimension
+        dim = self.module.dimension
         span = self._span()
         for a, _ in self.basis:
             for b, _g in self.basis:
@@ -247,45 +104,37 @@ class GradedCommutant:
         return True
 
 
-def commutant(rep):
-    """Joint commutant of the lifted powers e, e^2, ..., e^n, graded.
-
-    Solved grade by grade: unknowns are matrix entries (u, v) with
-    floor(u) - floor(v) equal to the grade; [T, lift(e^j)] = 0 rows.
-    """
-    dim = rep.dimension
-    basis = []
-    for g, pairs, sols in la.graded_commutant(rep.e_std_lifts, rep.floors):
-        if sols and g < 0:
-            raise InternalConsistencyError(
-                f"commutant element at negative grade {g}"
-            )
-        for vec in sols:
-            m = {}
-            for (u, v), x in zip(pairs, vec):
-                if x:
-                    m.setdefault(u, {})[v] = x
-            basis.append((m, g))
-    comm = GradedCommutant(rep=rep, basis=basis)
-    if comm.dimension != dim:
+def commutant(module):
+    """The graded commutant of z(e) on a weight-multiplicity-free module:
+    its dimension is dim V."""
+    comm = GradedCommutant(module, mr.commutant(module))
+    if comm.dimension != module.dimension:
         raise InternalConsistencyError(
-            f"commutant dimension {comm.dimension} != dim V = {dim}"
+            f"commutant dimension {comm.dimension} != dim V = "
+            f"{module.dimension}"
         )
     return comm
 
 
-def check_bijection(rep, comm):
+def _lowest(module):
+    """(floors, index of the lowest vector)."""
+    floors = module.floors()
+    if floors.count(0) != 1:
+        raise InternalConsistencyError("lowest weight space is not a line")
+    return floors, floors.index(0)
+
+
+def check_bijection(comm):
     """Evaluation at the lowest vector is bijective and maps grade i into
     floor i."""
-    dim = rep.dimension
-    low = rep.lowest_index
+    floors, low = _lowest(comm.module)
     columns = []
     for m, g in comm.basis:
         vec = {r: row[low] for r, row in m.items() if low in row}
-        if any(rep.floors[r] != g for r in vec):
+        if any(floors[r] != g for r in vec):
             return False
         columns.append(vec)
-    return la.rank(columns, dim) == dim
+    return la.rank(columns, len(floors)) == len(floors)
 
 
 def socle_dimension(comm):
@@ -304,14 +153,13 @@ def socle_dimension(comm):
 
 
 def lefschetz_check(comm):
-    """Multiplication by the grade-1 triple element e is injective on the
-    lower half of the grading and surjective on the upper half."""
-    rep = comm.rep
-    e = rep.e_matrix
+    """Multiplication by the grade-1 element e is injective on the lower
+    half of the grading and surjective on the upper half."""
+    e = mr.principal_nilpotent(comm.module)
     if not comm.contains(e):
         raise InternalConsistencyError("e is not in the commutant")
-    top = rep.top_floor
-    dim = rep.dimension
+    top = max(comm.module.floors())
+    dim = comm.module.dimension
     by_grade = {}
     for m, g in comm.basis:
         by_grade.setdefault(g, []).append(m)
@@ -333,20 +181,20 @@ def lefschetz_check(comm):
     return True
 
 
-def e_power_projections(rep):
+def e_power_projections(module):
     """e^n applied to the lowest vector hits every weight line on floor n."""
-    vec = {rep.lowest_index: 1}
-    for step in range(1, rep.top_floor + 1):
-        vec = la.mat_vec(rep.e_matrix, vec)
-        for b, floor in enumerate(rep.floors):
+    floors, low = _lowest(module)
+    e = mr.principal_nilpotent(module)
+    vec = {low: 1}
+    for step in range(1, max(floors) + 1):
+        vec = la.mat_vec(e, vec)
+        for b, floor in enumerate(floors):
             if floor == step and b not in vec:
                 return False
     return True
 
 
-def a_invariants_dimension(rep):
-    """Dimension of the joint kernel of the lifted nilpotent powers."""
-    rows = []
-    for em in rep.e_std_lifts:
-        rows.extend(em.values())
-    return rep.dimension - la.rank(rows, rep.dimension)
+def a_invariants_dimension(module):
+    """Dimension of the joint kernel of z(e)."""
+    rows = [row for z in mr.nilpotent_centralizer(module) for row in z.values()]
+    return module.dimension - la.rank(rows, module.dimension)

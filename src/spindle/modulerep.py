@@ -1,7 +1,7 @@
 """Exact construction of irreducible highest-weight modules from the
-Cartan matrix alone, and the jump polynomial computed directly from the
-module: graded dimensions of the joint kernel of the centralizer of a
-regular nilpotent element.
+Cartan matrix alone, and what is read off the centralizer z(e) of a
+regular nilpotent element on the module: the jump polynomial (graded
+dimensions of the joint kernel of z(e)) and the graded commutant of z(e).
 
 This is the matrix-level oracle for the q-multiplicity identities: it
 never touches the alternating Weyl sum, so agreement between the two is a
@@ -137,19 +137,41 @@ class HighestWeightModule:
             sum(m * t for m, t in zip(w, two_rho_check)) for w in self.weights
         ]
 
+    def floors(self):
+        """(level - lowest level) / 2 per basis vector: the grade of the
+        principal grading, 0 on the lowest weight."""
+        levels = self.levels()
+        low = min(levels)
+        if any((lv - low) % 2 for lv in levels):
+            raise InternalConsistencyError(
+                f"levels of {self.lam} not on one parity class")
+        return [(lv - low) // 2 for lv in levels]
+
+
+def _scaled_raising(module):
+    """The simple raising operators times D, the common denominator of
+    their entries: integer matrices with the same brackets up to scale."""
+    cols = module._e_cols
+    den = lcm(*(d for op in cols for d, _ in op.values()))
+    return [_matrix(op, lambda x, d: x * (den // d)) for op in cols]
+
+
+def principal_nilpotent(module):
+    """e = D times the sum of the simple raising operators: a regular
+    nilpotent, as an integer matrix."""
+    return la.combination((1, m) for m in _scaled_raising(module))
+
 
 def _nilradical_span(module):
     """Bracket closure of the simple raising operators: the image of the
     positive nilradical, each element homogeneous of definite height.
 
-    Yields (height, m, [e, m]) per basis element m, in integer matrices:
-    e is D times the sum of the simple raising operators, D the common
-    denominator of their entries, which leaves its centralizer unchanged.
+    Yields (height, m, [e, m]) per basis element m, in integer matrices,
+    with e = principal_nilpotent(module); the factor D leaves the
+    centralizer of e unchanged.
     """
     n = module.dimension
-    cols = module._e_cols
-    den = lcm(*(d for op in cols for d, _ in op.values()))
-    simple = [_matrix(op, lambda x, d: x * (den // d)) for op in cols]
+    simple = _scaled_raising(module)
     space = la.span([la.flatten(m, n) for m in simple], n * n)
     frontier = [(1, m) for m in simple]
     while frontier:
@@ -163,7 +185,7 @@ def _nilradical_span(module):
         frontier = new
 
 
-def _nilpotent_centralizer(module):
+def nilpotent_centralizer(module):
     """Homogeneous basis of the centralizer of e = sum of simple raising
     operators inside the nilradical image; dimension equals the rank for
     any faithful module."""
@@ -200,7 +222,7 @@ def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     if not any(lam):
         return QPolynomial.one()
     module = HighestWeightModule(rs, lam, dim_budget)
-    zs = _nilpotent_centralizer(module)
+    zs = nilpotent_centralizer(module)
     level_of = []
     for lv in module.levels():
         if lv % 2:
@@ -230,19 +252,28 @@ def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])
 
 
+def commutant(module):
+    """Homogeneous basis [(T, grade)] of the commutant of the nilpotent
+    centralizer z(e) on the module: T raises every floor by its grade."""
+    basis = []
+    for g, pairs, sols in la.graded_commutant(nilpotent_centralizer(module),
+                                              module.floors()):
+        if sols and g < 0:
+            raise InternalConsistencyError(
+                f"commutant element at negative grade {g} for {module.lam}"
+            )
+        for vec in sols:
+            m = {}
+            for (u, v), x in zip(pairs, vec):
+                if x:
+                    m.setdefault(u, {})[v] = x
+            basis.append((m, g))
+    return basis
+
+
 def jump_polynomial_end(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     """Jump polynomial of End V_lam from the module: graded dimensions of
-    the commutant of the nilpotent centralizer, graded by level shift."""
-    lam = tuple(lam)
-    module = HighestWeightModule(rs, lam, dim_budget)
-    zs = _nilpotent_centralizer(module)
-    coeffs = {}
-    for g, _, sols in la.graded_commutant(zs, module.levels()):
-        if sols:
-            if g < 0 or g % 2:
-                raise InternalConsistencyError(
-                    f"End-module invariant at grade {g}/2 for {lam}"
-                )
-            coeffs[g // 2] = len(sols)
-    top = max(coeffs)
-    return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])
+    the commutant of the nilpotent centralizer."""
+    grades = [g for _, g in commutant(HighestWeightModule(rs, lam,
+                                                          dim_budget))]
+    return QPolynomial([grades.count(i) for i in range(max(grades) + 1)])

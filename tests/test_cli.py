@@ -331,7 +331,8 @@ def test_cache_dir_is_read_by_the_cached_subcommands(
     assert run(argv, capsys) == (0, cold, "")
 
 
-@pytest.mark.parametrize("suite", ["dynkin-cross", "tensor-mf"])
+@pytest.mark.parametrize("suite", ["dynkin-cross", "tensor-mf", "endalg",
+                                   "lusztig-vs-jump"])
 def test_verify_output_is_the_same_under_optimize(suite):
     # invariant checks raise exceptions, never assert, so -O changes nothing
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}

@@ -87,7 +87,7 @@ def test_module_route_is_integer_only(monkeypatch):
         )
         for _, m, em in mr._nilradical_span(module):
             assert _is_integer_matrix(m) and _is_integer_matrix(em)
-        zs = mr._nilpotent_centralizer(module)
+        zs = mr.nilpotent_centralizer(module)
         assert all(_is_integer_matrix(z) for z in zs)
         assert mr.jump_polynomial(rs, lam) == qa.lusztig_q_multiplicity(
             rs, lam, (0,) * rs.rank
