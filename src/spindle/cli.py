@@ -186,7 +186,7 @@ def cmd_compute(args, out):
             ("lowest_vector_bijection", ea.check_bijection(comm)),
             ("lefschetz", ea.lefschetz_check(comm)),
             ("e_power_projections", ea.e_power_projections(module)),
-            ("invariants_dimension", ea.a_invariants_dimension(module)),
+            ("invariants_dimension", ea.a_invariants_dimension(comm)),
         ]
         _emit_rows(rows, ("property", "value"), fmt, out)
         return 0

@@ -10,7 +10,9 @@ e is D times the sum of the simple raising operators, and the lowest
 vector is the one basis vector of minimal level.
 
 ``type_a_module`` names the type-A cases: S^m and Lambda^k of the
-defining representation of sl_{n+1} are V(m w_1) and V(w_k).
+defining representation of sl_{n+1} are V(m w_1) and V(w_k).  One budget
+bounds both the module dimension and the rank n, because the module route
+builds the whole root system of A_n and n elements of z(e).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def _parse_kind(kind):
 
 def type_a_module(n, kind, dim_bound=DEFAULT_DIM_BOUND):
     """S^m or Lambda^k of the defining rep of sl_{n+1} as the module of
-    A_n with highest weight m w_1 or w_k (0 for k = n+1).  Its dimension
-    is checked against dim_bound before anything is built."""
+    A_n with highest weight m w_1 or w_k (0 for k = n+1).  Its dimension,
+    then n, is checked against dim_bound before anything is built."""
     if n < 1:
         raise UsageError("n must be >= 1")
     flavor, power = _parse_kind(kind)
@@ -55,16 +57,21 @@ def type_a_module(n, kind, dim_bound=DEFAULT_DIM_BOUND):
         lam = tuple(int(i == power - 1) for i in range(n))
     if dim > dim_bound:
         raise ResourceBudgetError("matrix model dimension", dim, dim_bound)
+    # A faithful module of sl_{n+1} has dimension > n, so only the trivial
+    # Lambda^{n+1} can pass the first check with n over the budget.
+    if n > dim_bound:
+        raise ResourceBudgetError("matrix model rank", n, dim_bound)
     return mr.HighestWeightModule(build_root_system("A", n), lam, dim_bound)
 
 
 class GradedCommutant:
     """Homogeneous basis [(T, grade)] of the commutant of z(e) on a
-    module, graded by floor."""
+    module, graded by floor, with the z(e) it was solved for."""
 
-    def __init__(self, module, basis):
+    def __init__(self, module):
         self.module = module
-        self.basis = basis
+        self.centralizer = mr.nilpotent_centralizer(module)
+        self.basis = mr.commutant(module, self.centralizer)
         self._commutative = None
 
     @property
@@ -107,7 +114,7 @@ class GradedCommutant:
 def commutant(module):
     """The graded commutant of z(e) on a weight-multiplicity-free module:
     its dimension is dim V."""
-    comm = GradedCommutant(module, mr.commutant(module))
+    comm = GradedCommutant(module)
     if comm.dimension != module.dimension:
         raise InternalConsistencyError(
             f"commutant dimension {comm.dimension} != dim V = "
@@ -194,7 +201,8 @@ def e_power_projections(module):
     return True
 
 
-def a_invariants_dimension(module):
+def a_invariants_dimension(comm):
     """Dimension of the joint kernel of z(e)."""
-    rows = [row for z in mr.nilpotent_centralizer(module) for row in z.values()]
-    return module.dimension - la.rank(rows, module.dimension)
+    dim = comm.module.dimension
+    rows = [row for z in comm.centralizer for row in z.values()]
+    return dim - la.rank(rows, dim)

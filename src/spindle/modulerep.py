@@ -252,12 +252,12 @@ def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])
 
 
-def commutant(module):
+def commutant(module, zs):
     """Homogeneous basis [(T, grade)] of the commutant of the nilpotent
-    centralizer z(e) on the module: T raises every floor by its grade."""
+    centralizer zs = z(e) on the module: T raises every floor by its
+    grade."""
     basis = []
-    for g, pairs, sols in la.graded_commutant(nilpotent_centralizer(module),
-                                              module.floors()):
+    for g, pairs, sols in la.graded_commutant(zs, module.floors()):
         if sols and g < 0:
             raise InternalConsistencyError(
                 f"commutant element at negative grade {g} for {module.lam}"
@@ -274,6 +274,6 @@ def commutant(module):
 def jump_polynomial_end(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     """Jump polynomial of End V_lam from the module: graded dimensions of
     the commutant of the nilpotent centralizer."""
-    grades = [g for _, g in commutant(HighestWeightModule(rs, lam,
-                                                          dim_budget))]
+    module = HighestWeightModule(rs, lam, dim_budget)
+    grades = [g for _, g in commutant(module, nilpotent_centralizer(module))]
     return QPolynomial([grades.count(i) for i in range(max(grades) + 1)])

@@ -366,7 +366,7 @@ def suite_endalg():
             continue
         d_poly = dy.dynkin_product(module.rs, module.lam)
         socle = ea.socle_dimension(comm)
-        invariants = ea.a_invariants_dimension(module)
+        invariants = ea.a_invariants_dimension(comm)
         checks.append(_check(
             f"{name} commutant dimension",
             comm.dimension == module.dimension,

@@ -73,7 +73,7 @@ def test_commutant_properties():
         assert ea.check_bijection(comm), (n, kind)
         assert ea.lefschetz_check(comm), (n, kind)
         assert ea.e_power_projections(module), (n, kind)
-        assert ea.a_invariants_dimension(module) == 1, (n, kind)
+        assert ea.a_invariants_dimension(comm) == 1, (n, kind)
 
 
 def test_graded_dimensions_match_dynkin():
@@ -98,7 +98,7 @@ def test_rep_and_commutant_are_plain_objects():
     comm = ea.commutant(module)
     assert comm.module is module and comm.dimension == 6
     assert "__dataclass_fields__" not in vars(ea.GradedCommutant)
-    assert comm.basis == mr.commutant(module)
+    assert comm.basis == mr.commutant(module, comm.centralizer)
 
 
 def test_commutativity_is_decided_once(monkeypatch):
@@ -124,9 +124,12 @@ def test_suite_asks_each_structure_question_once(monkeypatch):
 
     for name in ("socle_dimension", "a_invariants_dimension"):
         monkeypatch.setattr(ea, name, counted(getattr(ea, name)))
+    monkeypatch.setattr(mr, "nilpotent_centralizer",
+                        counted(mr.nilpotent_centralizer))
     checks = vf.suite_endalg()
     assert all(c.ok for c in checks) and len(checks) == 64
-    assert calls == {"socle_dimension": 8, "a_invariants_dimension": 8}
+    assert calls == {"socle_dimension": 8, "a_invariants_dimension": 8,
+                     "nilpotent_centralizer": 8}
 
 
 # An independent construction of the type-A cases: the powers e^j of the
@@ -210,6 +213,20 @@ def test_budget_is_checked_before_anything_is_built(capsys):
     assert ("A", 300) not in rootsystem._build_cache
 
 
+def test_rank_is_checked_before_anything_is_built(capsys):
+    # Lambda^{n+1} is the 1-dimensional trivial module: only the rank
+    # bounds the A_n that the module route would build for it.
+    assert _run(["--n", "300", "--kind", "E301"], capsys) == (
+        3, "", "error: matrix model rank: 300 exceeds budget 60\n")
+    assert _run(["--n", "61", "--kind", "E62", "--matrix-budget", "60"],
+                capsys)[0] == 3
+    assert ("A", 300) not in rootsystem._build_cache
+    assert ("A", 61) not in rootsystem._build_cache
+    code, out, err = _run(["--n", "4", "--kind", "E5", "--matrix-budget",
+                           "4"], capsys)
+    assert (code, err) == (0, "") and "invariants_dimension" in out
+
+
 @st.composite
 def small_modules(draw):
     letter, rank = draw(st.sampled_from(
@@ -225,7 +242,7 @@ def small_modules(draw):
 def test_module_commutant_is_commutative_iff_wmf(case):
     rs, lam = case
     module = mr.HighestWeightModule(rs, lam)
-    comm = ea.GradedCommutant(module, mr.commutant(module))
+    comm = ea.GradedCommutant(module)
     assert comm.is_commutative() == ch.is_wmf(rs, lam)
 
 
@@ -238,5 +255,5 @@ def test_module_commutant_is_commutative_iff_wmf(case):
 def test_module_commutant_commutativity_samples(letter, rank, lam,
                                                 commutative):
     module = mr.HighestWeightModule(build_root_system(letter, rank), lam)
-    comm = ea.GradedCommutant(module, mr.commutant(module))
+    comm = ea.GradedCommutant(module)
     assert comm.is_commutative() is commutative
