@@ -14,6 +14,7 @@ from . import cache
 from . import characters as ch
 from . import dynkin as dy
 from . import endalg as ea
+from . import modulerep as mr
 from . import qanalogues as qa
 from . import truncsym as ts
 from . import verify as vf
@@ -111,7 +112,7 @@ COMPUTE_OPTIONS = {
     "character": _WEIGHT + ("dim_budget", "cache_dir"),
     "dynkin": _WEIGHT + ("cache_dir",),
     "jump": _WEIGHT + ("mu",) + _WEYL,
-    "lusztig": _WEIGHT + ("mu", "weyl_budget", "full_weyl"),
+    "lusztig": _WEIGHT + ("mu", "method", "weyl_budget", "full_weyl"),
     "t-poly": _WEIGHT,
     "f-lambda": _WEIGHT + _WEYL + ("cache_dir",),
     "poincare-cg": _WEIGHT + _WEYL,
@@ -119,6 +120,16 @@ COMPUTE_OPTIONS = {
     "tensor-square": _WEIGHT + ("dim_budget",),
     "end-alg-a": ("n", "kind", "matrix_budget"),
     "truncsym": ("n", "m"),
+}
+
+# The --method values of each subcommand that reads --method.  Only
+# lusztig has a module route, which reads no Weyl budget, and it has no
+# closed form.
+COMPUTE_METHODS = {
+    "jump": ("auto", "weyl", "closed"),
+    "lusztig": ("auto", "weyl", "module"),
+    "f-lambda": ("auto", "weyl", "closed"),
+    "poincare-cg": ("auto", "weyl", "closed"),
 }
 
 # Defaults of the options that have one; every option parses to None when
@@ -143,6 +154,9 @@ def _require_positive(args, names):
 def _check_compute_options(args):
     """Reject options the subcommand does not read; fill in defaults."""
     reads = COMPUTE_OPTIONS[args.subcommand]
+    methods = COMPUTE_METHODS.get(args.subcommand, ())
+    if args.method == "module" and "module" in methods:
+        reads = tuple(n for n in reads if n not in ("weyl_budget", "full_weyl"))
     unread = [
         "--" + name.replace("_", "-")
         for name in dict.fromkeys(n for opts in COMPUTE_OPTIONS.values()
@@ -152,6 +166,10 @@ def _check_compute_options(args):
     if unread:
         raise UsageError(
             f"compute {args.subcommand} does not take {', '.join(unread)}"
+        )
+    if args.method is not None and args.method not in methods:
+        raise UsageError(
+            f"compute {args.subcommand} does not take --method {args.method}"
         )
     _require_positive(args, ("weyl_budget", "dim_budget", "matrix_budget"))
     for name, value in COMPUTE_DEFAULTS.items():
@@ -236,10 +254,11 @@ def cmd_compute(args, out):
         return 0
     if sub == "lusztig":
         mu = _parse_weight(args.mu, rs.rank) if args.mu else (0,) * rs.rank
-        _emit_poly(
-            qa.lusztig_q_multiplicity(rs, lam, mu, budget=weyl_budget),
-            fmt, out,
-        )
+        if args.method == "module":
+            poly = mr.filtration_q_multiplicity(rs, lam, mu)
+        else:
+            poly = qa.lusztig_q_multiplicity(rs, lam, mu, budget=weyl_budget)
+        _emit_poly(poly, fmt, out)
         return 0
     if sub == "jump":
         mu = _parse_weight(args.mu, rs.rank) if args.mu else lam
@@ -328,8 +347,9 @@ def build_parser():
     pc.add_argument("--mu", help="second weight where applicable")
     pc.add_argument("--format", choices=["text", "json", "csv"],
                     default="text")
-    pc.add_argument("--method", choices=["auto", "weyl", "closed"],
-                    help="default auto")
+    pc.add_argument("--method", choices=["auto", "weyl", "closed", "module"],
+                    help="default auto; closed for jump, f-lambda and "
+                         "poincare-cg, module for lusztig")
     pc.add_argument("--n", type=int, help="for end-alg-a / truncsym")
     pc.add_argument("--m", type=int, help="for truncsym")
     pc.add_argument("--kind", help="S<m> or E<k> for end-alg-a")

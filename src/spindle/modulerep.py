@@ -1,11 +1,12 @@
 """Exact construction of irreducible highest-weight modules from the
-Cartan matrix alone, and what is read off the centralizer z(e) of a
-regular nilpotent element on the module: the jump polynomial (graded
-dimensions of the joint kernel of z(e)) and the graded commutant of z(e).
+Cartan matrix alone, and what is read off a regular nilpotent element e
+on the module: the q-multiplicities m_lam^mu(q), through the
+Brylinski-Kostant filtration of each dominant weight space, and the
+graded commutant of the centralizer z(e).
 
 This is the matrix-level oracle for the q-multiplicity identities: it
-never touches the alternating Weyl sum, so agreement between the two is a
-genuine two-algorithm check.
+never touches the alternating Weyl sum or a Kostant partition table, so
+agreement between the two is a genuine two-algorithm check.
 
 The construction builds the module level by level.  Level-k vectors are
 f_i-images of level-(k-1) basis vectors; linear relations among them are
@@ -22,6 +23,7 @@ from math import gcd, lcm
 
 from . import exactla as la
 from .characters import DEFAULT_DIM_BUDGET
+from .dynkin import dynkin_product
 from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
 from .qpoly import QPolynomial
 
@@ -34,15 +36,22 @@ def _matrix(cols, entry):
 
 class HighestWeightModule:
     """V_lam with exact matrices for the simple raising and lowering
-    operators; basis vectors carry definite weights."""
+    operators; basis vectors carry definite weights.
 
-    def __init__(self, rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+    With ``depth``, only the levels at most ``depth`` simple roots below
+    lam are built: the raising operators are then complete on them, the
+    lowering operators are not.  Each level must hold as many vectors as
+    the matching coefficient of the Dynkin polynomial, and their number
+    is charged to ``dim_budget`` before anything is built.
+    """
+
+    def __init__(self, rs, lam, dim_budget=DEFAULT_DIM_BUDGET, depth=None):
         lam = tuple(lam)
-        if not rs.is_dominant(lam):
-            raise DomainError(f"{lam} is not dominant")
-        expected = rs.weyl_dimension(lam)
-        if expected > dim_budget:
-            raise ResourceBudgetError("module dimension", expected, dim_budget)
+        # vectors per level, top down; a full build ends on an empty level
+        sizes = dynkin_product(rs, lam).coeffs + (0,)
+        sizes = sizes[:None if depth is None else depth + 1]
+        if sum(sizes) > dim_budget:
+            raise ResourceBudgetError("module dimension", sum(sizes), dim_budget)
         self.rs = rs
         self.lam = lam
         self.weights = [lam]
@@ -54,14 +63,12 @@ class HighestWeightModule:
         f_cols = [dict() for _ in range(rank)]
 
         prev = [0]
-        while prev:
+        for level, size in enumerate(sizes[1:], 1):
             candidates = []
             for gb in prev:
                 wb = self.weights[gb]
                 for i in range(rank):
-                    mu = tuple(
-                        wb[k] - cartan[i][k] for k in range(rank)
-                    )
+                    mu = tuple(wb[k] - cartan[i][k] for k in range(rank))
                     # e_j f_i v_gb for every j, over one common denominator
                     cols = [e_cols[j].get(gb, (1, {})) for j in range(rank)]
                     den = lcm(*(d for d, _ in cols)) * lcm(*(
@@ -113,14 +120,13 @@ class HighestWeightModule:
                     d = lcm(*(x.denominator for x in expr.values()))
                     f_cols[i][gb] = (d, {r: int(x * d)
                                          for r, x in expr.items()})
+            if len(new_indices) != size:
+                raise InternalConsistencyError(
+                    f"module construction for {lam} gave {len(new_indices)} "
+                    f"vectors at level {level}, Dynkin polynomial says {size}"
+                )
             prev = new_indices
-
-        if len(self.weights) != expected:
-            raise InternalConsistencyError(
-                f"module construction for {lam} gave dimension "
-                f"{len(self.weights)}, Weyl formula says {expected}"
-            )
-        self.dimension = expected
+        self.dimension = len(self.weights)
         self._e_cols = e_cols
         self._f_cols = f_cols
 
@@ -209,47 +215,43 @@ def nilpotent_centralizer(module):
     return out
 
 
+def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
+    """m_lam^mu(q) for dominant mu, read off the Brylinski-Kostant
+    filtration F_k = ker e^{k+1} on the weight space V_lam(mu): the
+    coefficient of q^k is dim F_k / F_{k-1} (Brylinski 1989 under a
+    vanishing condition; Joseph, Letzter and Zelikson 2000 for every
+    dominant mu).
+
+    dim F_k is dim V_lam(mu) minus the rank of e^{k+1} on it.  Since
+    e^k V_lam(mu) lies above mu, the module is built only down to mu.
+    """
+    lam, mu = tuple(lam), tuple(mu)
+    for w in (lam, mu):
+        if not rs.is_dominant(w):
+            raise DomainError(f"{w} is not dominant")
+    gap = rs.root_lattice_coords(tuple(l - m for l, m in zip(lam, mu)))
+    if gap is None or min(gap) < 0:
+        return QPolynomial.zero()
+    module = HighestWeightModule(rs, lam, dim_budget, depth=sum(gap))
+    e_t = la.transpose(principal_nilpotent(module))
+    vecs = {c: {c: 1} for c, w in enumerate(module.weights) if w == mu}
+    ranks = [len(vecs)]  # the rank of e^k on V_lam(mu), k = 0, 1, ...
+    while vecs:
+        vecs = la.mat_mul(vecs, e_t)  # row c holds e^k v_c
+        ranks.append(la.rank(vecs.values()))
+    return QPolynomial([a - b for a, b in zip(ranks, ranks[1:])])
+
+
 def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     """Jump polynomial of V_lam computed from the module itself: the
-    coefficient of q^i is the dimension of the level-i part of the joint
-    kernel of the regular nilpotent centralizer.
+    Brylinski-Kostant filtration of the zero weight space.
 
-    Defined for lam in the root lattice (levels must be integers).
+    Defined for lam in the root lattice.
     """
     lam = tuple(lam)
     if not rs.in_root_lattice(lam):
         raise DomainError(f"jump polynomial needs {lam} in the root lattice")
-    if not any(lam):
-        return QPolynomial.one()
-    module = HighestWeightModule(rs, lam, dim_budget)
-    zs = nilpotent_centralizer(module)
-    level_of = []
-    for lv in module.levels():
-        if lv % 2:
-            raise InternalConsistencyError(f"half-integral level for {lam}")
-        level_of.append(lv // 2)
-    # number the basis vectors of each level within their level
-    size = {}
-    slot = []
-    for lv in level_of:
-        slot.append(size.get(lv, 0))
-        size[lv] = slot[-1] + 1
-    rows = {lv: {} for lv in size}  # level -> (z, p) -> kernel row
-    for k, z in enumerate(zs):
-        for p, row in z.items():
-            for c, x in row.items():
-                rows[level_of[c]].setdefault((k, p), {})[slot[c]] = x
-    coeffs = {}
-    for lv in sorted(size):
-        k = size[lv] - la.rank(rows[lv].values(), size[lv])
-        if k:
-            if lv < 0:
-                raise InternalConsistencyError(
-                    f"invariant vector at negative level {lv} for {lam}"
-                )
-            coeffs[lv] = k
-    top = max(coeffs)
-    return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])
+    return filtration_q_multiplicity(rs, lam, (0,) * rs.rank, dim_budget)
 
 
 def commutant(module, zs):

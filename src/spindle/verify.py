@@ -193,8 +193,8 @@ def suite_spindle(max_rank=6, samples=200):
 
 def suite_lusztig_vs_jump(height_bound=6):
     """Zero-weight q-multiplicity vs the jump polynomial computed from the
-    module itself (joint kernel of the nilpotent centralizer), two fully
-    independent algorithms."""
+    module itself (the Brylinski-Kostant filtration of its zero weight
+    space by a regular nilpotent), two fully independent algorithms."""
     checks = []
     for letter, rank in (("A", 1), ("A", 2), ("A", 3),
                          ("B", 2), ("C", 3), ("G", 2)):

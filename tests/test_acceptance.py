@@ -1,4 +1,4 @@
-"""Acceptance gate: the fourteen headline guarantees, each with an explicit
+"""Acceptance gate: the fifteen headline guarantees, each with an explicit
 runtime bound and exact (zero-tolerance) arithmetic.  Every test prints one
 PASS/FAIL line so the gate is readable from the raw pytest log.
 """
@@ -150,9 +150,10 @@ def test_criterion_13_e7_e8_adjoint_exponents():
 
 
 def test_criterion_14_module_oracle_at_dimension_1539():
-    # E7 with highest weight omega_6 (dimension 1539): the graded kernel of
-    # the regular nilpotent centralizer, computed in the module itself,
-    # equals the zero-weight q-multiplicity from the alternating Weyl sum.
+    # E7 with highest weight omega_6 (dimension 1539): the filtration of
+    # the zero weight space by a regular nilpotent, computed in the module
+    # itself, equals the zero-weight q-multiplicity from the alternating
+    # Weyl sum.
     rs = build_root_system("E", 7)
     lam = (0, 0, 0, 0, 0, 1, 0)
     start = time.monotonic()
@@ -163,3 +164,18 @@ def test_criterion_14_module_oracle_at_dimension_1539():
           and via_module(1) == 27)
     _report(14, "E7 omega_6 jump polynomial, module vs Weyl sum", ok,
             elapsed, 15)
+
+
+def test_criterion_15_module_route_e8_omega1_zero_weight():
+    # E8 with highest weight omega_1 (dimension 3875): the module route
+    # answers at the zero weight, which the Weyl sum refuses at its default
+    # budget.  m(1) is the zero-weight multiplicity and the degree is
+    # (omega_1, rho^vee).
+    rs = build_root_system("E", 8)
+    lam = (1, 0, 0, 0, 0, 0, 0, 0)
+    start = time.monotonic()
+    m0 = mr.filtration_q_multiplicity(rs, lam, (0,) * 8)
+    elapsed = time.monotonic() - start
+    ok = m0(1) == 35 and m0.degree == 46 == rs.height(lam)
+    _report(15, "E8 omega_1 zero-weight q-analogue on the module route", ok,
+            elapsed, 30)

@@ -180,6 +180,54 @@ def test_weyl_budget_error_names_layer_and_work(capsys):
                    "exceeds budget 1000\n")
 
 
+E8_OMEGA1 = ["compute", "lusztig", "--type", "E", "--rank", "8",
+             "--weight", "1,0,0,0,0,0,0,0"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_lusztig_module_method_prints_what_the_weyl_sum_prints(capsys, fmt):
+    argv = E8_OMEGA1 + ["--mu", "0,0,0,0,0,0,0,1", "--format", fmt]
+    outs = [run(argv + ["--method", m], capsys) for m in ("weyl", "module")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+def test_lusztig_module_method_answers_at_e8_omega1_zero_weight(capsys):
+    # The Weyl sum refuses this at the default --weyl-budget (exit 3).
+    code, out, _ = run(E8_OMEGA1 + ["--method", "module", "--format", "json"],
+                       capsys)
+    assert code == 0
+    coeffs = [int(c) for c in json.loads(out)["coefficients"]]
+    # m(1) is the zero-weight multiplicity; the degree is (omega_1, rho^vee)
+    assert sum(coeffs) == 35 and len(coeffs) - 1 == 46
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lusztig", "--method", "closed"], "lusztig does not take --method closed"),
+    (["jump", "--method", "module"], "jump does not take --method module"),
+    (["f-lambda", "--method", "module"],
+     "f-lambda does not take --method module"),
+    (["poincare-cg", "--method", "module"],
+     "poincare-cg does not take --method module"),
+    (["lusztig", "--method", "module", "--weyl-budget", "5"],
+     "lusztig does not take --weyl-budget"),
+    (["lusztig", "--method", "module", "--full-weyl"],
+     "lusztig does not take --full-weyl"),
+])
+def test_method_a_subcommand_does_not_have_is_a_usage_error(
+        capsys, argv, message):
+    code, out, err = run(["compute", argv[0], "--type", "A", "--rank", "2",
+                          "--weight", "1,1"] + argv[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: compute {message}\n"
+
+
+def test_each_subcommand_that_reads_method_lists_its_methods():
+    assert set(cli.COMPUTE_METHODS) == {
+        sub for sub, opts in cli.COMPUTE_OPTIONS.items() if "method" in opts}
+
+
 def test_e6_adjoint_lusztig_golden(capsys):
     argv = ["compute", "lusztig", "--type", "E", "--rank", "6",
             "--weight", "0,1,0,0,0,0"]

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindle import characters as ch
+from spindle import dynkin as dy
+from spindle import exactla as la
 from spindle import modulerep as mr
 from spindle import qanalogues as qa
-from spindle.errors import DomainError, ResourceBudgetError
+from spindle.errors import (
+    DomainError,
+    InternalConsistencyError,
+    ResourceBudgetError,
+)
 from spindle.qpoly import QPolynomial
 from spindle.rootsystem import build_root_system
 
@@ -14,6 +21,7 @@ A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
 B2 = build_root_system("B", 2)
+B3 = build_root_system("B", 3)
 C2 = build_root_system("C", 2)
 C3 = build_root_system("C", 3)
 G2 = build_root_system("G", 2)
@@ -104,6 +112,44 @@ def test_module_budget():
         mr.HighestWeightModule(G2, (2, 2), dim_budget=50)
 
 
+def test_truncated_build_is_charged_only_the_levels_it_builds():
+    # G2 (2, 2) has dimension 729; its top three levels hold 1 + 2 + 4.
+    module = mr.HighestWeightModule(G2, (2, 2), dim_budget=7, depth=2)
+    assert module.dimension == 7
+    with pytest.raises(ResourceBudgetError, match="module dimension: 7"):
+        mr.HighestWeightModule(G2, (2, 2), dim_budget=6, depth=2)
+
+
+@pytest.mark.parametrize("rs,lam", [(G2, (1, 1)), (C3, (0, 1, 0)),
+                                    (A3, (1, 0, 1))])
+def test_truncated_build_is_the_top_of_the_full_build(rs, lam):
+    full = mr.HighestWeightModule(rs, lam)
+    sizes = dy.dynkin_product(rs, lam).coeffs
+    for depth in (0, 1, len(sizes) // 2, len(sizes) - 1):
+        top = mr.HighestWeightModule(rs, lam, depth=depth)
+        n = sum(sizes[:depth + 1])
+        assert top.dimension == n
+        assert top.weights == full.weights[:n]
+        for i in range(rs.rank):
+            # raising operators map each level into the one above it
+            want = {r: {c: x for c, x in row.items() if c < n}
+                    for r, row in full.raising_matrix(i).items() if r < n}
+            assert top.raising_matrix(i) == {r: row for r, row in
+                                             want.items() if row}
+
+
+@pytest.mark.parametrize("sizes", [(1, 2, 1), (1, 1)])
+def test_each_level_is_checked_against_the_dynkin_polynomial(
+        monkeypatch, sizes):
+    # A2 omega_1 has one vector on each of three levels: a level count of
+    # 2 is wrong, and so is a full build that finds a vector below the
+    # last level the polynomial has.
+    monkeypatch.setattr(mr, "dynkin_product",
+                        lambda rs, lam: QPolynomial(sizes))
+    with pytest.raises(InternalConsistencyError, match="Dynkin polynomial"):
+        mr.HighestWeightModule(A2, (1, 0))
+
+
 def test_jump_matches_lusztig_zero_weight():
     cases = [(A1, (2,)), (A1, (4,)), (A2, (1, 1)), (A2, (2, 2)),
              (B2, (2, 0)), (B2, (0, 2)), (C3, (0, 1, 0)), (G2, (1, 0)),
@@ -131,6 +177,70 @@ def test_module_jump_equals_alternating_sum(case):
     assert mr.jump_polynomial(rs, lam) == qa.lusztig_q_multiplicity(
         rs, lam, (0,) * rs.rank
     )
+
+
+def _joint_kernel_jump(rs, lam):
+    """Reference recipe: the graded dimensions of the joint kernel of the
+    nilpotent centralizer z(e) on the full module, one kernel per level."""
+    module = mr.HighestWeightModule(rs, lam)
+    level_of = [lv // 2 for lv in module.levels()]
+    size = {}
+    slot = []
+    for lv in level_of:
+        slot.append(size.get(lv, 0))
+        size[lv] = slot[-1] + 1
+    rows = {lv: {} for lv in size}  # level -> (z, p) -> kernel row
+    for k, z in enumerate(mr.nilpotent_centralizer(module)):
+        for p, row in z.items():
+            for c, x in row.items():
+                rows[level_of[c]].setdefault((k, p), {})[slot[c]] = x
+    coeffs = {lv: size[lv] - la.rank(rows[lv].values(), size[lv])
+              for lv in size}
+    assert all(lv >= 0 for lv, k in coeffs.items() if k)
+    return QPolynomial([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ROOT_LATTICE_WEIGHTS))
+def test_joint_kernel_of_centralizer_equals_filtration(case):
+    rs, lam = case
+    assert _joint_kernel_jump(rs, lam) == mr.jump_polynomial(rs, lam)
+
+
+# Dominant weights with coordinates <= 4 and dimension <= 100, 0 included.
+DOMINANT_WEIGHTS = [
+    (rs, lam)
+    for rs in (A1, A2, A3, B2, B3, C3, G2)
+    for lam in product(range(5), repeat=rs.rank)
+    if rs.weyl_dimension(lam) <= 100
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DOMINANT_WEIGHTS))
+def test_filtration_equals_alternating_sum_at_every_dominant_weight(case):
+    rs, lam = case
+    for mu in ch.dominant_weights(rs, lam):
+        assert mr.filtration_q_multiplicity(rs, lam, mu) == (
+            qa.lusztig_q_multiplicity(rs, lam, mu)), mu
+
+
+def test_filtration_outside_the_weights_and_off_the_dominant_chamber():
+    assert mr.filtration_q_multiplicity(A2, (1, 1), (3, 0)).is_zero()
+    assert mr.filtration_q_multiplicity(A2, (1, 0), (0, 0)).is_zero()
+    with pytest.raises(DomainError):
+        mr.filtration_q_multiplicity(A2, (1, 1), (2, -1))
+    with pytest.raises(DomainError):
+        mr.filtration_q_multiplicity(A2, (-1, 2), (0, 0))
+
+
+def test_jump_polynomial_does_not_solve_the_centralizer(monkeypatch):
+    def refuse(module):
+        raise AssertionError("z(e) solved")
+
+    monkeypatch.setattr(mr, "nilpotent_centralizer", refuse)
+    assert mr.jump_polynomial(C3, (0, 1, 0)) == qa.lusztig_q_multiplicity(
+        C3, (0, 1, 0), (0, 0, 0))
 
 
 def test_jump_distinguishes_from_level_differences():
