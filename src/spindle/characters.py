@@ -3,7 +3,7 @@
 Multiplicities come from Freudenthal's recursion run on dominant weights
 only and extended W-invariantly.  On top of that sit the weight-system
 predicates (wmf / minuscule / small), tensor-square decomposition by
-highest-weight stripping, floor profiles and principal-string data.
+the Brauer-Klimyk rule, floor profiles and principal-string data.
 """
 
 from __future__ import annotations
@@ -177,16 +177,20 @@ def is_minuscule(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
 
 
 def is_small(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
-    """True iff no doubled root is a weight of V_lam (lam must lie in Q)."""
+    """True iff no doubled root is a weight of V_lam (lam must lie in Q).
+
+    A dominant mu is a weight iff lam - mu lies in Q+ (Humphreys, 21.3),
+    and the dominant doubled roots are 2 alpha, alpha a dominant root."""
     lam = tuple(lam)
-    if not rs.in_root_lattice(lam):
+    coords = rs.root_lattice_coords(lam)
+    if coords is None:
         raise DomainError(f"smallness is defined for weights in Q; {lam} is not")
-    dom = dominant_multiplicities(rs, lam, dim_budget)
-    for w in rs.positive_root_weights:
-        doubled = tuple(2 * x for x in w)
-        if rs.dominant_representative(doubled) in dom:
-            return False
-    return True
+    if not rs.is_dominant(lam):
+        raise DomainError(f"{lam} is not dominant")
+    if (dim := rs.weyl_dimension(lam)) > dim_budget:
+        raise ResourceBudgetError("character dimension", dim, dim_budget)
+    return all(min(c - 2 * n for c, n in zip(coords, r)) < 0 for r, w in
+               zip(rs.positive_roots, rs.positive_root_weights) if min(w) >= 0)
 
 
 def _doubled_height(rs, mu):
@@ -195,48 +199,38 @@ def _doubled_height(rs, mu):
 
 
 def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
-    """V_lam (x) V_lam^* as [(nu, c_nu), ...] by highest-weight stripping.
-
-    Only the dominant part of the product character is kept: each weight
-    of largest height of a W-invariant character is dominant, so the
-    leading terms are the same, and each constituent is stripped through
-    its dominant multiplicities.
+    """V_lam (x) V_lam^* as [(nu, c_nu), ...] by the Brauer-Klimyk rule:
+    the sum of m_lam(x) det(w) V_{w(lam + rho - x) - rho} over the weights
+    x of V_lam, w taking lam + rho - x to the dominant chamber, where a
+    point on a wall counts 0 (Humphreys, section 24).  One dominant
+    reduction per weight; only the character of V_lam is computed.
     """
     lam = tuple(lam)
     dim = rs.weyl_dimension(lam)
     if dim * dim > dim_budget:
         raise ResourceBudgetError("tensor square dimension", dim * dim, dim_budget)
-    weights = list(irreducible_character(rs, lam, dim_budget).entries.items())
-    # the weights of V_lam^* are the negatives of those of V_lam
-    remaining = {}
-    for x, a in weights:
-        for y, b in weights:
-            nu = tuple(p - q for p, q in zip(x, y))
-            if min(nu) >= 0:  # dominant
-                remaining[nu] = remaining.get(nu, 0) + a * b
-    out = []
-    while remaining:
-        nu = max(remaining, key=lambda mu: (_doubled_height(rs, mu), mu))
-        c = remaining[nu]
-        if c < 0 or not rs.is_dominant(nu):
-            raise InternalConsistencyError(
-                f"stripping produced invalid leading term {nu} -> {c}"
-            )
-        if not rs.in_root_lattice(nu):
-            raise InternalConsistencyError(
-                f"tensor-square constituent {nu} outside the root lattice"
-            )
-        for mu, m in dominant_multiplicities(rs, nu, dim_budget).items():
-            val = remaining.get(mu, 0) - c * m
-            if val < 0:
-                raise InternalConsistencyError(
-                    f"negative multiplicity at {mu} while stripping {nu}"
-                )
-            if val:
-                remaining[mu] = val
+    coeffs = {}
+    for mu, m in dominant_multiplicities(rs, lam, dim_budget).items():
+        for x in rs.weyl_orbit(mu):
+            y, c, j = [l + 1 - a for l, a in zip(lam, x)], m, 0  # rho = 1,...,1
+            while j < rs.rank:
+                if y[j] > 0:
+                    j += 1
+                elif y[j]:
+                    y, c, j = rs._reflect(y, j), -c, 0
+                else:
+                    break  # on a wall
             else:
-                remaining.pop(mu, None)
-        out.append((nu, c))
+                nu = tuple(t - 1 for t in y)
+                coeffs[nu] = coeffs.get(nu, 0) + c
+    out = [(nu, c) for nu, c in coeffs.items() if c]
+    for nu, c in out:
+        if c < 0 or not rs.in_root_lattice(nu):
+            raise InternalConsistencyError(
+                f"tensor-square term {c} V{nu} is negative or outside Q")
+    if (mass := sum(c * rs.weyl_dimension(nu) for nu, c in out)) != dim * dim:
+        raise InternalConsistencyError(
+            f"tensor-square mass {mass} != {dim * dim} for {lam}")
     out.sort(key=lambda t: (-_doubled_height(rs, t[0]), t[0]))
     return out
 

@@ -89,6 +89,10 @@ class RowSpace:
         self._rows[p] = r
         return True
 
+    def basis(self):
+        """The primitive basis rows, in pivot order."""
+        return [self._rows[p] for p in sorted(self._rows)]
+
 
 def span(rows, ncols):
     """The RowSpace spanned by rows."""
@@ -103,12 +107,12 @@ def rref(rows, ncols=None):
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    basis = span(rows, ncols)._rows
-    pivots = sorted(basis)
+    basis = span(rows, ncols).basis()
+    pivots = [min(b) for b in basis]
     red = [[0] * ncols for _ in pivots]
-    for row, p in zip(red, pivots):
-        for c, x in basis[p].items():
-            row[c] = Fraction(x, basis[p][p])
+    for row, b, p in zip(red, basis, pivots):
+        for c, x in b.items():
+            row[c] = Fraction(x, b[p])
     return red, pivots
 
 

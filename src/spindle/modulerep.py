@@ -222,8 +222,10 @@ def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
     vanishing condition; Joseph, Letzter and Zelikson 2000 for every
     dominant mu).
 
-    dim F_k is dim V_lam(mu) minus the rank of e^{k+1} on it.  Since
-    e^k V_lam(mu) lies above mu, the module is built only down to mu.
+    dim F_k is dim V_lam(mu) minus the rank of e^{k+1} on it.  Each step
+    carries only the primitive basis of e^k V_lam(mu) forward, so the
+    entries do not grow with k.  Since e^k V_lam(mu) lies above mu, the
+    module is built only down to mu.
     """
     lam, mu = tuple(lam), tuple(mu)
     for w in (lam, mu):
@@ -237,8 +239,10 @@ def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
     vecs = {c: {c: 1} for c, w in enumerate(module.weights) if w == mu}
     ranks = [len(vecs)]  # the rank of e^k on V_lam(mu), k = 0, 1, ...
     while vecs:
-        vecs = la.mat_mul(vecs, e_t)  # row c holds e^k v_c
-        ranks.append(la.rank(vecs.values()))
+        # vecs is a basis of e^k V_lam(mu), so their images span the next
+        images = la.mat_mul(vecs, e_t).values()
+        vecs = dict(enumerate(la.span(images, len(module.weights)).basis()))
+        ranks.append(len(vecs))
     return QPolynomial([a - b for a, b in zip(ranks, ranks[1:])])
 
 

@@ -297,19 +297,29 @@ class RootSystem:
         The walk is a tree rooted at the dominant point: the parent of a
         non-dominant y is s_j y for j its first negative coordinate.  So the
         children of x are the s_j x with x_j > 0 whose first negative
-        coordinate is j, and no point is reached twice.  Since
+        coordinate is j, and no point is reached twice.  With f the first
+        negative coordinate of x (the j that made x), every s_j x with
+        j < f and x_j > 0 is a child; s_j only raises the neighbours of j,
+        so for j > f only the neighbours of f can be children, and only
+        those are built.  Children are pushed in ascending j.  Since
         (alpha_j, rho^vee) = 1, the doubled height drops by 2 x_j.
         """
         x = self.dominant_representative(mu)
-        stack = [(x, sum(m * t for m, t in zip(x, self.two_rho_check)))]
+        h = sum(m * t for m, t in zip(x, self.two_rho_check))
+        stack = [(x, h, self.rank)]
         while stack:
-            x, h = stack.pop()
+            x, h, f = stack.pop()
             yield x, h
-            for j, c in enumerate(x):
+            for j in range(f):
+                c = x[j]
                 if c > 0:
+                    stack.append((tuple(self._reflect(x, j)), h - 2 * c, j))
+            for j, _ in self._bonds[f] if f < self.rank else ():
+                c = x[j]
+                if j > f and c > 0:
                     y = self._reflect(x, j)
-                    if j == 0 or min(y[:j]) >= 0:
-                        stack.append((tuple(y), h - 2 * c))
+                    if min(y[:j]) >= 0:
+                        stack.append((tuple(y), h - 2 * c, j))
 
     def weyl_orbit(self, mu):
         """Full W-orbit of mu, as a list of distinct weight tuples."""

@@ -2,14 +2,14 @@ from itertools import product
 from math import floor
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spindle import characters as ch
 from spindle import dynkin as dy
 from spindle.errors import DomainError, ResourceBudgetError
 from spindle.qpoly import QPolynomial
-from spindle.rootsystem import build_root_system
+from spindle.rootsystem import RootSystem, build_root_system
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -219,8 +219,51 @@ def _strip_full_characters(rs, lam):
 
 @settings(max_examples=40, deadline=None)
 @given(bounded_weights())
+@example((build_root_system("E", 6), (1, 0, 0, 0, 0, 0)))
+@example((build_root_system("F", 4), (0, 0, 0, 1)))
+@example((G2, (1, 1)))
 def test_dominant_stripping_equals_full_character_stripping(case):
     rs, lam = case
-    assume(rs.weyl_dimension(lam) <= 40)
+    assume(rs.weyl_dimension(lam) <= 100)
     got = ch.decompose_tensor_square(rs, lam)
     assert sorted(got) == _strip_full_characters(rs, lam)
+
+
+def _small_by_character(rs, lam):
+    """Smallness from the definition: no doubled root's dominant
+    representative is a dominant weight of V_lam."""
+    dom = ch.dominant_multiplicities(rs, lam)
+    return not any(
+        rs.dominant_representative(tuple(2 * x for x in w)) in dom
+        for w in rs.positive_root_weights)
+
+
+SMALL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
+               ("D", 4), ("G", 2))
+
+
+@st.composite
+def root_lattice_weights(draw):
+    rs = build_root_system(*draw(st.sampled_from(SMALL_TYPES)))
+    lam = tuple(draw(st.integers(0, 4)) for _ in range(rs.rank))
+    assume(rs.in_root_lattice(lam) and rs.weyl_dimension(lam) <= 2000)
+    return rs, lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(root_lattice_weights())
+def test_is_small_equals_character_definition(case):
+    rs, lam = case
+    assert ch.is_small(rs, lam) == _small_by_character(rs, lam)
+
+
+def test_tensor_square_and_smallness_run_no_constituent_characters():
+    # a fresh root system: only V_lam's own character is computed
+    rs = RootSystem("E", 6)
+    pieces = ch.decompose_tensor_square(rs, (1, 0, 0, 0, 0, 0))
+    assert len(pieces) == 3
+    assert list(rs.character_memo) == [(1, 0, 0, 0, 0, 0)]
+    rs = RootSystem("E", 6)
+    assert ch.is_small(rs, (0, 1, 0, 0, 0, 0))
+    assert not ch.is_small(rs, (0, 2, 0, 0, 0, 0))
+    assert rs.character_memo == {}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,22 @@ def test_tensor_square_e8_adjoint_golden(capsys):
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == (
         "7b63a83e33059b0df3ebd77cfb5c56c5")
+
+
+def test_tensor_square_e7_golden_and_budget(capsys):
+    argv = ["compute", "tensor-square", "--type", "E", "--rank", "7",
+            "--weight", "1,0,0,0,0,0,1"]
+    start = time.perf_counter()
+    code, out, _ = run(argv + ["--dim-budget", "100000000"], capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert len(out.splitlines()) == 22
+    assert hashlib.md5(out.encode()).hexdigest() == (
+        "4cd58874abcb8fb894b0cad592455bac")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: tensor square dimension: 41990400 exceeds budget 1000000\n")
 
 
 def test_end_alg_a_table(capsys):

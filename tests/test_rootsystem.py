@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spindle import exactla as la
 from spindle.errors import ResourceBudgetError, UsageError
-from spindle.rootsystem import build_root_system
+from spindle.rootsystem import RootSystem, build_root_system
 
 # (type, rank) -> (#positive roots, degrees, Weyl order, highest root height)
 CLASSICAL = {
@@ -180,10 +180,10 @@ def _bfs_height_histogram(rs, mu):
 
 
 @st.composite
-def small_weyl_weights(draw):
+def small_weyl_weights(draw, low=0):
     letter, rank = draw(st.sampled_from(SMALL_WEYL))
     rs = build_root_system(letter, rank)
-    return rs, tuple(draw(st.integers(0, 2)) for _ in range(rank))
+    return rs, tuple(draw(st.integers(low, 2)) for _ in range(rank))
 
 
 @settings(max_examples=80, deadline=None)
@@ -195,6 +195,50 @@ def test_orbit_heights_match_seen_set_search(case):
     assert sum(hist.values()) == rs.orbit_size(mu)
     walked = rs.weyl_orbit(mu)
     assert len(walked) == len(orbit) and set(walked) == orbit
+
+
+def _unpruned_orbit_walk(rs, mu):
+    """The orbit tree walk that reflects at every positive coordinate and
+    then discards each s_j x whose first negative coordinate is not j."""
+    x = rs.dominant_representative(mu)
+    stack = [(x, sum(m * t for m, t in zip(x, rs.two_rho_check)))]
+    while stack:
+        x, h = stack.pop()
+        yield x, h
+        for j, c in enumerate(x):
+            if c > 0:
+                y = rs.simple_reflection(x, j)
+                if j == 0 or min(y[:j]) >= 0:
+                    stack.append((y, h - 2 * c))
+
+
+def _check_orbit_walk(rs, mu):
+    walked = list(_unpruned_orbit_walk(rs, mu))
+    assert rs.weyl_orbit(mu) == [x for x, _ in walked]
+    hist = {}
+    for _, h in walked:
+        hist[h] = hist.get(h, 0) + 1
+    fresh = RootSystem(rs.type_letter, rs.rank)
+    assert fresh.orbit_heights(rs.dominant_representative(mu)) == hist
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_weyl_weights(low=-2))
+def test_orbit_walk_equals_unpruned_walk(case):
+    _check_orbit_walk(*case)
+
+
+@pytest.mark.parametrize("key,mu", [
+    (("E", 6), (1, 0, 0, 0, 0, 0)),
+    (("E", 6), (0, -1, 1, 0, 0, 1)),
+    (("E", 6), (1, 0, -1, 1, 0, 0)),
+    (("F", 4), (1, -2, 0, 1)),
+    (("F", 4), (1, 1, 1, 1)),
+    (("G", 2), (-3, 2)),
+    (("G", 2), (1, 1)),
+])
+def test_orbit_walk_equals_unpruned_walk_exceptional(key, mu):
+    _check_orbit_walk(build_root_system(*key), mu)
 
 
 ALL_TYPES = (
