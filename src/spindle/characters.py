@@ -56,13 +56,20 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
 
     The dominant weights of V_lam are reached from lam by subtracting
     positive roots and keeping only dominant results (Stembridge, 1998);
-    each carries the simple-root coordinates ``gap`` of lam - mu.
-    Freudenthal's recursion runs on them in integers: with e_i the
-    symmetrizer, (nu, alpha) for alpha = sum n_i alpha_i is proportional to
-    sum n_i e_i nu_i, and (lam+rho)^2 - (mu+rho)^2 to
-    sum gap_i e_i (lam_i + mu_i + 2), with the same factor.  Memoized on
-    the root system with the dimension, so that a memo hit meets the same
-    budget as the first call.
+    mu - alpha is dominant iff mu_j >= w_j wherever the weight coordinate
+    w_j of alpha is positive, so only those tuples are built.  Each weight
+    carries the simple-root coordinates ``gap`` of lam - mu.
+
+    Freudenthal's recursion runs on them in integers, one root string per
+    orbit of the stabilizer W_mu (Moody and Patera, Bull. AMS 7, 1982):
+    the sum over alpha > 0 of S(alpha) = sum_k m(mu + k alpha)
+    (mu + k alpha, alpha) is constant on each W_mu-orbit of roots, so twice
+    it is sum_O c_O S(beta_O) over the weighted representatives of
+    ``rs.stabilizer_root_orbits``.  With e_i the symmetrizer, (nu, alpha)
+    for alpha = sum n_i alpha_i is proportional to sum n_i e_i nu_i, and
+    (lam+rho)^2 - (mu+rho)^2 to sum gap_i e_i (lam_i + mu_i + 2), with the
+    same factor.  Memoized on the root system with the dimension, so that
+    a memo hit meets the same budget as the first call.
     """
     lam = tuple(lam)
     hit = rs.character_memo.get(lam)
@@ -77,23 +84,31 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     if hit is not None:
         return mult
 
-    roots = list(zip(rs.positive_roots, rs.positive_root_weights))
+    steps = [
+        (r, w, tuple((j, a) for j, a in enumerate(w) if a > 0))
+        for r, w in zip(rs.positive_roots, rs.positive_root_weights)
+    ]
     gaps = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         new = []
         for mu in frontier:
             gap = gaps[mu]
-            for r, w in roots:
-                nu = tuple(m - a for m, a in zip(mu, w))
-                if nu not in gaps and rs.is_dominant(nu):
-                    gaps[nu] = tuple(g + n for g, n in zip(gap, r))
-                    new.append(nu)
+            for r, w, raised in steps:
+                for j, wj in raised:
+                    if mu[j] < wj:
+                        break
+                else:
+                    nu = tuple(m - a for m, a in zip(mu, w))
+                    if nu not in gaps:
+                        gaps[nu] = tuple(g + n for g, n in zip(gap, r))
+                        new.append(nu)
         frontier = new
 
     sym = rs.symmetrizer
     strings = [
-        (w, tuple(n * e for n, e in zip(r, sym))) for r, w in roots
+        (w, tuple(n * e for n, e in zip(r, sym)))
+        for r, w in zip(rs.positive_roots, rs.positive_root_weights)
     ]
     reps = {}  # weight -> dominant representative, for this call only
 
@@ -108,19 +123,22 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         if mu == lam:
             continue
         acc = 0
-        for w, ne in strings:
+        for i, c in rs.stabilizer_root_orbits(mu):
+            w, ne = strings[i]
+            s = 0
             nu = tuple(m + a for m, a in zip(mu, w))
             while (m_nu := mult.get(rep(nu))):
-                acc += m_nu * sum(c * x for c, x in zip(ne, nu))
+                s += m_nu * sum(e * x for e, x in zip(ne, nu))
                 nu = tuple(x + a for x, a in zip(nu, w))
+            acc += c * s
         denom = sum(
             g * e * (l + m + 2)
             for g, e, l, m in zip(gaps[mu], sym, lam, mu)
         )
-        val, rem = divmod(2 * acc, denom)
+        val, rem = divmod(acc, denom)
         if rem or val <= 0:
             raise InternalConsistencyError(
-                f"Freudenthal multiplicity {2 * acc}/{denom} of {mu} in {lam}"
+                f"Freudenthal multiplicity {acc}/{denom} of {mu} in {lam}"
             )
         mult[mu] = val
 

@@ -162,14 +162,14 @@ def _q_mult_fn(rs, lam, wmf, method, budget):
 def jump_tensor(rs, lam, mu, method="auto", budget=DEFAULT_WEYL_BUDGET,
                 dim_budget=ch.DEFAULT_DIM_BUDGET):
     """Jump polynomial of V_lam (x) V_mu^*: the t_0/t_nu-weighted sum of
-    products of q-multiplicities over the shared dominant weights."""
+    products of q-multiplicities over the shared dominant weights.  For
+    mu = lam each q-multiplicity is evaluated once and squared."""
     lam = tuple(lam)
     mu = tuple(mu)
     t0 = t_poly(rs, (0,) * rs.rank)
     f_lam = _q_mult_fn(rs, lam, ch.is_wmf(rs, lam, dim_budget), method, budget)
     if mu == lam:
-        f_mu = f_lam
-        mu_support = None
+        f_mu = mu_support = None
     else:
         f_mu = _q_mult_fn(rs, mu, ch.is_wmf(rs, mu, dim_budget), method, budget)
         mu_support = set(ch.dominant_weights(rs, mu, dim_budget))
@@ -178,7 +178,8 @@ def jump_tensor(rs, lam, mu, method="auto", budget=DEFAULT_WEYL_BUDGET,
         if mu_support is not None and nu not in mu_support:
             continue
         ratio = t0.exact_divide(t_poly(rs, nu))
-        acc = acc + f_lam(nu) * f_mu(nu) * ratio
+        m = f_lam(nu)
+        acc = acc + m * (m if f_mu is None else f_mu(nu)) * ratio
     return acc
 
 

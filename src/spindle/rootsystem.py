@@ -13,7 +13,7 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import exactla as la
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
@@ -148,6 +148,30 @@ def _closure(cartan, sym):
     return roots, tuple(found[r][0] for r in roots), tuple(coroots)
 
 
+def _coroot_chain(coroots):
+    """Each non-simple positive coroot as an earlier coroot plus a simple
+    one: [(p, j)] in order of coroot height, where p indexes the list that
+    starts with the rank simple coroots and grows by one entry per pair.
+
+    The order is by coroot height, not by the order of ``coroots``: in the
+    non-simply-laced types a root's coroot can be lower than the coroot of
+    a lower root.
+    """
+    rank = len(coroots[0])
+    index = {tuple(int(k == j) for k in range(rank)): j for j in range(rank)}
+    chain = []
+    for c in sorted(coroots, key=lambda c: (sum(c), c))[rank:]:
+        for j, n in enumerate(c):
+            p = index.get(c[:j] + (n - 1,) + c[j + 1:]) if n else None
+            if p is not None:
+                break
+        else:
+            raise InternalConsistencyError(f"coroot {c} has no parent")
+        index[c] = rank + len(chain)
+        chain.append((p, j))
+    return tuple(chain)
+
+
 def _degrees(coroots):
     """Degrees of the reflection group of one simple type: one more than
     the exponents, which are the conjugate partition of the coroot-height
@@ -173,12 +197,21 @@ class RootSystem:
             tuple((k, a) for k, a in enumerate(row) if a and k != j)
             for j, row in enumerate(self.cartan_matrix)
         )
+        # the nodes _orbit_walk may reflect at below a point made by s_f
+        # (index rank for the dominant point): every j < f, then the
+        # neighbours of f above it
+        self._walk_steps = tuple(
+            tuple(range(f)) + tuple(k for k, _ in self._bonds[f] if k > f)
+            for f in range(rank)
+        ) + (tuple(range(rank)),)
         self.symmetrizer = _symmetrizer(self.cartan_matrix)
         (self.positive_roots, self.positive_root_weights,
          self.positive_coroots) = _closure(
             self.cartan_matrix, self.symmetrizer)
         self.root_heights = tuple(sum(r) for r in self.positive_roots)
         self.coroot_heights = tuple(sum(c) for c in self.positive_coroots)
+        self._coroot_chain = _coroot_chain(self.positive_coroots)
+        self._weyl_denominator = prod(self.coroot_heights)
         self.degrees = _degrees(self.positive_coroots)
         self.exponents = tuple(d - 1 for d in self.degrees)
         if len(self.degrees) != rank or sum(self.exponents) != len(
@@ -192,6 +225,9 @@ class RootSystem:
             order *= d
         self.weyl_order = order
         self._parabolic = {}
+        # weighted W_J-orbit representatives of the positive roots, per
+        # set J of zero coordinates, filled by stabilizer_root_orbits
+        self._root_orbits = {}
         # (dimension, dominant multiplicities) per highest weight, filled
         # by characters.dominant_multiplicities
         self.character_memo = {}
@@ -292,34 +328,35 @@ class RootSystem:
         return all(m >= 0 for m in mu)
 
     def _orbit_walk(self, mu):
-        """Yield (x, 2(x, rho^vee)) once for each x in the orbit W mu.
+        """Yield (x, d) once for each x in the orbit W mu, where
+        2(x, rho^vee) = 2(mu+, rho^vee) - 2d for mu+ the dominant point.
 
-        The walk is a tree rooted at the dominant point: the parent of a
-        non-dominant y is s_j y for j its first negative coordinate.  So the
-        children of x are the s_j x with x_j > 0 whose first negative
-        coordinate is j, and no point is reached twice.  With f the first
-        negative coordinate of x (the j that made x), every s_j x with
-        j < f and x_j > 0 is a child; s_j only raises the neighbours of j,
-        so for j > f only the neighbours of f can be children, and only
-        those are built.  Children are pushed in ascending j.  Since
-        (alpha_j, rho^vee) = 1, the doubled height drops by 2 x_j.
+        The walk is a tree rooted at mu+: the parent of a non-dominant y is
+        s_j y for j its first negative coordinate.  So the children of x
+        are the s_j x with x_j > 0 whose first negative coordinate is j, and
+        no point is reached twice.  With f the first negative coordinate of
+        x (the j that made x), every s_j x with j < f and x_j > 0 is a
+        child; s_j only raises the neighbours of j, so for j > f only the
+        neighbours of f can be children, and only those are built
+        (``_walk_steps``).  Children are pushed in ascending j.  Since
+        (alpha_j, rho^vee) = 1, the depth d grows by x_j at s_j.  The
+        reflection is done inline: this loop is the cost of every orbit.
         """
-        x = self.dominant_representative(mu)
-        h = sum(m * t for m, t in zip(x, self.two_rho_check))
-        stack = [(x, h, self.rank)]
+        bonds = self._bonds
+        steps = self._walk_steps
+        stack = [(self.dominant_representative(mu), 0, self.rank)]
         while stack:
-            x, h, f = stack.pop()
-            yield x, h
-            for j in range(f):
+            x, d, f = stack.pop()
+            yield x, d
+            for j in steps[f]:
                 c = x[j]
                 if c > 0:
-                    stack.append((tuple(self._reflect(x, j)), h - 2 * c, j))
-            for j, _ in self._bonds[f] if f < self.rank else ():
-                c = x[j]
-                if j > f and c > 0:
-                    y = self._reflect(x, j)
-                    if min(y[:j]) >= 0:
-                        stack.append((tuple(y), h - 2 * c, j))
+                    y = list(x)
+                    y[j] = -c
+                    for k, a in bonds[j]:
+                        y[k] -= c * a
+                    if j < f or min(y[:j]) >= 0:
+                        stack.append((tuple(y), d + c, j))
 
     def weyl_orbit(self, mu):
         """Full W-orbit of mu, as a list of distinct weight tuples."""
@@ -327,18 +364,22 @@ class RootSystem:
 
     def orbit_heights(self, mu):
         """Doubled-height histogram {2(x, rho^vee): count} of the orbit of
-        dominant mu, memoized.  Its total is checked against orbit_size,
-        which comes from the parabolic degrees instead of the walk."""
+        dominant mu, memoized.  The walk counts into a list indexed by
+        depth.  Its total is checked against orbit_size, which comes from
+        the parabolic degrees instead of the walk."""
         hist = self._orbit_heights.get(mu)
         if hist is None:
-            hist = {}
-            for _, h in self._orbit_walk(mu):
-                hist[h] = hist.get(h, 0) + 1
-            if sum(hist.values()) != self.orbit_size(mu):
+            top = sum(m * t for m, t in zip(
+                self.dominant_representative(mu), self.two_rho_check))
+            counts = [0] * (top + 1)
+            for _, d in self._orbit_walk(mu):
+                counts[d] += 1
+            if sum(counts) != self.orbit_size(mu):
                 raise InternalConsistencyError(
-                    f"orbit walk of {mu} found {sum(hist.values())} points, "
+                    f"orbit walk of {mu} found {sum(counts)} points, "
                     f"orbit size is {self.orbit_size(mu)}"
                 )
+            hist = {top - 2 * d: n for d, n in enumerate(counts) if n}
             self._orbit_heights[mu] = hist
         return hist
 
@@ -397,6 +438,41 @@ class RootSystem:
             order *= d
         return order
 
+    def stabilizer_root_orbits(self, mu):
+        """The positive roots up to the stabilizer W_J, J the zero
+        coordinates of mu: ((i, c), ...) over the J-dominant positive roots
+        (weight coordinates w_j >= 0 for j in J), one per W_J-orbit O of
+        roots that meets the positive ones.
+
+        W_J permutes the positive roots outside Phi_J; such an orbit counts
+        c = 2|O|.  An orbit inside Phi_J (root coordinates supported on J)
+        is half positive, so it counts c = |O|.  |O| is |W_J| over the
+        order of the stabilizer of the J-dominant member, which is
+        generated by the s_j, j in J, with w_j = 0.  Memoized per J, and
+        checked on build: sum c = 2|Phi+|.
+        """
+        support = tuple(j for j, m in enumerate(mu) if m == 0)
+        table = self._root_orbits.get(support)
+        if table is not None:
+            return table
+        whole = self.stabilizer_order(mu)
+        table = []
+        for i, (r, w) in enumerate(
+                zip(self.positive_roots, self.positive_root_weights)):
+            if all(w[j] >= 0 for j in support):
+                # zero exactly where mu_j = w_j = 0
+                fixer = [m or a for m, a in zip(mu, w)]
+                size = whole // self.stabilizer_order(fixer)
+                inside = all(n == 0 or m == 0 for n, m in zip(r, mu))
+                table.append((i, size if inside else 2 * size))
+        if (total := sum(c for _, c in table)) != 2 * len(self.positive_roots):
+            raise InternalConsistencyError(
+                f"W_J-orbits of the roots for J = {support} count {total}, "
+                f"not 2|Phi+| = {2 * len(self.positive_roots)}"
+            )
+        self._root_orbits[support] = table = tuple(table)
+        return table
+
     def alternation_walk(self, start, gap, budget=DEFAULT_WEYL_BUDGET):
         """Signed points w(start) - target with nonnegative root coordinates.
 
@@ -430,17 +506,19 @@ class RootSystem:
         return points
 
     def weyl_dimension(self, lam):
-        """Weyl dimension formula, exact."""
-        num = 1
-        den = 1
-        for cr in self.positive_coroots:
-            num *= sum((l + 1) * c for l, c in zip(lam, cr))
-            den *= sum(cr)
-        if num % den:
+        """Weyl dimension formula, exact: the product of <lam+rho, alpha^vee>
+        over the positive coroots, divided by the product of their heights.
+        The simple coroots give lam_j + 1, and each other pairing is one
+        add along ``_coroot_chain``."""
+        vals = [l + 1 for l in lam]
+        for p, j in self._coroot_chain:
+            vals.append(vals[p] + vals[j])
+        num, rem = divmod(prod(vals), self._weyl_denominator)
+        if rem:
             raise InternalConsistencyError(
                 f"Weyl dimension of {lam} is not an integer"
             )
-        return num // den
+        return num
 
     def __repr__(self):
         return f"RootSystem({self.type_letter}{self.rank})"

@@ -267,3 +267,51 @@ def test_tensor_square_and_smallness_run_no_constituent_characters():
     assert ch.is_small(rs, (0, 1, 0, 0, 0, 0))
     assert not ch.is_small(rs, (0, 2, 0, 0, 0, 0))
     assert rs.character_memo == {}
+
+
+def _per_root_multiplicities(rs, lam):
+    """Freudenthal's recursion with one root string per positive root: the
+    dominant weights by an unfiltered walk that builds every mu - alpha,
+    then the sum over all of Phi+, in the order of the module."""
+    gaps = {lam: (0,) * rs.rank}
+    frontier = [lam]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for r, w in zip(rs.positive_roots, rs.positive_root_weights):
+                nu = tuple(m - a for m, a in zip(mu, w))
+                if nu not in gaps and rs.is_dominant(nu):
+                    gaps[nu] = tuple(g + n for g, n in zip(gaps[mu], r))
+                    new.append(nu)
+        frontier = new
+    sym = rs.symmetrizer
+    mult = {lam: 1}
+    for mu in sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu)):
+        if mu == lam:
+            continue
+        acc = 0
+        for r, w in zip(rs.positive_roots, rs.positive_root_weights):
+            ne = [n * e for n, e in zip(r, sym)]
+            nu = tuple(m + a for m, a in zip(mu, w))
+            while (m_nu := mult.get(rs.dominant_representative(nu))):
+                acc += m_nu * sum(c * x for c, x in zip(ne, nu))
+                nu = tuple(x + a for x, a in zip(nu, w))
+        denom = sum(g * e * (l + m + 2)
+                    for g, e, l, m in zip(gaps[mu], sym, lam, mu))
+        assert 2 * acc % denom == 0
+        mult[mu] = 2 * acc // denom
+    return list(mult.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_weights())
+@example((build_root_system("E", 8), (1, 0, 0, 0, 0, 0, 0, 1)))
+@example((build_root_system("F", 4), (2, 1, 1, 1)))
+@example((build_root_system("B", 6), (1, 1, 0, 1, 0, 1)))
+@example((G2, (3, 4)))
+def test_orbit_strings_equal_per_root_recursion(case):
+    # values and order: one root string per W_mu-orbit gives the same
+    # multiplicities as one per positive root
+    rs, lam = case
+    got = ch.dominant_multiplicities(rs, lam, dim_budget=10**9)
+    assert list(got.items()) == _per_root_multiplicities(rs, lam)

@@ -121,6 +121,28 @@ def test_tensor_square_e7_golden_and_budget(capsys):
         "error: tensor square dimension: 41990400 exceeds budget 1000000\n")
 
 
+@pytest.mark.parametrize("argv,lines,digest", [
+    ("character --type F --rank 4 --weight 2,1,1,1 --dim-budget 200000000",
+     30314, "7c86f2d3fa400487fd85be4f71e569a7"),
+    ("character --type E --rank 7 --weight 1,0,0,0,0,1,0",
+     14674, "60e85ee6d3da7860d1a6601621b28a1e"),
+    ("f-lambda --type E --rank 7 --weight 1,0,0,0,0,0,0",
+     1, "267873684a37f81c6368a71e8ce555ba"),
+    ("f-lambda --type F --rank 4 --weight 1,0,0,1",
+     1, "e5774c5a410a7be83c377afca3416f66"),
+])
+def test_heavy_character_and_f_lambda_golden(capsys, argv, lines, digest):
+    # singular and regular weights of the exceptional types: Freudenthal
+    # over stabilizer orbits of roots, and f-lambda squaring each
+    # q-multiplicity, against outputs of the per-root recursion
+    start = time.perf_counter()
+    code, out, _ = run(["compute"] + argv.split(), capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_end_alg_a_table(capsys):
     code, out, _ = run(
         ["compute", "end-alg-a", "--n", "2", "--kind", "S2",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -330,3 +331,81 @@ def test_fixed_tables_match_fraction_reference(key):
     rs = build_root_system(*key)
     assert (rs.symmetrizer, rs._root_denominator, rs._scaled_cartan_t_inv,
             rs.longest_element) == _reference_fixed_tables(rs)
+
+
+def _reference_weyl_dimension(rs, lam):
+    """prod <lam+rho, alpha^vee> / prod ht(alpha^vee), each pairing a
+    rank-length dot product over the coroot table."""
+    num = den = 1
+    for cr in rs.positive_coroots:
+        num *= sum((l + 1) * c for l, c in zip(lam, cr))
+        den *= sum(cr)
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_weyl_dimension_matches_dot_product_formula(key):
+    # B, C, F and G order their coroots differently from their roots, so
+    # the one-add chain must follow coroot height; the whole 0-2 grid up
+    # to rank 6, a seeded sample of it above
+    rs = build_root_system(*key)
+    grid = list(itertools.product(range(3), repeat=rs.rank))
+    if rs.rank > 6:
+        grid = random.Random(rs.rank).sample(grid, 400)
+    for lam in grid:
+        assert rs.weyl_dimension(lam) == _reference_weyl_dimension(rs, lam)
+
+
+def _reference_root_orbits(rs, support):
+    """W_J-orbits of the positive roots by closure under s_j, j in J:
+    {index of the J-dominant member: c}, c = |O| for an orbit inside Phi_J
+    and 2|O| otherwise."""
+    index = {r: i for i, r in enumerate(rs.positive_roots)}
+    seen = set()
+    out = {}
+    for root in rs.positive_roots:
+        if root in seen:
+            continue
+        orbit = {root}
+        frontier = [root]
+        while frontier:
+            new = []
+            for r in frontier:
+                w = rs.root_to_weight_coords(r)
+                for j in support:
+                    s = r[:j] + (r[j] - w[j],) + r[j + 1:]
+                    if s not in orbit:
+                        orbit.add(s)
+                        new.append(s)
+            frontier = new
+        seen |= orbit
+        top = [r for r in orbit
+               if all(rs.root_to_weight_coords(r)[j] >= 0 for j in support)]
+        assert len(top) == 1
+        inside = all(n == 0 for k, n in enumerate(root) if k not in support)
+        out[index[top[0]]] = len(orbit) if inside else 2 * len(orbit)
+    return out
+
+
+def _zero_sets(rs):
+    """Every set of zero coordinates up to rank 4, a seeded sample above."""
+    subsets = [tuple(j for j in range(rs.rank) if bits >> j & 1)
+               for bits in range(2 ** rs.rank)]
+    if rs.rank > 4:
+        subsets = random.Random(rs.rank).sample(subsets, 12)
+    return subsets
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_stabilizer_root_orbits_match_closure(key):
+    rs = build_root_system(*key)
+    for support in _zero_sets(rs):
+        mu = tuple(int(j not in support) for j in range(rs.rank))
+        table = rs.stabilizer_root_orbits(mu)
+        want = _reference_root_orbits(rs, support)
+        assert list(table) == sorted(want.items())
+        assert sum(c for _, c in table) == 2 * len(rs.positive_roots)
+    # mu = 0: W permutes each root length class of Phi transitively
+    table = rs.stabilizer_root_orbits((0,) * rs.rank)
+    assert len(table) == (1 if key[0] in "ADE" else 2)
