@@ -3,8 +3,8 @@ representations of simple Lie algebras: Dynkin polynomials, Lusztig
 q-analogues, jump polynomials, graded series of endomorphism algebras,
 and a matrix-model oracle for the type-A commutant construction.
 
-All arithmetic is exact (integers and fractions); there are no floats
-anywhere in the engine.
+All arithmetic is exact, in integers only; there are no rationals and no
+floats anywhere in the engine.
 """
 
 from .characters import (

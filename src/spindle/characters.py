@@ -194,7 +194,7 @@ def is_minuscule(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     return by_pairing
 
 
-def is_small(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def is_small(rs, lam):
     """True iff no doubled root is a weight of V_lam (lam must lie in Q).
 
     A dominant mu is a weight iff lam - mu lies in Q+ (Humphreys, 21.3),
@@ -205,15 +205,8 @@ def is_small(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         raise DomainError(f"smallness is defined for weights in Q; {lam} is not")
     if not rs.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
-    if (dim := rs.weyl_dimension(lam)) > dim_budget:
-        raise ResourceBudgetError("character dimension", dim, dim_budget)
     return all(min(c - 2 * n for c, n in zip(coords, r)) < 0 for r, w in
                zip(rs.positive_roots, rs.positive_root_weights) if min(w) >= 0)
-
-
-def _doubled_height(rs, mu):
-    """2(mu, rho^vee), an integer for every weight."""
-    return sum(m * t for m, t in zip(mu, rs.two_rho_check))
 
 
 def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
@@ -249,7 +242,7 @@ def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     if (mass := sum(c * rs.weyl_dimension(nu) for nu, c in out)) != dim * dim:
         raise InternalConsistencyError(
             f"tensor-square mass {mass} != {dim * dim} for {lam}")
-    out.sort(key=lambda t: (-_doubled_height(rs, t[0]), t[0]))
+    out.sort(key=lambda t: (-rs.doubled_height(t[0]), t[0]))
     return out
 
 
@@ -264,7 +257,7 @@ def floor_profile(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     dom = dominant_multiplicities(rs, lam, dim_budget)
     # floor(x) = (x + lam*, rho^vee); doubled floors are integers and the
     # halving is checked once per orbit height.
-    base = _doubled_height(rs, rs.dual_weight(lam))
+    base = rs.doubled_height(rs.dual_weight(lam))
     coeffs = {}
     for mu, m in dom.items():
         for h, n in rs.orbit_heights(mu).items():
@@ -291,7 +284,7 @@ def string_decomposition(char):
         raise ValueError("character has no root system attached")
     levels = {}
     for mu, m in char.entries.items():
-        doubled = _doubled_height(rs, mu)
+        doubled = rs.doubled_height(mu)
         if doubled % 2:
             raise DomainError(
                 "string decomposition needs all weights in the root lattice; "

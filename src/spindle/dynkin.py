@@ -46,7 +46,7 @@ def verify_spindle(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
     report = {
         "symmetric": d.is_symmetric(),
         "unimodal": d.is_unimodal(),
-        "degree_law": d.degree == 2 * rs.height(lam),
+        "degree_law": d.degree == rs.doubled_height(lam),
         "dimension_law": d(1) == rs.weyl_dimension(lam),
         "violations": [],
     }

@@ -1,26 +1,24 @@
 """Exact linear algebra over the integers, fraction-free.
 
-One elimination kernel: ``RowSpace``, an incremental reduced row echelon
-basis of sparse primitive integer rows ``{column: int}``, each positive
-in its pivot column (its leftmost nonzero column) and 0 in every other
-pivot column.  A row is reduced by r <- a*r - r[p]*b against the basis
-row b of pivot p, a = b[p] (Bareiss's integer-preserving elimination); a
-row with ``Fraction`` entries is first scaled by the lcm of their
-denominators, which changes no rank, span or kernel.  ``rref`` (rows of
-``Fraction`` with pivot 1), ``rank`` and ``nullspace`` (one primitive
-integer vector per free column, positive there and 0 in the other free
-columns) read a ``RowSpace``, so they do not depend on the row order.
+Every number here is an ``int``.  One elimination kernel: ``RowSpace``,
+an incremental reduced row echelon basis of sparse primitive integer rows
+``{column: int}``, each positive in its pivot column (its leftmost
+nonzero column) and 0 in every other pivot column.  A row is reduced by
+r <- a*r - r[p]*b against the basis row b of pivot p, a = b[p] (Bareiss's
+integer-preserving elimination).  ``rank`` and ``nullspace`` (one
+primitive integer vector per free column, positive there and 0 in the
+other free columns) read a ``RowSpace``, so they do not depend on the row
+order.
 
 A matrix is sparse: ``{row: {col: value}}``, with no stored zeros and
 no empty rows, so equal matrices are equal dicts.  A vector is
 ``{index: value}`` in the same way.  Rows handed to the kernel may be
-dense sequences or sparse dicts; ``rref`` and ``nullspace`` return dense
+dense sequences or sparse dicts of integers; ``nullspace`` returns dense
 lists.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -64,9 +62,6 @@ class RowSpace:
         """A multiple of the remainder of row after clearing every pivot."""
         entries = row.items() if isinstance(row, dict) else enumerate(row)
         r = {c: x for c, x in entries if x}
-        if not all(type(x) is int for x in r.values()):
-            den = lcm(*(x.denominator for x in r.values()))
-            r = {c: int(x * den) for c, x in r.items()}
         # Clearing one pivot column writes only to non-pivot columns.
         for p in self._rows.keys() & r.keys():
             _eliminate(r, self._rows[p], p)
@@ -100,20 +95,6 @@ def span(rows, ncols):
     for row in rows:
         space.add(row)
     return space
-
-
-def rref(rows, ncols=None):
-    """Reduced row echelon form with pivots 1: (nonzero_rows, pivots)."""
-    rows = list(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    basis = span(rows, ncols).basis()
-    pivots = [min(b) for b in basis]
-    red = [[0] * ncols for _ in pivots]
-    for row, b, p in zip(red, basis, pivots):
-        for c, x in b.items():
-            row[c] = Fraction(x, b[p])
-    return red, pivots
 
 
 def scaled_inverse(rows):

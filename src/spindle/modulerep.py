@@ -18,7 +18,6 @@ kept as integer numerators over one denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import exactla as la
@@ -28,10 +27,10 @@ from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
 from .qpoly import QPolynomial
 
 
-def _matrix(cols, entry):
-    """The sparse matrix of entry(x, den) over the columns (den, num)."""
-    return la.transpose({gb: {r: entry(x, den) for r, x in num.items()}
-                         for gb, (den, num) in cols.items()})
+def _matrix(cols, den):
+    """The sparse integer matrix den times the columns (d, num); d | den."""
+    return la.transpose({gb: {r: x * (den // d) for r, x in num.items()}
+                         for gb, (d, num) in cols.items()})
 
 
 class HighestWeightModule:
@@ -58,7 +57,8 @@ class HighestWeightModule:
         rank = rs.rank
         cartan = rs.cartan_matrix
         # Column gb of op_cols[i] is (den, {row: int}): the integer
-        # numerators over one positive denominator.
+        # numerators over one positive denominator, in lowest terms for
+        # the lowering operators.
         e_cols = [dict() for _ in range(rank)]
         f_cols = [dict() for _ in range(rank)]
 
@@ -92,9 +92,11 @@ class HighestWeightModule:
             new_indices = []
             for mu in sorted(groups):
                 group = groups[mu]
-                # relations among the candidates: those of their e_j-images
+                # relations among the candidates: those of their e_j-images,
+                # read off the primitive echelon basis of their integer rows
                 images = [dict(enumerate(cand[4])) for cand in group]
-                red, pivots = la.rref(la.coefficient_rows(images), len(group))
+                basis = la.span(la.coefficient_rows(images), len(group)).basis()
+                pivots = [min(b) for b in basis]
                 new_of_pivot = []
                 for c_pos in pivots:
                     i, gb, _, den, imgs = group[c_pos]
@@ -110,16 +112,16 @@ class HighestWeightModule:
                 for c_pos, (i, gb, _, den, _) in enumerate(group):
                     if c_pos in pivot_set:
                         continue
-                    # red relates the numerators, each over its own den
-                    expr = {
-                        gb_new: red[r][c_pos] * group[p][3] / den
-                        for r, (p, gb_new) in enumerate(
-                            zip(pivots, new_of_pivot))
-                        if red[r][c_pos]
-                    }
-                    d = lcm(*(x.denominator for x in expr.values()))
-                    f_cols[i][gb] = (d, {r: int(x * d)
-                                         for r, x in expr.items()})
+                    # candidate c is the sum, over the basis rows b holding
+                    # c, of b[c] den_p / (b[p] den_c) times the new vector
+                    # of the pivot p of b, kept over the least denominator
+                    terms = [(b[c_pos] * group[p][3], b[p] * den, gb_new)
+                             for b, p, gb_new in zip(basis, pivots, new_of_pivot)
+                             if c_pos in b]
+                    d = lcm(*(q for _, q, _ in terms))
+                    num = {gb_new: x * (d // q) for x, q, gb_new in terms}
+                    g = gcd(d, *num.values())
+                    f_cols[i][gb] = (d // g, {r: x // g for r, x in num.items()})
             if len(new_indices) != size:
                 raise InternalConsistencyError(
                     f"module construction for {lam} gave {len(new_indices)} "
@@ -130,18 +132,9 @@ class HighestWeightModule:
         self._e_cols = e_cols
         self._f_cols = f_cols
 
-    def raising_matrix(self, i):
-        return _matrix(self._e_cols[i], Fraction)
-
-    def lowering_matrix(self, i):
-        return _matrix(self._f_cols[i], Fraction)
-
     def levels(self):
         """2 hot(mu) per basis vector, as integers."""
-        two_rho_check = self.rs.two_rho_check
-        return [
-            sum(m * t for m, t in zip(w, two_rho_check)) for w in self.weights
-        ]
+        return [self.rs.doubled_height(w) for w in self.weights]
 
     def floors(self):
         """(level - lowest level) / 2 per basis vector: the grade of the
@@ -159,7 +152,7 @@ def _scaled_raising(module):
     their entries: integer matrices with the same brackets up to scale."""
     cols = module._e_cols
     den = lcm(*(d for op in cols for d, _ in op.values()))
-    return [_matrix(op, lambda x, d: x * (den // d)) for op in cols]
+    return [_matrix(op, den) for op in cols]
 
 
 def principal_nilpotent(module):
@@ -275,11 +268,3 @@ def commutant(module, zs):
                     m.setdefault(u, {})[v] = x
             basis.append((m, g))
     return basis
-
-
-def jump_polynomial_end(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
-    """Jump polynomial of End V_lam from the module: graded dimensions of
-    the commutant of the nilpotent centralizer."""
-    module = HighestWeightModule(rs, lam, dim_budget)
-    grades = [g for _, g in commutant(module, nilpotent_centralizer(module))]
-    return QPolynomial([grades.count(i) for i in range(max(grades) + 1)])

@@ -109,10 +109,10 @@ def lusztig_q_multiplicity(rs, lam, mu, budget=DEFAULT_WEYL_BUDGET):
             f"negative coefficient in q-multiplicity for {lam}, {mu}"
         )
     if not acc.is_zero():
-        expected_deg = rs.height(tuple(l - m for l, m in zip(lam, mu)))
-        if acc.degree != expected_deg:
+        doubled = rs.doubled_height(tuple(l - m for l, m in zip(lam, mu)))
+        if 2 * acc.degree != doubled:
             raise InternalConsistencyError(
-                f"q-multiplicity degree {acc.degree} != height {expected_deg}"
+                f"q-multiplicity degree {acc.degree} != height {doubled}/2"
             )
     return acc
 
@@ -153,8 +153,11 @@ def _q_mult_fn(rs, lam, wmf, method, budget):
         )
 
     def power(nu):
-        h = rs.height(tuple(l - n for l, n in zip(lam, nu)))
-        return QPolynomial.monomial(int(h))
+        doubled = rs.doubled_height(tuple(l - n for l, n in zip(lam, nu)))
+        if doubled % 2:
+            raise InternalConsistencyError(
+                f"half-integral height {doubled}/2 of {lam} - {nu}")
+        return QPolynomial.monomial(doubled // 2)
 
     return power
 
@@ -208,7 +211,7 @@ def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
                              budget=budget, dim_budget=dim_budget)
 
     if any(lam):
-        expected_deg = 2 * rs.height(lam)
+        expected_deg = rs.doubled_height(lam)
         if result.degree != expected_deg:
             raise InternalConsistencyError(
                 f"deg F = {result.degree}, expected {expected_deg} for {lam}"

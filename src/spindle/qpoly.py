@@ -293,14 +293,6 @@ def gaussian_binomial(m, n):
     return cyclo_product(range(m + 1, m + n + 1), range(1, n + 1))
 
 
-def is_symmetric(p):
-    return p.is_symmetric()
-
-
-def is_unimodal(p):
-    return p.is_unimodal()
-
-
 class GradedSeries:
     """Rational form numerator / prod_i (1 - q^{d_i})."""
 

@@ -12,7 +12,6 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, prod
 
 from . import exactla as la
@@ -271,11 +270,6 @@ class RootSystem:
             for row in self._scaled_cartan_t_inv
         )
 
-    def weight_to_root_coords(self, weight):
-        """Fundamental-weight coordinates -> rational simple-root coordinates."""
-        n = self._root_denominator
-        return tuple(Fraction(x, n) for x in self._scaled_root_coords(weight))
-
     def root_lattice_coords(self, weight):
         """Integer simple-root coordinates of ``weight``, or None when it
         lies outside the root lattice."""
@@ -297,9 +291,10 @@ class RootSystem:
         cr = self.positive_coroots[alpha_index]
         return sum(m * c for m, c in zip(mu, cr))
 
-    def height(self, mu):
-        """(mu, rho^vee); half-integral in general, Sum n_i for mu in Q."""
-        return Fraction(sum(m * t for m, t in zip(mu, self.two_rho_check)), 2)
+    def doubled_height(self, mu):
+        """2(mu, rho^vee), an integer for every weight; 2 Sum n_i for mu in
+        Q.  The one place this pairing is computed."""
+        return sum(m * t for m, t in zip(mu, self.two_rho_check))
 
     def _reflect(self, mu, j):
         """s_j mu as a list: only coordinate j and the neighbours of node j
@@ -369,8 +364,7 @@ class RootSystem:
         the parabolic degrees instead of the walk."""
         hist = self._orbit_heights.get(mu)
         if hist is None:
-            top = sum(m * t for m, t in zip(
-                self.dominant_representative(mu), self.two_rho_check))
+            top = self.doubled_height(self.dominant_representative(mu))
             counts = [0] * (top + 1)
             for _, d in self._orbit_walk(mu):
                 counts[d] += 1

@@ -85,7 +85,7 @@ def _dominant_by_height(rs, bound):
     out = [
         lam
         for lam in iproduct(*(range(2 * bound // t + 1) for t in two))
-        if sum(c * t for c, t in zip(lam, two)) <= 2 * bound
+        if rs.doubled_height(lam) <= 2 * bound
     ]
     out.sort()
     return out

@@ -176,6 +176,6 @@ def test_criterion_15_module_route_e8_omega1_zero_weight():
     start = time.monotonic()
     m0 = mr.filtration_q_multiplicity(rs, lam, (0,) * 8)
     elapsed = time.monotonic() - start
-    ok = m0(1) == 35 and m0.degree == 46 == rs.height(lam)
+    ok = m0(1) == 35 and 2 * m0.degree == 92 == rs.doubled_height(lam)
     _report(15, "E8 omega_1 zero-weight q-analogue on the module route", ok,
             elapsed, 30)

@@ -1,5 +1,4 @@
 from itertools import product
-from math import floor
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -60,7 +59,7 @@ def test_dimension_budget():
 def test_dominant_weights_order():
     weights = ch.dominant_weights(A2, (2, 2))
     assert weights[0] == (2, 2)
-    heights = [A2.height(w) for w in weights]
+    heights = [A2.doubled_height(w) for w in weights]
     assert heights == sorted(heights, reverse=True)
 
 
@@ -88,6 +87,11 @@ def test_is_small():
         ch.is_small(A2, (1, 0))
     # (G2, 2w1) contains the doubled short roots
     assert not ch.is_small(G2, (2, 0))
+    # smallness reads only root coordinates, so no character budget bounds
+    # it: E8 3w8 has dimension 1763125, over the default budget
+    e8 = build_root_system("E", 8)
+    assert e8.weyl_dimension((0, 0, 0, 0, 0, 0, 0, 3)) == 1763125
+    assert not ch.is_small(e8, (0, 0, 0, 0, 0, 0, 0, 3))
 
 
 def test_tensor_square_sl2():
@@ -166,7 +170,7 @@ def bounded_weights(draw):
 def _brute_force_dominant_weights(rs, lam):
     """Every lam - sum g_i alpha_i that is dominant, over the integer box
     0 <= g <= floor(root coordinates of lam)."""
-    top = [floor(x) for x in rs.weight_to_root_coords(lam)]
+    top = [x // rs._root_denominator for x in rs._scaled_root_coords(lam)]
     out = set()
     for g in product(*(range(t + 1) for t in top)):
         mu = tuple(l - a for l, a in zip(lam, rs.root_to_weight_coords(g)))

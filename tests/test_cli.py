@@ -505,7 +505,8 @@ def test_cache_dir_that_is_a_file_warns_and_still_answers(tmp_path, capsys,
 
 
 # Start-up guard: stdlib modules that a compute or verify call does not use.
-UNUSED_AT_START_UP = {"dataclasses", "inspect", "hashlib", "json"}
+UNUSED_AT_START_UP = {"dataclasses", "inspect", "hashlib", "json",
+                      "fractions", "decimal", "numbers"}
 
 
 def _modules_after(code):
@@ -530,6 +531,13 @@ def test_start_up_imports_no_unused_stdlib_module():
     ) - bare
     assert "spindle.rootsystem" in after_call
     assert not after_call & UNUSED_AT_START_UP
+    module_route = _modules_after(
+        "from spindle import cli\n"
+        "cli.main(['compute', 'lusztig', '--type', 'A', '--rank', '2',"
+        " '--weight', '1,1', '--method', 'module'])"
+    ) - bare
+    assert "spindle.modulerep" in module_route
+    assert not module_route & UNUSED_AT_START_UP
 
 
 def test_suite_parameters_match_the_signatures():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +27,7 @@ square_pairs = st.integers(1, 4).flatmap(
 
 def _sparse(a):
     """A dense list-of-rows matrix in the sparse form of exactla."""
-    out = {i: {j: Fraction(x) for j, x in enumerate(row) if x}
+    out = {i: {j: x for j, x in enumerate(row) if x}
            for i, row in enumerate(a)}
     return {i: row for i, row in out.items() if row}
 
@@ -52,13 +52,18 @@ def test_sparse_product_and_bracket_match_dense(pair):
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_rref_is_reduced_echelon_with_leftmost_pivots(a):
-    red, pivots = la.rref(a)
+    ncols = len(a[0])
+    basis = la.span(a, ncols).basis()
+    pivots = [min(b) for b in basis]
     assert pivots == sorted(set(pivots))
-    for i, (row, p) in enumerate(zip(red, pivots)):
-        assert row[p] == 1
-        assert all(x == 0 for x in row[:p])
-        assert all(other[p] == 0 for j, other in enumerate(red) if j != i)
-    assert la.rank(red + a, len(a[0])) == len(pivots)
+    for i, (row, p) in enumerate(zip(basis, pivots)):
+        assert row[p] > 0
+        assert all(c >= p for c in row)
+        assert all(p not in other for j, other in enumerate(basis) if j != i)
+    # divided by its pivot entry, each row is the textbook reduced row
+    assert [[Fraction(b.get(c, 0), b[p]) for c in range(ncols)]
+            for b, p in zip(basis, pivots)] == _gauss_jordan(a, ncols)[0]
+    assert la.rank(basis + a, ncols) == len(pivots)
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,7 +98,8 @@ def test_row_space_add_reports_rank_growth(a):
 def test_row_space_accepts_sparse_rows():
     space = la.RowSpace(4)
     assert space.add({1: 2, 3: -2})
-    assert [0, Fraction(1, 2), 0, Fraction(-1, 2)] in space
+    assert [0, 1, 0, -1] in space
+    assert [0, 3, 0, -3] in space
     assert {0: 1} not in space
 
 
@@ -137,6 +143,12 @@ def _gauss_jordan(rows, ncols):
     return red[:len(pivots)], pivots
 
 
+def _integer_row(row):
+    """A rational row times the lcm of its denominators."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row]
+
+
 entries = st.one_of(
     st.integers(-4, 4),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -156,8 +168,14 @@ def test_integer_row_space_matches_fraction_gauss_jordan(case):
     a, probe = case
     ncols = len(probe)
     want, pivots = _gauss_jordan(a, ncols)
-    assert la.rref(a, ncols) == (want, pivots)
+    # rational rows scaled to integers: the same span, rank and kernel
+    a = [_integer_row(row) for row in a]
+    probe = _integer_row(probe)
     space = la.span(a, ncols)
+    basis = space.basis()
+    assert [min(b) for b in basis] == pivots
+    assert [[Fraction(b.get(c, 0), b[min(b)]) for c in range(ncols)]
+            for b in basis] == want
     for p, row in space._rows.items():
         assert all(type(x) is int for x in row.values())
         assert min(row) == p and row[p] > 0

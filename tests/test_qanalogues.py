@@ -4,9 +4,13 @@ from hypothesis import strategies as st
 
 from spindle import characters as ch
 from spindle import qanalogues as qa
-from spindle.errors import DomainError, ResourceBudgetError
+from spindle.errors import (
+    DomainError,
+    InternalConsistencyError,
+    ResourceBudgetError,
+)
 from spindle.qpoly import QPolynomial, cyclo_product
-from spindle.rootsystem import build_root_system
+from spindle.rootsystem import RootSystem, build_root_system
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -51,8 +55,17 @@ def test_wmf_q_power_law():
     assert ch.is_wmf(C3, lam)
     for mu in ch.dominant_weights(C3, lam):
         got = qa.lusztig_q_multiplicity(C3, lam, mu)
-        hot = C3.height(tuple(a - b for a, b in zip(lam, mu)))
-        assert got == QPolynomial.monomial(int(hot))
+        doubled = C3.doubled_height(tuple(a - b for a, b in zip(lam, mu)))
+        assert doubled % 2 == 0
+        assert got == QPolynomial.monomial(doubled // 2)
+
+
+def test_wmf_closed_form_refuses_a_half_integral_height(monkeypatch):
+    rs = RootSystem("C", 3)
+    monkeypatch.setattr(rs, "doubled_height", lambda mu: 1)
+    power = qa._q_mult_fn(rs, (0, 0, 1), True, "closed", 10)
+    with pytest.raises(InternalConsistencyError, match="half-integral"):
+        power((0, 0, 1))
 
 
 def test_t_poly():
@@ -112,7 +125,7 @@ def test_f_lambda_degree_and_mass():
 
     for rs, lam in [(A2, (2, 1)), (B2, (1, 1)), (C3, (1, 0, 0))]:
         f = qa.f_lambda(rs, lam)
-        assert f.degree == 2 * rs.height(lam)
+        assert f.degree == rs.doubled_height(lam)
         dom = ch.dominant_multiplicities(rs, lam)
         assert f(1) == sum(
             m * m * rs.orbit_size(mu) for mu, m in dom.items()
@@ -156,12 +169,12 @@ def _brute_force_lusztig(rs, lam, mu):
     acc = QPolynomial.zero()
     mu_rho = tuple(m + 1 for m in mu)
     for x in rs.weyl_orbit(tuple(l + 1 for l in lam)):
-        rc = rs.weight_to_root_coords(tuple(a - b for a, b in zip(x, mu_rho)))
-        if any(c.denominator != 1 or c < 0 for c in rc):
+        rc = rs.root_lattice_coords(tuple(a - b for a, b in zip(x, mu_rho)))
+        if rc is None or min(rc) < 0:
             continue
         negative = sum(1 for i in range(len(rs.positive_roots))
                        if rs.pairing(x, i) < 0)
-        term = qa.kostant_partition_q(rs, tuple(int(c) for c in rc))
+        term = qa.kostant_partition_q(rs, rc)
         acc = acc + (-term if negative % 2 else term)
     return acc
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindle import exactla as la
 from spindle.errors import ResourceBudgetError, UsageError
 from spindle.rootsystem import RootSystem, build_root_system
 
@@ -65,8 +64,7 @@ def test_coordinate_roundtrip():
         rs = build_root_system(letter, rank)
         for r in rs.positive_roots:
             w = rs.root_to_weight_coords(r)
-            back = rs.weight_to_root_coords(w)
-            assert tuple(int(x) for x in back) == r
+            assert rs.root_lattice_coords(w) == r
         assert rs.in_root_lattice(rs.root_to_weight_coords(rs.positive_roots[0]))
 
 
@@ -76,9 +74,9 @@ def test_pairing_and_height():
     # (rho, alpha^vee) = height of alpha^vee
     for i, cr in enumerate(a2.positive_coroots):
         assert a2.pairing(rho, i) == sum(cr)
-    assert a2.height((1, 1)) == 2
+    assert a2.doubled_height((1, 1)) == 4
     a1 = build_root_system("A", 1)
-    assert a1.height((1,)) == Fraction(1, 2)
+    assert a1.doubled_height((1,)) == 1
 
 
 def test_orbits_and_stabilizers():
@@ -297,6 +295,21 @@ def test_stabilizer_orders_match_orbit_walks(key):
             rs.weyl_order // len(rs.weyl_orbit(lam)))
 
 
+def _gauss_jordan(rows):
+    """Textbook Gauss-Jordan over Fraction of an invertible block
+    followed by more columns: the reduced rows, pivot 1 on the diagonal."""
+    red = [[Fraction(x) for x in row] for row in rows]
+    for c in range(len(red)):
+        k = next(i for i in range(c, len(red)) if red[i][c])
+        red[c], red[k] = red[k], red[c]
+        red[c] = [x / red[c][c] for x in red[c]]
+        for i in range(len(red)):
+            if i != c and red[i][c]:
+                f = red[i][c]
+                red[i] = [x - f * y for x, y in zip(red[i], red[c])]
+    return red
+
+
 def _reference_fixed_tables(rs):
     """The symmetrizer, the scaled inverse of cartan^T with its
     denominator, and -w_0 as the root system built them before they went
@@ -314,8 +327,8 @@ def _reference_fixed_tables(rs):
                 stack.append(j)
     ints = [int(x * math.lcm(*(y.denominator for y in e))) for x in e]
     sym = tuple(x // math.gcd(*ints) for x in ints)
-    red, _ = la.rref([[cartan[j][i] for j in range(l)]
-                      + [int(i == j) for j in range(l)] for i in range(l)])
+    red = _gauss_jordan([[cartan[j][i] for j in range(l)]
+                         + [int(i == j) for j in range(l)] for i in range(l)])
     den = math.lcm(*(x.denominator for row in red for x in row[l:]))
     inv = tuple(tuple(int(x * den) for x in row[l:]) for row in red)
     perm = []
