@@ -1,7 +1,9 @@
 """Exact computational engine for polynomial invariants of irreducible
 representations of simple Lie algebras: Dynkin polynomials, Lusztig
-q-analogues, jump polynomials, graded series of endomorphism algebras,
-and a matrix-model oracle for the type-A commutant construction.
+q-analogues, jump polynomials and graded series of endomorphism algebras,
+with a module-level oracle: the exact irreducible module, whose
+Brylinski-Kostant filtration checks the alternating Weyl sum and whose
+graded commutant of z(e) checks the endomorphism algebras.
 
 All arithmetic is exact, in integers only; there are no rationals and no
 floats anywhere in the engine.

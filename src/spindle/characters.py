@@ -213,32 +213,24 @@ def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     """V_lam (x) V_lam^* as [(nu, c_nu), ...] by the Brauer-Klimyk rule:
     the sum of m_lam(x) det(w) V_{w(lam + rho - x) - rho} over the weights
     x of V_lam, w taking lam + rho - x to the dominant chamber, where a
-    point on a wall counts 0 (Humphreys, section 24).  One dominant
-    reduction per weight; only the character of V_lam is computed.
+    point on a wall counts 0 (Humphreys, section 24).  One signed descent
+    per weight; only the character of V_lam is computed, so
+    ``dim_budget`` bounds the dimension of V_lam.
     """
     lam = tuple(lam)
-    dim = rs.weyl_dimension(lam)
-    if dim * dim > dim_budget:
-        raise ResourceBudgetError("tensor square dimension", dim * dim, dim_budget)
     coeffs = {}
     for mu, m in dominant_multiplicities(rs, lam, dim_budget).items():
         for x in rs.weyl_orbit(mu):
-            y, c, j = [l + 1 - a for l, a in zip(lam, x)], m, 0  # rho = 1,...,1
-            while j < rs.rank:
-                if y[j] > 0:
-                    j += 1
-                elif y[j]:
-                    y, c, j = rs._reflect(y, j), -c, 0
-                else:
-                    break  # on a wall
-            else:
-                nu = tuple(t - 1 for t in y)
-                coeffs[nu] = coeffs.get(nu, 0) + c
-    out = [(nu, c) for nu, c in coeffs.items() if c]
+            y, sign = rs.dominant_descent(
+                [l + 1 - a for l, a in zip(lam, x)])  # rho = 1,...,1
+            if 0 not in y:  # off every wall
+                coeffs[y] = coeffs.get(y, 0) + sign * m
+    out = [(tuple(t - 1 for t in y), c) for y, c in coeffs.items() if c]
     for nu, c in out:
         if c < 0 or not rs.in_root_lattice(nu):
             raise InternalConsistencyError(
                 f"tensor-square term {c} V{nu} is negative or outside Q")
+    dim = rs.weyl_dimension(lam)
     if (mass := sum(c * rs.weyl_dimension(nu) for nu, c in out)) != dim * dim:
         raise InternalConsistencyError(
             f"tensor-square mass {mass} != {dim * dim} for {lam}")

@@ -192,7 +192,8 @@ def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
 
     For wmf weights the closed q-power form is used; unless ``method`` is
     "closed", the alternating-sum route is run as well and the two must
-    agree.  Degree and value-at-1 laws are asserted.
+    agree.  Off wmf, "closed" raises DomainError.  Degree and value-at-1
+    laws are asserted.
     """
     lam = tuple(lam)
     wmf = ch.is_wmf(rs, lam, dim_budget)
@@ -207,7 +208,7 @@ def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
                     f"closed form and Weyl sum disagree for {lam}"
                 )
     else:
-        result = jump_tensor(rs, lam, lam, method="weyl",
+        result = jump_tensor(rs, lam, lam, method=method,
                              budget=budget, dim_budget=dim_budget)
 
     if any(lam):

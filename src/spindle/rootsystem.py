@@ -1,6 +1,7 @@
-"""Simple root systems of types A-G: Cartan data, positive roots by
-reflection closure, degrees, Weyl orbits and the pruned Weyl alternation
-walk.
+"""Simple root systems of types A-G: Cartan data, positive roots by one
+reflection closure, the degrees of W and of each stabilizer W_J read off
+the coroot heights, and one Weyl walk (an orbit tree, pruned to the
+alternation set given a gap) with one signed dominant descent.
 
 Conventions (fixed throughout the package):
   * Bourbaki node numbering for every type.
@@ -171,16 +172,15 @@ def _coroot_chain(coroots):
     return tuple(chain)
 
 
-def _degrees(coroots):
-    """Degrees of the reflection group of one simple type: one more than
-    the exponents, which are the conjugate partition of the coroot-height
-    distribution."""
+def _degrees(heights):
+    """Degrees of the reflection group of a set of positive coroots, given
+    by their heights: one more than the exponents, the conjugate partition
+    of the height distribution (Kostant, Amer. J. Math. 81, 1959)."""
     hist = {}
-    for c in coroots:
-        h = sum(c)
+    for h in heights:
         hist[h] = hist.get(h, 0) + 1
     degs = []
-    for k in range(1, max(hist) + 1):
+    for k in range(1, max(hist, default=0) + 1):
         degs.extend([k + 1] * (hist.get(k, 0) - hist.get(k + 1, 0)))
     return tuple(degs)
 
@@ -209,9 +209,12 @@ class RootSystem:
             self.cartan_matrix, self.symmetrizer)
         self.root_heights = tuple(sum(r) for r in self.positive_roots)
         self.coroot_heights = tuple(sum(c) for c in self.positive_coroots)
+        # the nodes each positive coroot is supported on, as a bit mask
+        self._coroot_supports = tuple(sum(1 << i for i, n in enumerate(c) if n)
+                                      for c in self.positive_coroots)
         self._coroot_chain = _coroot_chain(self.positive_coroots)
         self._weyl_denominator = prod(self.coroot_heights)
-        self.degrees = _degrees(self.positive_coroots)
+        self.degrees = _degrees(self.coroot_heights)
         self.exponents = tuple(d - 1 for d in self.degrees)
         if len(self.degrees) != rank or sum(self.exponents) != len(
             self.positive_roots
@@ -219,10 +222,7 @@ class RootSystem:
             raise InternalConsistencyError(
                 f"degrees {self.degrees} do not fit {type_letter}{rank}"
             )
-        order = 1
-        for d in self.degrees:
-            order *= d
-        self.weyl_order = order
+        self.weyl_order = prod(self.degrees)
         self._parabolic = {}
         # weighted W_J-orbit representatives of the positive roots, per
         # set J of zero coordinates, filled by stabilizer_root_orbits
@@ -296,35 +296,48 @@ class RootSystem:
         Q.  The one place this pairing is computed."""
         return sum(m * t for m, t in zip(mu, self.two_rho_check))
 
-    def _reflect(self, mu, j):
-        """s_j mu as a list: only coordinate j and the neighbours of node j
-        in the Dynkin diagram change."""
+    def simple_reflection(self, mu, j):
+        """s_j mu: only coordinate j and the neighbours of node j in the
+        Dynkin diagram change."""
         c = mu[j]
         y = list(mu)
         y[j] = -c
         for k, a in self._bonds[j]:
             y[k] -= c * a
-        return y
+        return tuple(y)
 
-    def simple_reflection(self, mu, j):
-        return tuple(self._reflect(mu, j))
+    def dominant_descent(self, mu):
+        """(w mu, det w) for w mu the dominant point of W mu, reached by
+        reflecting at the first negative coordinate until none is left.  As
+        s_j permutes the positive roots other than alpha_j, each step
+        removes one inversion {alpha > 0 : (mu, alpha^vee) < 0}, so det w is
+        (-1)^inversions.  mu is on a wall iff w mu has a zero coordinate."""
+        bonds = self._bonds
+        y = list(mu)
+        sign = 1
+        j = 0
+        while j < self.rank:
+            c = y[j]
+            if c < 0:
+                y[j] = -c
+                for k, a in bonds[j]:
+                    y[k] -= c * a
+                sign = -sign
+                j = 0
+            else:
+                j += 1
+        return tuple(y), sign
 
     def dominant_representative(self, mu):
-        mu = tuple(mu)
-        while True:
-            for j, m in enumerate(mu):
-                if m < 0:
-                    mu = self.simple_reflection(mu, j)
-                    break
-            else:
-                return mu
+        return self.dominant_descent(mu)[0]
 
     def is_dominant(self, mu):
         return all(m >= 0 for m in mu)
 
-    def _orbit_walk(self, mu):
-        """Yield (x, d) once for each x in the orbit W mu, where
-        2(x, rho^vee) = 2(mu+, rho^vee) - 2d for mu+ the dominant point.
+    def _orbit_walk(self, mu, gap=None):
+        """Yield (x, d, g, s) once for each x in the orbit W mu, where
+        2(x, rho^vee) = 2(mu+, rho^vee) - 2d for mu+ the dominant point
+        and s is (-1) to the number of tree steps from mu+ to x.
 
         The walk is a tree rooted at mu+: the parent of a non-dominant y is
         s_j y for j its first negative coordinate.  So the children of x
@@ -336,26 +349,33 @@ class RootSystem:
         (``_walk_steps``).  Children are pushed in ascending j.  Since
         (alpha_j, rho^vee) = 1, the depth d grows by x_j at s_j.  The
         reflection is done inline: this loop is the cost of every orbit.
+
+        A ``gap`` (simple-root coordinates of mu+ minus a target) prunes the
+        tree: g is the gap of x, s_j lowers g_j by x_j, and a step to a
+        negative g_j is cut with its subtree.  A parent y + |y_j| alpha_j
+        lies above its child, so the pruned tree yields each point with
+        g >= 0 once.  Without a gap, g is None.
         """
         bonds = self._bonds
         steps = self._walk_steps
-        stack = [(self.dominant_representative(mu), 0, self.rank)]
+        stack = [(self.dominant_representative(mu), 0, self.rank, gap, 1)]
         while stack:
-            x, d, f = stack.pop()
-            yield x, d
+            x, d, f, g, s = stack.pop()
+            yield x, d, g, s
             for j in steps[f]:
                 c = x[j]
-                if c > 0:
+                if c > 0 and (g is None or c <= g[j]):
                     y = list(x)
                     y[j] = -c
                     for k, a in bonds[j]:
                         y[k] -= c * a
                     if j < f or min(y[:j]) >= 0:
-                        stack.append((tuple(y), d + c, j))
+                        stack.append((tuple(y), d + c, j, g and (
+                            g[:j] + (g[j] - c,) + g[j + 1:]), -s))
 
     def weyl_orbit(self, mu):
         """Full W-orbit of mu, as a list of distinct weight tuples."""
-        return [x for x, _ in self._orbit_walk(mu)]
+        return [x for x, _, _, _ in self._orbit_walk(mu)]
 
     def orbit_heights(self, mu):
         """Doubled-height histogram {2(x, rho^vee): count} of the orbit of
@@ -366,7 +386,7 @@ class RootSystem:
         if hist is None:
             top = self.doubled_height(self.dominant_representative(mu))
             counts = [0] * (top + 1)
-            for _, d in self._orbit_walk(mu):
+            for _, d, _, _ in self._orbit_walk(mu):
                 counts[d] += 1
             if sum(counts) != self.orbit_size(mu):
                 raise InternalConsistencyError(
@@ -388,49 +408,25 @@ class RootSystem:
     def parabolic_degrees(self, lam):
         """Degrees of the stabilizer W_lam, padded with 1's to full rank.
 
-        The simple roots orthogonal to lam split into diagram components;
-        each component contributes its own classical degree list, computed
-        by the same closure and height-distribution argument as for the full
-        system, once per component Cartan matrix in a process.  Memoized per
-        set of zero coordinates.
+        W_lam is generated by the s_j with lam_j = 0; its positive coroots
+        are those supported on that zero set J.  Kostant's count (as many
+        positive roots of height k as exponents >= k) holds on each diagram
+        component of J, so it holds on their union, and ``_degrees`` reads
+        the degrees off the heights of those coroots.  Memoized per J, as
+        the bit mask of its complement.
         """
-        support = tuple(i for i, c in enumerate(lam) if c == 0)
-        degs = self._parabolic.get(support)
-        if degs is not None:
-            return list(degs)
-        degs = []
-        seen = set()
-        for i in support:
-            if i in seen:
-                continue
-            comp = [i]
-            seen.add(i)
-            stack = [i]
-            while stack:
-                u = stack.pop()
-                for v in support:
-                    if v not in seen and self.cartan_matrix[u][v] != 0:
-                        seen.add(v)
-                        comp.append(v)
-                        stack.append(v)
-            comp.sort()
-            sub = tuple(
-                tuple(self.cartan_matrix[u][v] for v in comp) for u in comp
-            )
-            comp_degs = _component_degrees.get(sub)
-            if comp_degs is None:
-                comp_degs = _component_degrees[sub] = _degrees(
-                    _closure(sub, _symmetrizer(sub))[2])
-            degs.extend(comp_degs)
-        degs.extend([1] * (self.rank - len(degs)))
-        self._parabolic[support] = degs = tuple(sorted(degs))
+        off = sum(1 << i for i, c in enumerate(lam) if c)
+        degs = self._parabolic.get(off)
+        if degs is None:
+            degs = _degrees([h for h, s in zip(self.coroot_heights,
+                                               self._coroot_supports)
+                             if not s & off])
+            degs = (1,) * (self.rank - len(degs)) + degs
+            self._parabolic[off] = degs
         return list(degs)
 
     def stabilizer_order(self, lam):
-        order = 1
-        for d in self.parabolic_degrees(lam):
-            order *= d
-        return order
+        return prod(self.parabolic_degrees(lam))
 
     def stabilizer_root_orbits(self, mu):
         """The positive roots up to the stabilizer W_J, J the zero
@@ -471,32 +467,20 @@ class RootSystem:
         """Signed points w(start) - target with nonnegative root coordinates.
 
         ``start`` is regular dominant and ``gap`` holds the simple-root
-        coordinates of start - target.  The walk moves away from the
-        dominant chamber: s_j at p with p[j] > 0 subtracts p[j] from gap[j],
-        so coordinates only decrease and a step to a negative gap can be
-        pruned with all its descendants.  Returns [(gap, det w)], one entry
-        per w in the Weyl alternation set.
+        coordinates of start - target: the orbit walk from ``start``,
+        pruned at a negative gap, yields each such point once.  From a
+        regular point every tree step makes w one longer, so det w is the
+        parity of the steps.  Returns [(gap, det w)], one entry per w in the
+        Weyl alternation set.
         """
-        frontier = {tuple(start): tuple(gap)}
         points = []
-        sign = 1
-        while frontier:
-            nxt = {}
-            for p, g in frontier.items():
-                if len(points) >= budget:
-                    raise ResourceBudgetError(
-                        "Weyl alternation walk",
-                        f"{len(points)} points + 0 cells", budget,
-                    )
-                points.append((g, sign))
-                for j, c in enumerate(p):
-                    if 0 < c <= g[j]:
-                        nxt.setdefault(
-                            self.simple_reflection(p, j),
-                            g[:j] + (g[j] - c,) + g[j + 1:],
-                        )
-            frontier = nxt
-            sign = -sign
+        for _, _, g, sign in self._orbit_walk(start, tuple(gap)):
+            if len(points) >= budget:
+                raise ResourceBudgetError(
+                    "Weyl alternation walk",
+                    f"{len(points)} points + 0 cells", budget,
+                )
+            points.append((g, sign))
         return points
 
     def weyl_dimension(self, lam):
@@ -519,9 +503,6 @@ class RootSystem:
 
 
 _build_cache = {}
-# degrees per Cartan matrix of a stabilizer component, shared by every
-# root system of the process
-_component_degrees = {}
 
 
 def build_root_system(type_letter, rank):

@@ -93,84 +93,62 @@ def _dominant_by_height(rs, bound):
 
 # -- the closed forms checked row by row ------------------------------------
 
-def suite_table1(max_rank=8):
-    """Closed factored forms of the Dynkin polynomial for every wmf family."""
-    checks = []
-    n_hi = max_rank
-    for n in range(1, n_hi + 1):
+def _table1_rows(max_rank):
+    """(label, rs, lam, closed form) for every row of the wmf table."""
+    rows = []
+    for n in range(1, max_rank + 1):
         rs = build_root_system("A", n)
         for i in range(1, n + 1):
-            want = gaussian_binomial(n + 1 - i, i)
-            got = dy.dynkin_product(rs, _fundamental(n, i - 1))
-            checks.append(_check_poly(f"A{n} w{i} fundamental", got, want))
-        for m in range(1, n_hi + 1):
+            rows.append((f"A{n} w{i} fundamental", rs, _fundamental(n, i - 1),
+                         gaussian_binomial(n + 1 - i, i)))
+        for m in range(1, max_rank + 1):
             want = gaussian_binomial(m, n)
-            got = dy.dynkin_product(rs, (m,) + (0,) * (n - 1))
-            checks.append(_check_poly(f"A{n} {m}*w1 symmetric power", got, want))
-            got_dual = dy.dynkin_product(rs, (0,) * (n - 1) + (m,))
-            checks.append(_check_poly(f"A{n} {m}*w{n} dual", got_dual, want))
-    for n in range(2, n_hi + 1):
+            rows.append((f"A{n} {m}*w1 symmetric power", rs,
+                         (m,) + (0,) * (n - 1), want))
+            rows.append((f"A{n} {m}*w{n} dual", rs, (0,) * (n - 1) + (m,),
+                         want))
+    for n in range(2, max_rank + 1):
         rs = build_root_system("B", n)
         spin = QPolynomial.one()
         for i in range(1, n + 1):
             spin = spin * (QPolynomial.one() + QPolynomial.monomial(i))
-        checks.append(_check_poly(
-            f"B{n} w{n} spin",
-            dy.dynkin_product(rs, _fundamental(n, n - 1)), spin,
-        ))
-        checks.append(_check_poly(
-            f"B{n} w1 vector",
-            dy.dynkin_product(rs, _fundamental(n, 0)), _geometric(2 * n + 1),
-        ))
-        rs_c = build_root_system("C", n)
-        checks.append(_check_poly(
-            f"C{n} w1 vector",
-            dy.dynkin_product(rs_c, _fundamental(n, 0)), _geometric(2 * n),
-        ))
-    checks.append(_check_poly(
-        "C3 w3",
-        dy.dynkin_product(build_root_system("C", 3), (0, 0, 1)),
-        QPolynomial([1, 1, 1, 2, 2, 2, 2, 1, 1, 1]),
-    ))
-    for n in range(3, n_hi + 1):
+        rows.append((f"B{n} w{n} spin", rs, _fundamental(n, n - 1), spin))
+        rows.append((f"B{n} w1 vector", rs, _fundamental(n, 0),
+                     _geometric(2 * n + 1)))
+        rows.append((f"C{n} w1 vector", build_root_system("C", n),
+                     _fundamental(n, 0), _geometric(2 * n)))
+    rows.append(("C3 w3", build_root_system("C", 3), (0, 0, 1),
+                 QPolynomial([1, 1, 1, 2, 2, 2, 2, 1, 1, 1])))
+    for n in range(3, max_rank + 1):
         rs = build_root_system("D", n)
         vec = (QPolynomial.one() + QPolynomial.monomial(n - 1)) * _geometric(n)
-        checks.append(_check_poly(
-            f"D{n} w1 vector",
-            dy.dynkin_product(rs, _fundamental(n, 0)), vec,
-        ))
+        rows.append((f"D{n} w1 vector", rs, _fundamental(n, 0), vec))
         half = QPolynomial.one()
         for i in range(1, n):
             half = half * (QPolynomial.one() + QPolynomial.monomial(i))
         for node in (n - 2, n - 1):
-            checks.append(_check_poly(
-                f"D{n} w{node + 1} half-spin",
-                dy.dynkin_product(rs, _fundamental(n, node)), half,
-            ))
+            rows.append((f"D{n} w{node + 1} half-spin", rs,
+                         _fundamental(n, node), half))
     if max_rank >= 6:
         e6 = QPolynomial([1, 0, 0, 0, 1, 0, 0, 0, 1]) * _geometric(9)
-        checks.append(_check_poly(
-            "E6 w1",
-            dy.dynkin_product(build_root_system("E", 6), _fundamental(6, 0)),
-            e6,
-        ))
+        rows.append(("E6 w1", build_root_system("E", 6), _fundamental(6, 0),
+                     e6))
     if max_rank >= 7:
         e7 = (
             (QPolynomial.one() + QPolynomial.monomial(5))
             * (QPolynomial.one() + QPolynomial.monomial(9))
             * _geometric(14)
         )
-        checks.append(_check_poly(
-            "E7 w7 (56-dim)",
-            dy.dynkin_product(build_root_system("E", 7), _fundamental(7, 6)),
-            e7,
-        ))
-    checks.append(_check_poly(
-        "G2 w1",
-        dy.dynkin_product(build_root_system("G", 2), (1, 0)),
-        _geometric(7),
-    ))
-    return checks
+        rows.append(("E7 w7 (56-dim)", build_root_system("E", 7),
+                     _fundamental(7, 6), e7))
+    rows.append(("G2 w1", build_root_system("G", 2), (1, 0), _geometric(7)))
+    return rows
+
+
+def suite_table1(max_rank=8):
+    """Closed factored forms of the Dynkin polynomial for every wmf family."""
+    return [_check_poly(label, dy.dynkin_product(rs, lam), want)
+            for label, rs, lam, want in _table1_rows(max_rank)]
 
 
 def suite_spindle(max_rank=6, samples=200):
@@ -211,41 +189,14 @@ def suite_lusztig_vs_jump(height_bound=6):
     return checks
 
 
-def _table1_entries(max_rank=8, dim_cap=10**5):
-    """(rs, lam) pairs for the closed-form rows, filtered by dimension."""
-    out = []
-    for n in range(1, max_rank + 1):
-        rs = build_root_system("A", n)
-        for i in range(n):
-            out.append((rs, _fundamental(n, i)))
-        for m in range(2, max_rank + 1):
-            out.append((rs, (m,) + (0,) * (n - 1)))
-    for n in range(2, max_rank + 1):
-        rs = build_root_system("B", n)
-        out.append((rs, _fundamental(n, n - 1)))
-        out.append((rs, _fundamental(n, 0)))
-        rs_c = build_root_system("C", n)
-        out.append((rs_c, _fundamental(n, 0)))
-    out.append((build_root_system("C", 3), (0, 0, 1)))
-    for n in range(3, max_rank + 1):
-        rs = build_root_system("D", n)
-        out.append((rs, _fundamental(n, 0)))
-        out.append((rs, _fundamental(n, n - 2)))
-        out.append((rs, _fundamental(n, n - 1)))
-    if max_rank >= 6:
-        out.append((build_root_system("E", 6), _fundamental(6, 0)))
-    if max_rank >= 7:
-        out.append((build_root_system("E", 7), _fundamental(7, 6)))
-    out.append((build_root_system("G", 2), (1, 0)))
-    seen = set()
-    unique = []
-    for rs, lam in out:
-        key = (rs.type_letter, rs.rank, lam)
-        if key in seen or rs.weyl_dimension(lam) > dim_cap:
-            continue
-        seen.add(key)
-        unique.append((rs, lam))
-    return unique
+def _table1_entries(dim_cap=10**5):
+    """The distinct (rs, lam) of the wmf table up to rank 8, without its
+    dual rows, of dimension at most ``dim_cap``."""
+    entries = {}
+    for label, rs, lam, _ in _table1_rows(8):
+        if not label.endswith(" dual") and rs.weyl_dimension(lam) <= dim_cap:
+            entries.setdefault((rs.type_letter, rs.rank, lam), (rs, lam))
+    return list(entries.values())
 
 
 def suite_dynkin_cross(max_rank=4, height_bound=5):

@@ -106,19 +106,20 @@ def test_tensor_square_e8_adjoint_golden(capsys):
 
 
 def test_tensor_square_e7_golden_and_budget(capsys):
+    # --dim-budget bounds the character of V_lam, here of dimension 6480
     argv = ["compute", "tensor-square", "--type", "E", "--rank", "7",
             "--weight", "1,0,0,0,0,0,1"]
     start = time.perf_counter()
-    code, out, _ = run(argv + ["--dim-budget", "100000000"], capsys)
+    code, out, _ = run(argv, capsys)
     assert time.perf_counter() - start < 10
     assert code == 0
     assert len(out.splitlines()) == 22
     assert hashlib.md5(out.encode()).hexdigest() == (
         "4cd58874abcb8fb894b0cad592455bac")
-    code, out, err = run(argv, capsys)
+    code, out, err = run(argv + ["--dim-budget", "6479"], capsys)
     assert (code, out) == (3, "")
     assert err == (
-        "error: tensor square dimension: 41990400 exceeds budget 1000000\n")
+        "error: character dimension: 6480 exceeds budget 6479\n")
 
 
 @pytest.mark.parametrize("argv,lines,digest", [
@@ -185,13 +186,16 @@ def test_exit_code_usage_error(capsys):
     assert code == 2
 
 
-def test_closed_method_rejects_non_wmf_weight(capsys):
+@pytest.mark.parametrize("sub", ["jump", "f-lambda", "poincare-cg"])
+def test_closed_method_rejects_non_wmf_weight(sub, capsys):
     code, out, err = run(
-        ["compute", "jump", "--type", "C", "--rank", "3",
+        ["compute", sub, "--type", "C", "--rank", "3",
          "--weight", "0,1,0", "--method", "closed"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err == (
+        "error: the closed form needs a weight-multiplicity-free highest "
+        "weight; (0, 1, 0) is not\n")
 
 
 def test_verify_has_no_full_weyl_flag(capsys):

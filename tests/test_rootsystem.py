@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spindle.errors import ResourceBudgetError, UsageError
-from spindle.rootsystem import RootSystem, build_root_system
+from spindle.rootsystem import (
+    RootSystem,
+    _closure,
+    _degrees,
+    _symmetrizer,
+    build_root_system,
+)
 
 # (type, rank) -> (#positive roots, degrees, Weyl order, highest root height)
 CLASSICAL = {
@@ -422,3 +428,100 @@ def test_stabilizer_root_orbits_match_closure(key):
     # mu = 0: W permutes each root length class of Phi transitively
     table = rs.stabilizer_root_orbits((0,) * rs.rank)
     assert len(table) == (1 if key[0] in "ADE" else 2)
+
+
+def _bfs_alternation_walk(rs, start, gap):
+    """The alternation walk breadth-first, as an independent reference:
+    one frontier dict per length of w, a step s_j at p kept while
+    0 < p_j <= gap_j."""
+    frontier = {tuple(start): tuple(gap)}
+    points = []
+    sign = 1
+    while frontier:
+        nxt = {}
+        for p, g in frontier.items():
+            points.append((g, sign))
+            for j, c in enumerate(p):
+                if 0 < c <= g[j]:
+                    nxt.setdefault(rs.simple_reflection(p, j),
+                                   g[:j] + (g[j] - c,) + g[j + 1:])
+        frontier = nxt
+        sign = -sign
+    return points
+
+
+@st.composite
+def alternation_cases(draw):
+    letter, rank = draw(st.sampled_from(ALL_TYPES))
+    rs = build_root_system(letter, rank)
+    start = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+    gap = tuple(draw(st.integers(0, 6)) for _ in range(rank))
+    return rs, start, gap
+
+
+@settings(max_examples=150, deadline=None)
+@given(alternation_cases())
+def test_alternation_walk_equals_breadth_first_walk(case):
+    rs, start, gap = case
+    walked = rs.alternation_walk(start, gap)
+    assert sorted(walked) == sorted(_bfs_alternation_walk(rs, start, gap))
+    assert len(set(walked)) == len(walked)
+
+
+def test_alternation_walk_equals_breadth_first_walk_e8_theta():
+    e8 = build_root_system("E", 8)
+    theta = max(e8.positive_roots, key=sum)
+    start = (1, 1, 1, 1, 1, 1, 1, 2)
+    assert sorted(e8.alternation_walk(start, theta)) == sorted(
+        _bfs_alternation_walk(e8, start, theta))
+
+
+_COMPONENT_DEGREES = {}
+
+
+def _component_parabolic_degrees(rs, lam):
+    """Degrees of W_lam by components, as an independent reference: the
+    zero set split into diagram components, each closed on its own."""
+    support = [i for i, c in enumerate(lam) if c == 0]
+    degs, seen = [], set()
+    for i in support:
+        if i in seen:
+            continue
+        comp, stack = [i], [i]
+        seen.add(i)
+        while stack:
+            u = stack.pop()
+            for v in support:
+                if v not in seen and rs.cartan_matrix[u][v] != 0:
+                    seen.add(v)
+                    comp.append(v)
+                    stack.append(v)
+        comp.sort()
+        sub = tuple(tuple(rs.cartan_matrix[u][v] for v in comp) for u in comp)
+        if sub not in _COMPONENT_DEGREES:
+            coroots = _closure(sub, _symmetrizer(sub))[2]
+            _COMPONENT_DEGREES[sub] = _degrees([sum(c) for c in coroots])
+        degs.extend(_COMPONENT_DEGREES[sub])
+    return sorted(degs + [1] * (rs.rank - len(degs)))
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_parabolic_degrees_match_component_closures(key):
+    rs = RootSystem(*key)
+    for lam in itertools.product((0, 1), repeat=rs.rank):
+        assert rs.parabolic_degrees(lam) == (
+            _component_parabolic_degrees(rs, lam)), lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_TYPES), st.data())
+def test_descent_sign_is_parity_of_inversions(key, data):
+    rs = build_root_system(*key)
+    mu = tuple(data.draw(st.integers(-3, 3)) for _ in range(rs.rank))
+    top, sign = rs.dominant_descent(mu)
+    pairings = [rs.pairing(mu, i) for i in range(len(rs.positive_roots))]
+    assert sign == (-1) ** sum(p < 0 for p in pairings)
+    assert rs.is_dominant(top)
+    assert (0 in top) == (0 in pairings)  # on a wall
+    if rs.weyl_order <= 2000:
+        assert top in rs.weyl_orbit(mu)

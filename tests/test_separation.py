@@ -1,13 +1,19 @@
-"""The module route never reads the Weyl route: ``modulerep`` checks the
+"""Boundaries between modules, checked on their syntax trees.
+
+The module route never reads the Weyl route: ``modulerep`` checks the
 alternating Weyl sum, so it must not import ``qanalogues`` nor name its
-Kostant table or its Weyl walk."""
+Kostant table or its Weyl walk.  And no module but ``rootsystem`` names a
+private member of ``RootSystem``: the Weyl group is reached only through
+its public walk and descent."""
 
 import ast
 from pathlib import Path
 
 import spindle
 
-MODULEREP = Path(spindle.__file__).parent / "modulerep.py"
+PACKAGE = Path(spindle.__file__).parent
+MODULEREP = PACKAGE / "modulerep.py"
+ROOTSYSTEM = PACKAGE / "rootsystem.py"
 WEYL_ROUTE_NAMES = {"alternation_walk", "_box_table", "kostant_partition_q"}
 
 
@@ -44,3 +50,52 @@ def test_the_guard_sees_each_kind_of_violation():
     ]
     for source in sources:
         assert list(_violations(ast.parse(source))), source
+
+
+def _private_members():
+    """The private names of RootSystem: its _methods and the _attributes
+    its methods set on self."""
+    tree = ast.parse(ROOTSYSTEM.read_text(), str(ROOTSYSTEM))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "RootSystem")
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _private_uses(tree, private):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in private:
+            yield f"line {node.lineno}: names {node.attr}"
+
+
+def test_only_rootsystem_names_private_root_system_members():
+    private = _private_members()
+    assert {"_bonds", "_orbit_walk", "_parabolic", "_walk_steps"} <= private
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "rootsystem.py":
+            tree = ast.parse(path.read_text(), str(path))
+            if uses := list(_private_uses(tree, private)):
+                found[path.name] = uses
+    assert found == {}
+
+
+def test_the_private_member_guard_sees_each_kind_of_use():
+    private = _private_members()
+    sources = [
+        "rs._orbit_walk(mu)",
+        "bonds = rs._bonds[j]",
+        "self.rs._parabolic.clear()",
+        "f = rs._walk_steps",
+    ]
+    for source in sources:
+        assert list(_private_uses(ast.parse(source), private)), source
+    for source in ["rs.dominant_descent(mu)", "rs.weyl_orbit(mu)",
+                   "module._e_cols", "rs.__class__"]:
+        assert not list(_private_uses(ast.parse(source), private)), source
