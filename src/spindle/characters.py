@@ -68,8 +68,9 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     ``rs.stabilizer_root_orbits``.  With e_i the symmetrizer, (nu, alpha)
     for alpha = sum n_i alpha_i is proportional to sum n_i e_i nu_i, and
     (lam+rho)^2 - (mu+rho)^2 to sum gap_i e_i (lam_i + mu_i + 2), with the
-    same factor.  Memoized on the root system with the dimension, so that
-    a memo hit meets the same budget as the first call.
+    same factor.  The per-root tables are ``rs.freudenthal_tables``, built
+    once per root system.  Memoized on the root system with the dimension,
+    so that a memo hit meets the same budget as the first call.
     """
     lam = tuple(lam)
     hit = rs.character_memo.get(lam)
@@ -84,10 +85,7 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     if hit is not None:
         return mult
 
-    steps = [
-        (r, w, tuple((j, a) for j, a in enumerate(w) if a > 0))
-        for r, w in zip(rs.positive_roots, rs.positive_root_weights)
-    ]
+    steps, strings = rs.freudenthal_tables
     gaps = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
@@ -106,10 +104,6 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         frontier = new
 
     sym = rs.symmetrizer
-    strings = [
-        (w, tuple(n * e for n, e in zip(r, sym)))
-        for r, w in zip(rs.positive_roots, rs.positive_root_weights)
-    ]
     reps = {}  # weight -> dominant representative, for this call only
 
     def rep(nu):

@@ -211,6 +211,13 @@ def cmd_compute(args, out):
 
     if args.type is None or args.rank is None:
         raise UsageError(f"{sub} needs --type and --rank")
+    if sub != "root-system":
+        # parsed before the build, whose cost grows with the rank, so that
+        # a weight of the wrong length is refused at once
+        if args.weight is None:
+            raise UsageError(f"{sub} needs --weight")
+        lam = _parse_weight(args.weight, args.rank)
+        mu = _parse_weight(args.mu, args.rank) if args.mu else None
     rs = build_root_system(args.type, args.rank)
 
     if sub == "root-system":
@@ -225,9 +232,6 @@ def cmd_compute(args, out):
         _emit_rows(rows, ("property", "value"), fmt, out)
         return 0
 
-    if args.weight is None:
-        raise UsageError(f"{sub} needs --weight")
-    lam = _parse_weight(args.weight, rs.rank)
     weyl_budget = FULL_WEYL_BUDGET if args.full_weyl else args.weyl_budget
 
     if sub == "character":
@@ -253,7 +257,7 @@ def cmd_compute(args, out):
         _emit_poly(qa.t_poly(rs, lam), fmt, out)
         return 0
     if sub == "lusztig":
-        mu = _parse_weight(args.mu, rs.rank) if args.mu else (0,) * rs.rank
+        mu = mu or (0,) * rs.rank
         if args.method == "module":
             poly = mr.filtration_q_multiplicity(rs, lam, mu)
         else:
@@ -261,9 +265,8 @@ def cmd_compute(args, out):
         _emit_poly(poly, fmt, out)
         return 0
     if sub == "jump":
-        mu = _parse_weight(args.mu, rs.rank) if args.mu else lam
         _emit_poly(
-            qa.jump_tensor(rs, lam, mu, method=args.method,
+            qa.jump_tensor(rs, lam, mu or lam, method=args.method,
                            budget=weyl_budget, dim_budget=args.dim_budget),
             fmt, out,
         )

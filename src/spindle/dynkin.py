@@ -18,16 +18,13 @@ def dynkin_sum(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
 
 
 def dynkin_product(rs, lam):
-    """Dynkin polynomial by the root product: needs only root data, so it
-    is fast even for the E types."""
+    """Dynkin polynomial by the root product: the product over the positive
+    coroots gamma^vee of [<lam+rho, gamma^vee>]_q / [ht gamma^vee]_q.  It
+    needs only root data, so it is fast even for the E types."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
-    numer, denom = [], []
-    for cr in rs.positive_coroots:
-        denom.append(sum(cr))
-        numer.append(sum((l + 1) * c for l, c in zip(lam, cr)))
-    return cyclo_product(numer, denom)
+    return cyclo_product(rs.rho_pairings(lam), rs.coroot_heights)
 
 
 def dynkin_minuscule(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):

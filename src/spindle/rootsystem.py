@@ -13,6 +13,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, prod
 
 from . import exactla as la
@@ -150,15 +151,18 @@ def _closure(cartan, sym):
 
 def _coroot_chain(coroots):
     """Each non-simple positive coroot as an earlier coroot plus a simple
-    one: [(p, j)] in order of coroot height, where p indexes the list that
-    starts with the rank simple coroots and grows by one entry per pair.
+    one: ((t, p, q), ...) in order of coroot height, where t, p and q index
+    ``coroots`` and coroot t is coroot p plus the simple coroot q.  Also
+    returns the index of each simple coroot in ``coroots``.
 
     The order is by coroot height, not by the order of ``coroots``: in the
     non-simply-laced types a root's coroot can be lower than the coroot of
     a lower root.
     """
     rank = len(coroots[0])
-    index = {tuple(int(k == j) for k in range(rank)): j for j in range(rank)}
+    index = {c: t for t, c in enumerate(coroots)}
+    simple = tuple(index[tuple(int(k == j) for k in range(rank))]
+                   for j in range(rank))
     chain = []
     for c in sorted(coroots, key=lambda c: (sum(c), c))[rank:]:
         for j, n in enumerate(c):
@@ -167,9 +171,8 @@ def _coroot_chain(coroots):
                 break
         else:
             raise InternalConsistencyError(f"coroot {c} has no parent")
-        index[c] = rank + len(chain)
-        chain.append((p, j))
-    return tuple(chain)
+        chain.append((index[c], p, simple[j]))
+    return tuple(chain), simple
 
 
 def _degrees(heights):
@@ -212,7 +215,8 @@ class RootSystem:
         # the nodes each positive coroot is supported on, as a bit mask
         self._coroot_supports = tuple(sum(1 << i for i, n in enumerate(c) if n)
                                       for c in self.positive_coroots)
-        self._coroot_chain = _coroot_chain(self.positive_coroots)
+        self._coroot_chain, self._simple_coroots = _coroot_chain(
+            self.positive_coroots)
         self._weyl_denominator = prod(self.coroot_heights)
         self.degrees = _degrees(self.coroot_heights)
         self.exponents = tuple(d - 1 for d in self.degrees)
@@ -334,9 +338,10 @@ class RootSystem:
     def is_dominant(self, mu):
         return all(m >= 0 for m in mu)
 
-    def _orbit_walk(self, mu, gap=None):
-        """Yield (x, d, g, s) once for each x in the orbit W mu, where
-        2(x, rho^vee) = 2(mu+, rho^vee) - 2d for mu+ the dominant point
+    def _orbit_walk(self, mu, gap=None, depth=None):
+        """Yield (x, r, g, s) once for each x in the orbit W mu down to
+        depth ``depth``, where x lies at depth d = depth - r, that is
+        2(x, rho^vee) = 2(mu+, rho^vee) - 2d for mu+ the dominant point,
         and s is (-1) to the number of tree steps from mu+ to x.
 
         The walk is a tree rooted at mu+: the parent of a non-dominant y is
@@ -346,31 +351,41 @@ class RootSystem:
         x (the j that made x), every s_j x with j < f and x_j > 0 is a
         child; s_j only raises the neighbours of j, so for j > f only the
         neighbours of f can be children, and only those are built
-        (``_walk_steps``).  Children are pushed in ascending j.  Since
-        (alpha_j, rho^vee) = 1, the depth d grows by x_j at s_j.  The
-        reflection is done inline: this loop is the cost of every orbit.
+        (``_walk_steps``); the coordinates before f stay nonnegative, and
+        a child is most often refused at f itself, so y_f is tested first.
+        Children are pushed in ascending j.  Since (alpha_j, rho^vee) = 1,
+        the depth grows by x_j at s_j.  The reflection is done inline: this
+        loop is the cost of every orbit.
 
-        A ``gap`` (simple-root coordinates of mu+ minus a target) prunes the
-        tree: g is the gap of x, s_j lowers g_j by x_j, and a step to a
-        negative g_j is cut with its subtree.  A parent y + |y_j| alpha_j
-        lies above its child, so the pruned tree yields each point with
-        g >= 0 once.  Without a gap, g is None.
+        The depth bound prunes the tree: a step past it is cut with its
+        subtree, which is exact as the depth grows along every tree edge,
+        so the walk yields the points of depth at most ``depth`` in the
+        order of the full walk.  The default is the depth 2(mu+, rho^vee)
+        of the lowest point, which cuts nothing.  A ``gap`` (simple-root
+        coordinates of mu+ minus a target) prunes too: g is the gap of x,
+        s_j lowers g_j by x_j, and a step to a negative g_j is cut with its
+        subtree.  A parent y + |y_j| alpha_j lies above its child, so the
+        pruned tree yields each point with g >= 0 once.  Without a gap, g
+        is None.
         """
         bonds = self._bonds
         steps = self._walk_steps
-        stack = [(self.dominant_representative(mu), 0, self.rank, gap, 1)]
+        dom = self.dominant_representative(mu)
+        if depth is None:
+            depth = self.doubled_height(dom)
+        stack = [(dom, depth, self.rank, gap, 1)]
         while stack:
-            x, d, f, g, s = stack.pop()
-            yield x, d, g, s
+            x, r, f, g, s = stack.pop()
+            yield x, r, g, s
             for j in steps[f]:
                 c = x[j]
-                if c > 0 and (g is None or c <= g[j]):
+                if 0 < c <= r and (g is None or c <= g[j]):
                     y = list(x)
                     y[j] = -c
                     for k, a in bonds[j]:
                         y[k] -= c * a
-                    if j < f or min(y[:j]) >= 0:
-                        stack.append((tuple(y), d + c, j, g and (
+                    if j < f or y[f] >= 0 and min(y[f:j]) >= 0:
+                        stack.append((tuple(y), r - c, j, g and (
                             g[:j] + (g[j] - c,) + g[j + 1:]), -s))
 
     def weyl_orbit(self, mu):
@@ -379,15 +394,20 @@ class RootSystem:
 
     def orbit_heights(self, mu):
         """Doubled-height histogram {2(x, rho^vee): count} of the orbit of
-        dominant mu, memoized.  The walk counts into a list indexed by
-        depth.  Its total is checked against orbit_size, which comes from
-        the parabolic degrees instead of the walk."""
+        dominant mu, memoized.  The walk counts points by depth down to
+        the middle depth only: w0 maps W mu onto itself and negates
+        (x, rho^vee), so it maps depth d onto depth top - d, and each
+        deeper count is read off its mirror.  The mirrored total is
+        checked against orbit_size, which comes from the parabolic degrees
+        instead of the walk."""
         hist = self._orbit_heights.get(mu)
         if hist is None:
             top = self.doubled_height(self.dominant_representative(mu))
-            counts = [0] * (top + 1)
-            for _, d, _, _ in self._orbit_walk(mu):
-                counts[d] += 1
+            half = top // 2
+            counts = [0] * (half + 1)
+            for _, r, _, _ in self._orbit_walk(mu, depth=half):
+                counts[half - r] += 1
+            counts += [counts[top - d] for d in range(half + 1, top + 1)]
             if sum(counts) != self.orbit_size(mu):
                 raise InternalConsistencyError(
                     f"orbit walk of {mu} found {sum(counts)} points, "
@@ -463,6 +483,22 @@ class RootSystem:
         self._root_orbits[support] = table = tuple(table)
         return table
 
+    @cached_property
+    def freudenthal_tables(self):
+        """(steps, strings), one entry per positive root alpha = sum n_i
+        alpha_i with weight coordinates w, built on first use for
+        ``characters.dominant_multiplicities``.  steps holds (n, w, raised)
+        with raised the (j, w_j) where w_j > 0: for dominant mu, mu - alpha
+        is dominant iff mu_j >= w_j there.  strings holds (w, ne) with
+        ne_i = n_i e_i for e the symmetrizer, so (nu, alpha) is
+        proportional to sum ne_i nu_i."""
+        pairs = tuple(zip(self.positive_roots, self.positive_root_weights))
+        steps = tuple((r, w, tuple((j, a) for j, a in enumerate(w) if a > 0))
+                      for r, w in pairs)
+        strings = tuple((w, tuple(n * e for n, e in zip(r, self.symmetrizer)))
+                        for r, w in pairs)
+        return steps, strings
+
     def alternation_walk(self, start, gap, budget=DEFAULT_WEYL_BUDGET):
         """Signed points w(start) - target with nonnegative root coordinates.
 
@@ -483,15 +519,22 @@ class RootSystem:
             points.append((g, sign))
         return points
 
+    def rho_pairings(self, lam):
+        """<lam+rho, gamma^vee> for each positive coroot gamma^vee, in the
+        order of ``positive_coroots``.  The simple coroots give lam_j + 1,
+        and each other pairing is one add along ``_coroot_chain``."""
+        vals = [0] * len(self.positive_coroots)
+        for t, l in zip(self._simple_coroots, lam):
+            vals[t] = l + 1
+        for t, p, q in self._coroot_chain:
+            vals[t] = vals[p] + vals[q]
+        return vals
+
     def weyl_dimension(self, lam):
-        """Weyl dimension formula, exact: the product of <lam+rho, alpha^vee>
-        over the positive coroots, divided by the product of their heights.
-        The simple coroots give lam_j + 1, and each other pairing is one
-        add along ``_coroot_chain``."""
-        vals = [l + 1 for l in lam]
-        for p, j in self._coroot_chain:
-            vals.append(vals[p] + vals[j])
-        num, rem = divmod(prod(vals), self._weyl_denominator)
+        """Weyl dimension formula, exact: the product of the
+        ``rho_pairings`` of lam divided by the product of the coroot
+        heights."""
+        num, rem = divmod(prod(self.rho_pairings(lam)), self._weyl_denominator)
         if rem:
             raise InternalConsistencyError(
                 f"Weyl dimension of {lam} is not an integer"

@@ -38,6 +38,16 @@ def test_criterion_01_closed_form_table():
     _report(1, "closed-form polynomial table", ok and not bad, elapsed, 5)
 
 
+def test_table1_entries_build_no_closed_form(monkeypatch):
+    # dynkin-cross and tensor-mf read only the weights of the table
+    def build(*args):
+        raise AssertionError(f"closed form {args} built")
+    for name in ("gaussian_binomial", "_geometric", "_spin", "_d_vector"):
+        monkeypatch.setattr(vf, name, build)
+    assert len(vf._table1_entries()) == 135
+    assert len(vf._table1_entries(dim_cap=60)) == 92
+
+
 def test_criterion_02_dynkin_cross_formula():
     ok, elapsed, bad = _run_suite("dynkin-cross")
     _report(2, "floor-count sum equals root product", ok, elapsed, 60)

@@ -186,6 +186,22 @@ def test_exit_code_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["dynkin", "--weight", "1"],
+    ["lusztig", "--weight", ",".join(["0"] * 200), "--mu", "1"],
+])
+def test_weight_length_is_checked_before_the_root_system_is_built(
+        capsys, monkeypatch, argv):
+    def build(*args):
+        raise AssertionError(f"root system {args} built")
+    monkeypatch.setattr(cli, "build_root_system", build)
+    code, out, err = run(["compute", argv[0], "--type", "A", "--rank", "200"]
+                         + argv[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: weight has 1 coordinates, rank is 200\n"
+
+
 @pytest.mark.parametrize("sub", ["jump", "f-lambda", "poincare-cg"])
 def test_closed_method_rejects_non_wmf_weight(sub, capsys):
     code, out, err = run(

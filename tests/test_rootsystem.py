@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindle.errors import ResourceBudgetError, UsageError
+from spindle.errors import (
+    InternalConsistencyError,
+    ResourceBudgetError,
+    UsageError,
+)
 from spindle.rootsystem import (
     RootSystem,
     _closure,
@@ -220,11 +224,27 @@ def _unpruned_orbit_walk(rs, mu):
 def _check_orbit_walk(rs, mu):
     walked = list(_unpruned_orbit_walk(rs, mu))
     assert rs.weyl_orbit(mu) == [x for x, _ in walked]
+    # the depth bound cuts exactly the points below it, keeping the order
+    top = walked[0][1]
+    for bound in range(top + 1):
+        assert [(x, bound - r) for x, r, _, _ in
+                rs._orbit_walk(mu, depth=bound)] == [
+            (x, (top - h) // 2) for x, h in walked if top - h <= 2 * bound]
     hist = {}
     for _, h in walked:
         hist[h] = hist.get(h, 0) + 1
     fresh = RootSystem(rs.type_letter, rs.rank)
     assert fresh.orbit_heights(rs.dominant_representative(mu)) == hist
+
+
+def test_orbit_heights_checks_the_mirrored_total(monkeypatch):
+    rs = RootSystem("B", 3)
+    size = rs.orbit_size
+    monkeypatch.setattr(rs, "orbit_size", lambda mu: size(mu) + 1)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"orbit walk of \(1, 0, 1\) found 24 points, "
+                             r"orbit size is 25"):
+        rs.orbit_heights((1, 0, 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,6 +394,17 @@ def test_weyl_dimension_matches_dot_product_formula(key):
         grid = random.Random(rs.rank).sample(grid, 400)
     for lam in grid:
         assert rs.weyl_dimension(lam) == _reference_weyl_dimension(rs, lam)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_rho_pairings_are_the_coroot_dot_products(key):
+    # at 0 and at each fundamental weight, in the order of the coroots
+    rs = build_root_system(*key)
+    for lam in [(0,) * rs.rank] + [tuple(int(k == i) for k in range(rs.rank))
+                                   for i in range(rs.rank)]:
+        assert rs.rho_pairings(lam) == [
+            sum((l + 1) * c for l, c in zip(lam, cr))
+            for cr in rs.positive_coroots]
 
 
 def _reference_root_orbits(rs, support):
