@@ -8,6 +8,8 @@ the Brauer-Klimyk rule, floor profiles and principal-string data.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -69,22 +71,21 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     for alpha = sum n_i alpha_i is proportional to sum n_i e_i nu_i, and
     (lam+rho)^2 - (mu+rho)^2 to sum gap_i e_i (lam_i + mu_i + 2), with the
     same factor.  The per-root tables are ``rs.freudenthal_tables``, built
-    once per root system.  Memoized on the root system with the dimension,
-    so that a memo hit meets the same budget as the first call.
+    once per root system.  Dominance and the dimension budget are checked
+    on every call, before the memo (``_freudenthal``, per (rs, lam)) is
+    read, so that a memo hit meets the same budget as the first call.
     """
     lam = tuple(lam)
-    hit = rs.character_memo.get(lam)
-    if hit is None:
-        if not rs.is_dominant(lam):
-            raise DomainError(f"{lam} is not dominant")
-        dim = rs.weyl_dimension(lam)
-    else:
-        dim, mult = hit
+    if not rs.is_dominant(lam):
+        raise DomainError(f"{lam} is not dominant")
+    dim = rs.weyl_dimension(lam)
     if dim > dim_budget:
         raise ResourceBudgetError("character dimension", dim, dim_budget)
-    if hit is not None:
-        return mult
+    return _freudenthal(rs, lam)
 
+
+@cache
+def _freudenthal(rs, lam):
     steps, strings = rs.freudenthal_tables
     gaps = {lam: (0,) * rs.rank}
     frontier = [lam]
@@ -104,14 +105,7 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         frontier = new
 
     sym = rs.symmetrizer
-    reps = {}  # weight -> dominant representative, for this call only
-
-    def rep(nu):
-        r = reps.get(nu)
-        if r is None:
-            r = reps[nu] = rs.dominant_representative(nu)
-        return r
-
+    rep = cache(rs.dominant_representative)  # for this call only
     mult = {lam: 1}
     for mu in sorted(gaps, key=lambda mu: (sum(gaps[mu]), mu)):
         if mu == lam:
@@ -137,11 +131,10 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
         mult[mu] = val
 
     total = sum(m * rs.orbit_size(mu) for mu, m in mult.items())
-    if total != dim:
+    if total != (dim := rs.weyl_dimension(lam)):
         raise InternalConsistencyError(
             f"character mass {total} != Weyl dimension {dim} for {lam}"
         )
-    rs.character_memo[lam] = (dim, mult)
     return mult
 
 
@@ -168,9 +161,10 @@ def is_wmf(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
 
 
 def minuscule_by_pairing(rs, lam):
-    """(lam, alpha^vee) <= 1 for all positive roots; cheap criterion."""
+    """(lam, alpha^vee) <= 1 for all positive roots; cheap criterion.
+    Each pairing is <lam+rho, gamma^vee> minus the coroot height."""
     return rs.is_dominant(lam) and all(
-        rs.pairing(lam, i) <= 1 for i in range(len(rs.positive_roots))
+        p - h <= 1 for p, h in zip(rs.rho_pairings(lam), rs.coroot_heights)
     )
 
 

@@ -323,8 +323,16 @@ def cmd_verify(args, out):
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, like every
+    other error; subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spindle",
         description=(
             "Exact invariants of simple Lie algebra representations: "

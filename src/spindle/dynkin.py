@@ -7,7 +7,9 @@ from __future__ import annotations
 from . import characters as ch
 from .errors import DomainError
 from .qpoly import QPolynomial, cyclo_product, gaussian_binomial
-from .qanalogues import t_poly
+# t_poly stays bound here: the benchmark's shim test checks through it
+# that names bound by a from-import are traced.
+from .qanalogues import parabolic_quotient, t_poly  # noqa: F401
 from .rootsystem import build_root_system
 
 
@@ -32,7 +34,7 @@ def dynkin_minuscule(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
     lam = tuple(lam)
     if not ch.is_minuscule(rs, lam, dim_budget):
         raise DomainError(f"{lam} is not minuscule")
-    return t_poly(rs, (0,) * rs.rank).exact_divide(t_poly(rs, lam))
+    return parabolic_quotient(rs, lam)
 
 
 def verify_spindle(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):

@@ -17,6 +17,7 @@ builds the whole root system of A_n and n elements of z(e).
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 
 from . import exactla as la
@@ -72,7 +73,6 @@ class GradedCommutant:
         self.module = module
         self.centralizer = mr.nilpotent_centralizer(module)
         self.basis = mr.commutant(module, self.centralizer)
-        self._commutative = None
 
     @property
     def dimension(self):
@@ -86,17 +86,19 @@ class GradedCommutant:
 
     def is_commutative(self):
         """Decided once per commutant; socle_dimension asks again."""
-        if self._commutative is None:
-            self._commutative = not any(
-                la.bracket(a, b)
-                for i, (a, _) in enumerate(self.basis)
-                for b, _g in self.basis[i + 1:]
-            )
-        return self._commutative
+        return self._commutes
+
+    @cached_property
+    def _commutes(self):
+        return not any(
+            la.bracket(a, b)
+            for i, (a, _) in enumerate(self.basis)
+            for b, _g in self.basis[i + 1:]
+        )
 
     def _span(self):
         dim = self.module.dimension
-        return la.span([la.flatten(m, dim) for m, _ in self.basis], dim**2)
+        return la.span([la.flatten(m, dim) for m, _ in self.basis])
 
     def contains(self, matrix):
         return la.flatten(matrix, self.module.dimension) in self._span()
@@ -141,7 +143,7 @@ def check_bijection(comm):
         if any(floors[r] != g for r in vec):
             return False
         columns.append(vec)
-    return la.rank(columns, len(floors)) == len(floors)
+    return la.rank(columns) == len(floors)
 
 
 def socle_dimension(comm):
@@ -156,7 +158,7 @@ def socle_dimension(comm):
         rows.extend(la.coefficient_rows(
             la.mat_mul(b, m) for b, _ in comm.basis
         ))
-    return comm.dimension - la.rank(rows, comm.dimension)
+    return comm.dimension - la.rank(rows)
 
 
 def lefschetz_check(comm):
@@ -177,10 +179,10 @@ def lefschetz_check(comm):
         src = by_grade.get(i, [])
         dst = by_grade.get(i + 1, [])
         images = [la.flatten(la.mat_mul(e, m), dim) for m in src]
-        target = la.span([la.flatten(m, dim) for m in dst], dim**2)
+        target = la.span([la.flatten(m, dim) for m in dst])
         if any(img not in target for img in images):
             raise InternalConsistencyError("product left the expected grade")
-        r = la.rank(images, dim**2)
+        r = la.rank(images)
         if i <= (top - 1) // 2 and r != len(src):
             return False
         if i >= top // 2 and r != len(dst):
@@ -205,4 +207,4 @@ def a_invariants_dimension(comm):
     """Dimension of the joint kernel of z(e)."""
     dim = comm.module.dimension
     rows = [row for z in comm.centralizer for row in z.values()]
-    return dim - la.rank(rows, dim)
+    return dim - la.rank(rows)

@@ -49,10 +49,9 @@ def _primitive(r):
 
 
 class RowSpace:
-    """Subspace of Q^ncols, kept as its reduced echelon integer basis."""
+    """Subspace of Q^n, kept as its reduced echelon integer basis."""
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self._rows = {}  # pivot column -> basis row
 
     def __len__(self):
@@ -89,9 +88,9 @@ class RowSpace:
         return [self._rows[p] for p in sorted(self._rows)]
 
 
-def span(rows, ncols):
+def span(rows):
     """The RowSpace spanned by rows."""
-    space = RowSpace(ncols)
+    space = RowSpace()
     for row in rows:
         space.add(row)
     return space
@@ -103,14 +102,14 @@ def scaled_inverse(rows):
     d_p in column p and d_p times row p of M^-1 on the right."""
     n = len(rows)
     basis = span([list(r) + [int(i == j) for j in range(n)]
-                  for i, r in enumerate(rows)], 2 * n)._rows
+                  for i, r in enumerate(rows)])._rows
     den = lcm(*(basis[p][p] for p in range(n)))
     return den, tuple(tuple(basis[p].get(n + j, 0) * (den // basis[p][p])
                             for j in range(n)) for p in range(n))
 
 
-def rank(rows, ncols=None):
-    return len(span(rows, ncols))
+def rank(rows):
+    return len(span(rows))
 
 
 def nullspace(rows, ncols):
@@ -120,7 +119,7 @@ def nullspace(rows, ncols):
     in its free column and a 0 in every other free column, giving a
     deterministic, duplicate-free basis.
     """
-    reduced = span(rows, ncols)._rows
+    reduced = span(rows)._rows
     basis = []
     for fc in range(ncols):
         if fc in reduced:

@@ -95,7 +95,7 @@ class HighestWeightModule:
                 # relations among the candidates: those of their e_j-images,
                 # read off the primitive echelon basis of their integer rows
                 images = [dict(enumerate(cand[4])) for cand in group]
-                basis = la.span(la.coefficient_rows(images), len(group)).basis()
+                basis = la.span(la.coefficient_rows(images)).basis()
                 pivots = [min(b) for b in basis]
                 new_of_pivot = []
                 for c_pos in pivots:
@@ -171,7 +171,7 @@ def _nilradical_span(module):
     """
     n = module.dimension
     simple = _scaled_raising(module)
-    space = la.span([la.flatten(m, n) for m in simple], n * n)
+    space = la.span([la.flatten(m, n) for m in simple])
     frontier = [(1, m) for m in simple]
     while frontier:
         new = []
@@ -234,7 +234,7 @@ def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
     while vecs:
         # vecs is a basis of e^k V_lam(mu), so their images span the next
         images = la.mat_mul(vecs, e_t).values()
-        vecs = dict(enumerate(la.span(images, len(module.weights)).basis()))
+        vecs = dict(enumerate(la.span(images).basis()))
         ranks.append(len(vecs))
     return QPolynomial([a - b for a, b in zip(ranks, ranks[1:])])
 

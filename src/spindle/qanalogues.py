@@ -124,6 +124,13 @@ def t_poly(rs, lam):
     return cyclo_product(degs, [1] * rs.rank)
 
 
+def parabolic_quotient(rs, lam):
+    """t_0/t_lam, the length generating polynomial of the minimal coset
+    representatives of W/W_lam: prod_i (1 - q^{d_i}) / (1 - q^{d_i(W_lam)})
+    over the degrees of W and of W_lam, with no division of polynomials."""
+    return cyclo_product(rs.degrees, rs.parabolic_degrees(lam))
+
+
 def kostant_t0_factorization(rs):
     """t_0 as the height-shift product over the positive roots."""
     return cyclo_product(
@@ -169,7 +176,6 @@ def jump_tensor(rs, lam, mu, method="auto", budget=DEFAULT_WEYL_BUDGET,
     mu = lam each q-multiplicity is evaluated once and squared."""
     lam = tuple(lam)
     mu = tuple(mu)
-    t0 = t_poly(rs, (0,) * rs.rank)
     f_lam = _q_mult_fn(rs, lam, ch.is_wmf(rs, lam, dim_budget), method, budget)
     if mu == lam:
         f_mu = mu_support = None
@@ -180,7 +186,7 @@ def jump_tensor(rs, lam, mu, method="auto", budget=DEFAULT_WEYL_BUDGET,
     for nu in ch.dominant_weights(rs, lam, dim_budget):
         if mu_support is not None and nu not in mu_support:
             continue
-        ratio = t0.exact_divide(t_poly(rs, nu))
+        ratio = parabolic_quotient(rs, nu)
         m = f_lam(nu)
         acc = acc + m * (m if f_mu is None else f_mu(nu)) * ratio
     return acc
@@ -239,8 +245,7 @@ def poincare_cg(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
 def poincare_ct(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
     """Graded series of the Cartan counterpart: numerator is the plain sum
     of t_0/t_nu over the dominant weights of V_lam."""
-    t0 = t_poly(rs, (0,) * rs.rank)
     acc = QPolynomial.zero()
     for nu in ch.dominant_weights(rs, tuple(lam), dim_budget):
-        acc = acc + t0.exact_divide(t_poly(rs, nu))
+        acc = acc + parabolic_quotient(rs, nu)
     return GradedSeries(acc, rs.degrees)

@@ -8,6 +8,7 @@ the zero polynomial has an empty coefficient tuple.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .errors import ExactDivisionError
 
@@ -346,17 +347,19 @@ def series_equal(s1, s2):
 # greedily from the cyclotomic multiset and fall back to the expanded form.
 # ---------------------------------------------------------------------------
 
-_cyclo_cache = {1: QPolynomial((-1, 1))}
-
 
 def cyclotomic(d):
-    if d in _cyclo_cache:
-        return _cyclo_cache[d]
+    """The cyclotomic polynomial Phi_d, memoized."""
+    return _cyclotomic(d)
+
+
+@cache
+def _cyclotomic(d):
+    """(q^d - 1) divided by Phi_e for every proper divisor e of d."""
     num = QPolynomial.monomial(d) - 1
     for e in range(1, d):
         if d % e == 0:
-            num = num.exact_divide(cyclotomic(e))
-    _cyclo_cache[d] = num
+            num = num.exact_divide(_cyclotomic(e))
     return num
 
 

@@ -13,7 +13,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, prod
 
 from . import exactla as la
@@ -227,15 +227,6 @@ class RootSystem:
                 f"degrees {self.degrees} do not fit {type_letter}{rank}"
             )
         self.weyl_order = prod(self.degrees)
-        self._parabolic = {}
-        # weighted W_J-orbit representatives of the positive roots, per
-        # set J of zero coordinates, filled by stabilizer_root_orbits
-        self._root_orbits = {}
-        # (dimension, dominant multiplicities) per highest weight, filled
-        # by characters.dominant_multiplicities
-        self.character_memo = {}
-        # doubled-height histogram of W mu per dominant mu
-        self._orbit_heights = {}
 
         # Fundamental-basis -> root-basis conversion: the inverse of
         # cartan^T, kept as the integer matrix N * inverse with N the least
@@ -289,11 +280,6 @@ class RootSystem:
         return self.root_lattice_coords(weight) is not None
 
     # -- pairings and heights --------------------------------------------------
-
-    def pairing(self, mu, alpha_index):
-        """(mu, alpha^vee) for the alpha_index-th positive root."""
-        cr = self.positive_coroots[alpha_index]
-        return sum(m * c for m, c in zip(mu, cr))
 
     def doubled_height(self, mu):
         """2(mu, rho^vee), an integer for every weight; 2 Sum n_i for mu in
@@ -394,28 +380,28 @@ class RootSystem:
 
     def orbit_heights(self, mu):
         """Doubled-height histogram {2(x, rho^vee): count} of the orbit of
-        dominant mu, memoized.  The walk counts points by depth down to
-        the middle depth only: w0 maps W mu onto itself and negates
+        dominant mu, memoized per mu.  The walk counts points by depth down
+        to the middle depth only: w0 maps W mu onto itself and negates
         (x, rho^vee), so it maps depth d onto depth top - d, and each
         deeper count is read off its mirror.  The mirrored total is
         checked against orbit_size, which comes from the parabolic degrees
         instead of the walk."""
-        hist = self._orbit_heights.get(mu)
-        if hist is None:
-            top = self.doubled_height(self.dominant_representative(mu))
-            half = top // 2
-            counts = [0] * (half + 1)
-            for _, r, _, _ in self._orbit_walk(mu, depth=half):
-                counts[half - r] += 1
-            counts += [counts[top - d] for d in range(half + 1, top + 1)]
-            if sum(counts) != self.orbit_size(mu):
-                raise InternalConsistencyError(
-                    f"orbit walk of {mu} found {sum(counts)} points, "
-                    f"orbit size is {self.orbit_size(mu)}"
-                )
-            hist = {top - 2 * d: n for d, n in enumerate(counts) if n}
-            self._orbit_heights[mu] = hist
-        return hist
+        return self._height_histogram(mu)
+
+    @cache
+    def _height_histogram(self, mu):
+        top = self.doubled_height(self.dominant_representative(mu))
+        half = top // 2
+        counts = [0] * (half + 1)
+        for _, r, _, _ in self._orbit_walk(mu, depth=half):
+            counts[half - r] += 1
+        counts += [counts[top - d] for d in range(half + 1, top + 1)]
+        if sum(counts) != self.orbit_size(mu):
+            raise InternalConsistencyError(
+                f"orbit walk of {mu} found {sum(counts)} points, "
+                f"orbit size is {self.orbit_size(mu)}"
+            )
+        return {top - 2 * d: n for d, n in enumerate(counts) if n}
 
     def orbit_size(self, mu):
         """|W| / |W_mu| without enumerating the orbit."""
@@ -435,15 +421,15 @@ class RootSystem:
         the degrees off the heights of those coroots.  Memoized per J, as
         the bit mask of its complement.
         """
-        off = sum(1 << i for i, c in enumerate(lam) if c)
-        degs = self._parabolic.get(off)
-        if degs is None:
-            degs = _degrees([h for h, s in zip(self.coroot_heights,
-                                               self._coroot_supports)
-                             if not s & off])
-            degs = (1,) * (self.rank - len(degs)) + degs
-            self._parabolic[off] = degs
-        return list(degs)
+        return list(self._parabolic(
+            sum(1 << i for i, c in enumerate(lam) if c)))
+
+    @cache
+    def _parabolic(self, off):
+        degs = _degrees([h for h, s in zip(self.coroot_heights,
+                                           self._coroot_supports)
+                         if not s & off])
+        return (1,) * (self.rank - len(degs)) + degs
 
     def stabilizer_order(self, lam):
         return prod(self.parabolic_degrees(lam))
@@ -461,10 +447,13 @@ class RootSystem:
         generated by the s_j, j in J, with w_j = 0.  Memoized per J, and
         checked on build: sum c = 2|Phi+|.
         """
-        support = tuple(j for j, m in enumerate(mu) if m == 0)
-        table = self._root_orbits.get(support)
-        if table is not None:
-            return table
+        return self._root_orbit_table(
+            tuple(j for j, m in enumerate(mu) if m == 0))
+
+    @cache
+    def _root_orbit_table(self, support):
+        # a weight with zero set J; the table depends on nothing else
+        mu = tuple(int(j not in support) for j in range(self.rank))
         whole = self.stabilizer_order(mu)
         table = []
         for i, (r, w) in enumerate(
@@ -480,8 +469,7 @@ class RootSystem:
                 f"W_J-orbits of the roots for J = {support} count {total}, "
                 f"not 2|Phi+| = {2 * len(self.positive_roots)}"
             )
-        self._root_orbits[support] = table = tuple(table)
-        return table
+        return tuple(table)
 
     @cached_property
     def freudenthal_tables(self):
@@ -545,15 +533,12 @@ class RootSystem:
         return f"RootSystem({self.type_letter}{self.rank})"
 
 
-_build_cache = {}
-
-
 def build_root_system(type_letter, rank):
-    """Construct (and memoize) the root system of the given simple type."""
+    """Construct (and memoize) the root system of the given simple type:
+    one instance per (type, rank), however the arguments are passed."""
     if not isinstance(rank, int) or rank < 1:
         raise UsageError(f"rank must be a positive integer, got {rank!r}")
-    key = (type_letter, rank)
-    rs = _build_cache.get(key)
-    if rs is None:
-        rs = _build_cache[key] = RootSystem(type_letter, rank)
-    return rs
+    return _build(type_letter, rank)
+
+
+_build = cache(RootSystem)

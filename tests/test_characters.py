@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spindle import characters as ch
 from spindle import dynkin as dy
+from spindle import verify as vf
 from spindle.errors import DomainError, ResourceBudgetError
 from spindle.qpoly import QPolynomial
 from spindle.rootsystem import RootSystem, build_root_system
@@ -263,16 +264,32 @@ def test_is_small_equals_character_definition(case):
     assert ch.is_small(rs, lam) == _small_by_character(rs, lam)
 
 
+def test_minuscule_by_pairing_equals_dot_products():
+    # every fundamental weight up to rank 8, against (lam, gamma^vee) as a
+    # dot product over the positive coroots
+    for letter, rank in vf._simple_types(8):
+        rs = build_root_system(letter, rank)
+        for i in range(rank):
+            lam = tuple(int(k == i) for k in range(rank))
+            want = all(sum(l * c for l, c in zip(lam, cr)) <= 1
+                       for cr in rs.positive_coroots)
+            assert ch.minuscule_by_pairing(rs, lam) == want, (rs, lam)
+
+
 def test_tensor_square_and_smallness_run_no_constituent_characters():
     # a fresh root system: only V_lam's own character is computed
+    # counted by the misses of the Freudenthal memo
     rs = RootSystem("E", 6)
+    misses = ch._freudenthal.cache_info().misses
     pieces = ch.decompose_tensor_square(rs, (1, 0, 0, 0, 0, 0))
     assert len(pieces) == 3
-    assert list(rs.character_memo) == [(1, 0, 0, 0, 0, 0)]
+    assert ch._freudenthal.cache_info().misses == misses + 1
+    ch.dominant_multiplicities(rs, (1, 0, 0, 0, 0, 0))  # a hit: V_lam's
+    assert ch._freudenthal.cache_info().misses == misses + 1
     rs = RootSystem("E", 6)
     assert ch.is_small(rs, (0, 1, 0, 0, 0, 0))
     assert not ch.is_small(rs, (0, 2, 0, 0, 0, 0))
-    assert rs.character_memo == {}
+    assert ch._freudenthal.cache_info().misses == misses + 1
 
 
 def _per_root_multiplicities(rs, lam):

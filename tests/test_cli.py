@@ -480,6 +480,23 @@ def test_verify_rejects_unknown_suite(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "foo"],
+    ["compute", "dynkin", "--type", "A", "--rank", "x", "--weight", "1"],
+    ["compute", "dynkin", "--type", "A", "--rank", "1", "--weight", "1",
+     "--format", "xml"],
+    ["verify", "nosuch"],
+    [],
+])
+def test_parse_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 @pytest.mark.parametrize("n,m,flag,value", [
     ("0", "2", "--n", "0"), ("2", "-1", "--m", "-1"), ("-3", "0", "--n", "-3"),
 ])

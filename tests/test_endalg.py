@@ -207,24 +207,37 @@ def test_end_alg_a_error_lines(capsys, argv, code, err):
     assert _run(argv, capsys) == (code, "", err)
 
 
-def test_budget_is_checked_before_anything_is_built(capsys):
+def _record_builds(monkeypatch):
+    """The (type, rank) of every root system asked of build_root_system
+    from now on, built or taken from its memo."""
+    built = []
+    build = rootsystem._build
+    monkeypatch.setattr(rootsystem, "_build", lambda letter, rank: (
+        built.append((letter, rank)) or build(letter, rank)))
+    return built
+
+
+def test_budget_is_checked_before_anything_is_built(capsys, monkeypatch):
+    built = _record_builds(monkeypatch)
     assert _run(["--n", "300", "--kind", "S2"], capsys) == (
         3, "", "error: matrix model dimension: 45451 exceeds budget 60\n")
-    assert ("A", 300) not in rootsystem._build_cache
+    assert ("A", 300) not in built
 
 
-def test_rank_is_checked_before_anything_is_built(capsys):
+def test_rank_is_checked_before_anything_is_built(capsys, monkeypatch):
     # Lambda^{n+1} is the 1-dimensional trivial module: only the rank
     # bounds the A_n that the module route would build for it.
+    built = _record_builds(monkeypatch)
     assert _run(["--n", "300", "--kind", "E301"], capsys) == (
         3, "", "error: matrix model rank: 300 exceeds budget 60\n")
     assert _run(["--n", "61", "--kind", "E62", "--matrix-budget", "60"],
                 capsys)[0] == 3
-    assert ("A", 300) not in rootsystem._build_cache
-    assert ("A", 61) not in rootsystem._build_cache
+    assert ("A", 300) not in built
+    assert ("A", 61) not in built
     code, out, err = _run(["--n", "4", "--kind", "E5", "--matrix-budget",
                            "4"], capsys)
     assert (code, err) == (0, "") and "invariants_dimension" in out
+    assert ("A", 4) in built  # the stub sees a build
 
 
 @st.composite

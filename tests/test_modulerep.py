@@ -205,7 +205,7 @@ def _joint_kernel_jump(rs, lam):
         for p, row in z.items():
             for c, x in row.items():
                 rows[level_of[c]].setdefault((k, p), {})[slot[c]] = x
-    coeffs = {lv: size[lv] - la.rank(rows[lv].values(), size[lv])
+    coeffs = {lv: size[lv] - la.rank(rows[lv].values())
               for lv in size}
     assert all(lv >= 0 for lv, k in coeffs.items() if k)
     return QPolynomial([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])

@@ -1,9 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spindle import characters as ch
 from spindle import qanalogues as qa
+from spindle import verify as vf
 from spindle.errors import (
     DomainError,
     InternalConsistencyError,
@@ -81,6 +84,17 @@ def test_kostant_t0_factorization():
         assert qa.kostant_t0_factorization(rs) == qa.t_poly(
             rs, (0,) * rs.rank
         )
+
+
+def test_parabolic_quotient_equals_long_division():
+    # every zero set of every type up to rank 8, against t_0 / t_lam by
+    # long division of the two t polynomials
+    for letter, rank in vf._simple_types(8):
+        rs = build_root_system(letter, rank)
+        t0 = qa.t_poly(rs, (0,) * rank)
+        for lam in product((0, 1), repeat=rank):
+            assert qa.parabolic_quotient(rs, lam) == t0.exact_divide(
+                qa.t_poly(rs, lam)), (rs, lam)
 
 
 def test_generalized_exponents():
@@ -172,8 +186,8 @@ def _brute_force_lusztig(rs, lam, mu):
         rc = rs.root_lattice_coords(tuple(a - b for a, b in zip(x, mu_rho)))
         if rc is None or min(rc) < 0:
             continue
-        negative = sum(1 for i in range(len(rs.positive_roots))
-                       if rs.pairing(x, i) < 0)
+        negative = sum(1 for cr in rs.positive_coroots
+                       if sum(a * c for a, c in zip(x, cr)) < 0)
         term = qa.kostant_partition_q(rs, rc)
         acc = acc + (-term if negative % 2 else term)
     return acc
