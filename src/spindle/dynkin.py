@@ -37,7 +37,7 @@ def dynkin_minuscule(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
     return parabolic_quotient(rs, lam)
 
 
-def verify_spindle(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
+def verify_spindle(rs, lam):
     """Report dict for the four spindle laws of the Dynkin polynomial:
     symmetry, unimodality, degree = 2*(lam, rho^vee), value at 1 = dim."""
     lam = tuple(lam)
@@ -76,12 +76,9 @@ def hermite_identities(m, n):
     a_m = build_root_system("A", m)
     lhs = dynkin_product(a_n, (m,) + (0,) * (n - 1))
     reciprocity = lhs == dynkin_product(a_m, (n,) + (0,) * (m - 1))
-    if m + n >= 2:
-        big = build_root_system("A", m + n - 1)
-        fundamental = tuple(1 if i == m - 1 else 0 for i in range(m + n - 1))
-        wedge = lhs == dynkin_product(big, fundamental)
-    else:
-        wedge = True
+    big = build_root_system("A", m + n - 1)
+    fundamental = tuple(1 if i == m - 1 else 0 for i in range(m + n - 1))
+    wedge = lhs == dynkin_product(big, fundamental)
     gaussian = lhs == gaussian_binomial(m, n)
     return {
         "value": lhs,

@@ -8,7 +8,6 @@ the zero polynomial has an empty coefficient tuple.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 from .errors import ExactDivisionError
 
@@ -119,33 +118,6 @@ class QPolynomial:
         return QPolynomial(out)
 
     __rmul__ = __mul__
-
-    def exact_divide(self, other):
-        """Exact quotient in Z[q]; raises ExactDivisionError otherwise."""
-        other = _coerce(other)
-        if other.is_zero():
-            raise ExactDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return QPolynomial(())
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.coeffs[db]
-        dq = self.degree - db
-        if dq < 0:
-            raise ExactDivisionError(f"{self} not divisible by {other}")
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + db]
-            if c % lead != 0:
-                raise ExactDivisionError(f"{self} not divisible by {other}")
-            t = c // lead
-            quot[k] = t
-            if t:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= t * b
-        if any(rem):
-            raise ExactDivisionError(f"{self} not divisible by {other}")
-        return QPolynomial(quot)
 
     def shift(self, exp):
         """Multiply by q^exp."""
@@ -266,8 +238,7 @@ def cyclo_product(numer_exps, denom_exps):
     c = [1]
     for a in keep_n:
         c.extend([0] * a)
-        for i in range(len(c) - 1, a - 1, -1):
-            c[i] -= c[i - a]
+        _times_one_minus(c, a)
         for k, b in enumerate(keep_d):
             if a % b == 0:
                 _divide_cyclo(c, keep_d.pop(k))
@@ -279,12 +250,23 @@ def cyclo_product(numer_exps, denom_exps):
 
 def _divide_cyclo(c, b):
     """c /= (1 - q^b) in place; raises ExactDivisionError if inexact."""
-    for i in range(b, len(c)):
-        c[i] += c[i - b]
+    _over_one_minus(c, b)
     top = max(len(c) - b, 0)
     if any(c[top:]):
         raise ExactDivisionError(f"quotient not divisible by 1 - q^{b}")
     del c[top:]
+
+
+def _times_one_minus(c, a):
+    """c *= (1 - q^a) in place, truncated to len(c) coefficients."""
+    for i in range(len(c) - 1, a - 1, -1):
+        c[i] -= c[i - a]
+
+
+def _over_one_minus(c, b):
+    """c /= (1 - q^b) in place as a power series, truncated to len(c)."""
+    for i in range(b, len(c)):
+        c[i] += c[i - b]
 
 
 def gaussian_binomial(m, n):
@@ -348,37 +330,42 @@ def series_equal(s1, s2):
 # ---------------------------------------------------------------------------
 
 
-def cyclotomic(d):
-    """The cyclotomic polynomial Phi_d, memoized."""
-    return _cyclotomic(d)
-
-
-@cache
-def _cyclotomic(d):
-    """(q^d - 1) divided by Phi_e for every proper divisor e of d."""
-    num = QPolynomial.monomial(d) - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num = num.exact_divide(_cyclotomic(e))
-    return num
-
-
 def _cyclotomic_multiset(p):
-    """Return {d: multiplicity} with p = prod Phi_d^{m_d}, or None."""
-    if p.is_zero() or p.coefficient(0) != 1:
+    """Return {d: m_d} with p = prod Phi_d^{m_d} over d <= deg p, or None.
+
+    p is peeled as the power series prod_n (1 - q^n)^{c_n}, n <= D = deg p:
+    c_n is minus the coefficient of q^n left after the smaller n, and
+    |c_n| stride passes take it out.  A product of Phi_d, d <= D, has
+    sum |c_n| <= 2D (tau(d) <= 2 phi(d)), so more passes reject p, and no
+    input costs over O(D^2).  1 - q^n = -prod_{d | n} Phi_d gives
+    m_d = sum_{d | n} c_n; p is the product iff every m_d >= 0, the degrees
+    add up (sum n c_n = D) and p is monic (the sign (-1)^{m_1} is +).
+    """
+    c = list(p.coeffs)
+    if not c or c[0] != 1 or c[-1] != 1:
+        return None
+    bound = 2 * p.degree
+    exps = {}
+    for n in range(1, len(c)):
+        cn = -c[n]
+        if cn == 0:
+            continue
+        bound -= abs(cn)
+        if bound < 0:
+            return None
+        exps[n] = cn
+        step = _over_one_minus if cn > 0 else _times_one_minus
+        for _ in range(abs(cn)):
+            step(c, n)
+    if sum(n * cn for n, cn in exps.items()) != p.degree:
         return None
     out = {}
-    for d in range(p.degree, 0, -1):
-        phi = cyclotomic(d)
-        while phi.degree <= p.degree:
-            try:
-                p = p.exact_divide(phi)
-            except ExactDivisionError:
-                break
-            out[d] = out.get(d, 0) + 1
-    if p != QPolynomial.one():
+    for n, cn in exps.items():
+        for d in _divisors(n):
+            out[d] = out.get(d, 0) + cn
+    if any(m < 0 for m in out.values()):
         return None
-    return out
+    return {d: m for d, m in out.items() if m}
 
 
 def factored_blocks(p):
@@ -386,8 +373,6 @@ def factored_blocks(p):
     1 + q^step + ... + q^{(k-1)step}, or return None if p is not such a
     product.  Blocks are sorted by (step*(k-1), step).
     """
-    if p == QPolynomial.one():
-        return []
     ms = _cyclotomic_multiset(p)
     if ms is None:
         return None

@@ -17,22 +17,28 @@ DEFAULT_ENUM_BUDGET = 10**6
 
 def box_partition_poincare(n, m, budget=DEFAULT_ENUM_BUDGET):
     """Coefficient of q^d counts partitions of d with at most m parts,
-    each part at most n, by direct lexicographic enumeration."""
+    each part at most n, by direct lexicographic enumeration.
+
+    The current partition is a stack of non-increasing parts, each bounded
+    by the one before it (the first by n), so depth m needs no recursion."""
     if n < 1 or m < 1:
         raise ValueError("box_partition_poincare needs n, m >= 1")
     total = comb(m + n, m)
     if total > budget:
         raise ResourceBudgetError("box partition enumeration", total, budget)
     counts = [0] * (n * m + 1)
-
-    def rec(bound, slots, size):
+    parts, size = [], 0
+    while True:
         counts[size] += 1
-        if slots == 0:
-            return
-        for part in range(1, bound + 1):
-            rec(part, slots - 1, size + part)
-
-    rec(n, m, 0)
+        if len(parts) < m:
+            parts.append(1)
+        else:
+            while parts and parts[-1] == (parts[-2] if len(parts) > 1 else n):
+                size -= parts.pop()
+            if not parts:
+                break
+            parts[-1] += 1
+        size += 1
     if sum(counts) != total:
         raise InternalConsistencyError(
             f"{sum(counts)} box partitions enumerated, expected {total}"

@@ -144,6 +144,32 @@ def test_heavy_character_and_f_lambda_golden(capsys, argv, lines, digest):
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("dynkin --type E --rank 8 --weight 0,0,0,0,0,0,0,20",
+     "3e22cd0554296875034c3fe52a6a1b99"),
+    ("t-poly --type E --rank 8 --weight 0,0,0,0,0,0,0,0",
+     "965c369112909c53efc49911f3909520"),
+])
+def test_high_degree_text_display_golden(capsys, argv, digest):
+    # D_lam of degree 1160 and t_0 of E8 printed factored into geometric
+    # blocks: the display costs O(deg^2) at worst, so it must not dwarf
+    # the computation
+    start = time.perf_counter()
+    code, out, _ = run(["compute"] + argv.split(), capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_truncsym_deep_box_enumerates_without_recursion(capsys):
+    # m = 5000 parts of size at most 1: the enumeration depth is m
+    code, out, err = run(
+        ["compute", "truncsym", "--n", "1", "--m", "5000",
+         "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"] == ["1"] * 5001
+
+
 def test_end_alg_a_table(capsys):
     code, out, _ = run(
         ["compute", "end-alg-a", "--n", "2", "--kind", "S2",

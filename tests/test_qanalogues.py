@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpoly_reference import long_divide
 from spindle import characters as ch
 from spindle import qanalogues as qa
 from spindle import verify as vf
@@ -93,8 +94,8 @@ def test_parabolic_quotient_equals_long_division():
         rs = build_root_system(letter, rank)
         t0 = qa.t_poly(rs, (0,) * rank)
         for lam in product((0, 1), repeat=rank):
-            assert qa.parabolic_quotient(rs, lam) == t0.exact_divide(
-                qa.t_poly(rs, lam)), (rs, lam)
+            assert qa.parabolic_quotient(rs, lam) == long_divide(
+                t0, qa.t_poly(rs, lam)), (rs, lam)
 
 
 def test_generalized_exponents():
@@ -283,3 +284,17 @@ def test_f_lambda_mass_law(rs, data):
     assert qa.f_lambda(rs, tuple(lam))(1) == sum(
         m * m for m in char.entries.values()
     )
+
+
+def test_minuscule_series_sees_a_wrong_parabolic_quotient(monkeypatch):
+    # both series read the parabolic quotient; the numerator check must
+    # still fail on every minuscule weight when the quotient is wrong
+    quotient = qa.parabolic_quotient
+    monkeypatch.setattr(
+        qa, "parabolic_quotient",
+        lambda rs, lam: QPolynomial([1, 1]) * quotient(rs, lam))
+    checks = vf.suite_minuscule_series()
+    failed = [c for c in checks if not c.ok]
+    assert len(checks) == 142
+    assert len(failed) == 71
+    assert all("numerator" in c.label for c in failed)

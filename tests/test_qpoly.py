@@ -1,7 +1,11 @@
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qpoly_reference as ref
+from spindle import qpoly
 from spindle.errors import ExactDivisionError
 from spindle.qpoly import (
     GradedSeries,
@@ -45,12 +49,12 @@ def test_ring_ops():
 
 def test_exact_divide():
     num = P([1, 0, -1])
-    assert num.exact_divide(P([1, -1])).coeffs == (1, 1)
+    assert ref.long_divide(num, P([1, -1])).coeffs == (1, 1)
     with pytest.raises(ExactDivisionError):
-        P([1, 1, 1]).exact_divide(P([1, 1]))
+        ref.long_divide(P([1, 1, 1]), P([1, 1]))
     with pytest.raises(ExactDivisionError):
-        P.one().exact_divide(P.zero())
-    assert P.zero().exact_divide(P([1, 1])).is_zero()
+        ref.long_divide(P.one(), P.zero())
+    assert ref.long_divide(P.zero(), P([1, 1])).is_zero()
 
 
 coeffs_st = st.lists(st.integers(-9, 9), max_size=6)
@@ -62,7 +66,7 @@ def test_product_then_divide_roundtrip(ca, cb):
     a, b = P(ca), P(cb)
     if b.is_zero():
         return
-    assert (a * b).exact_divide(b) == a
+    assert ref.long_divide(a * b, b) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,7 +134,7 @@ def test_cyclo_product_matches_ring_operations(exps):
         expected = expected * (P.one() - P.monomial(a))
     try:
         for b in denom:
-            expected = expected.exact_divide(P.one() - P.monomial(b))
+            expected = ref.long_divide(expected, P.one() - P.monomial(b))
     except ExactDivisionError:
         with pytest.raises(ExactDivisionError):
             cyclo_product(numer, denom)
@@ -179,3 +183,48 @@ def test_factored_str():
     # a product that collapses to a single block prints expanded
     assert factored_str(P([1, 1]) * P([1, 0, 1])) == "1 + q + q^2 + q^3"
     assert factored_str(P([1, 1, 2])) == "1 + q + 2*q^2"
+
+
+def _product(factors):
+    acc = P.one()
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+display_inputs = st.one_of(
+    # products of geometric blocks
+    st.lists(st.tuples(st.integers(2, 6), st.integers(1, 4)), max_size=5)
+    .map(lambda ks: _product(P.geometric(k, s) for k, s in ks)),
+    # cyclotomic products, Phi_1 and Phi_d with d > deg p among them
+    st.lists(st.integers(1, 16), max_size=6)
+    .map(lambda ds: _product(ref.cyclotomic(d) for d in ds)),
+    # small integer polynomials, palindromic or not
+    st.lists(st.integers(-3, 3), max_size=9).map(P),
+    st.lists(st.integers(0, 3), max_size=5)
+    .map(lambda c: P([1] + c + c[::-1] + [1])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(display_inputs)
+@example(P.one())
+@example(P([-1]))
+@example(P([1, -1]))
+@example(P([1, -2, 1]))
+@example(P([1, 0, 0, 1]))
+@example(ref.cyclotomic(5))
+@example(ref.cyclotomic(3) * ref.cyclotomic(6))
+@example(ref.cyclotomic(2) * ref.cyclotomic(12))
+def test_factored_display_matches_trial_division(p):
+    assert qpoly._cyclotomic_multiset(p) == ref.cyclotomic_multiset(p)
+    assert factored_blocks(p) == ref.factored_blocks(p)
+    assert factored_str(p) == ref.factored_str(p)
+
+
+def test_non_product_of_degree_2000_prints_expanded_quickly():
+    # palindromic but not cyclotomic: the peel stops after 2 deg p passes
+    p = P([1] + [3] * 1999 + [1])
+    start = time.perf_counter()
+    assert factored_str(p) == poly_str(p)
+    assert time.perf_counter() - start < 10
