@@ -2,12 +2,18 @@
 plus graded series num / prod(1 - q^{d_i}).
 
 Coefficients are stored densely, index = exponent, with no trailing zeros;
-the zero polynomial has an empty coefficient tuple.
+the zero polynomial has an empty coefficient tuple.  Sums are one pass over
+the two coefficient lists.  Products and quotients by 1 - q^a are one
+stride pass over a single coefficient list (``_times_one_minus``,
+``_over_one_minus``), after the exponents on both sides are cancelled as
+sorted multisets; ``cyclo_product``, ``series_equal`` and the factored
+display all use them.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from .errors import ExactDivisionError
 
@@ -87,11 +93,8 @@ class QPolynomial:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        return QPolynomial([a + b for a, b in zip_longest(
+            self.coeffs, _coerce(other).coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -99,10 +102,11 @@ class QPolynomial:
         return QPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return QPolynomial([a - b for a, b in zip_longest(
+            self.coeffs, _coerce(other).coeffs, fillvalue=0)])
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -216,25 +220,7 @@ def cyclo_product(numer_exps, denom_exps):
     keeps intermediates small.  Raises ExactDivisionError when the quotient
     is not a polynomial.
     """
-    numer = sorted(numer_exps)
-    denom = sorted(denom_exps)
-    if min(numer + denom, default=1) < 1:
-        raise ValueError("cyclo_product needs positive exponents")
-    i = j = 0
-    keep_n, keep_d = [], []
-    while i < len(numer) and j < len(denom):
-        if numer[i] == denom[j]:
-            i += 1
-            j += 1
-        elif numer[i] < denom[j]:
-            keep_n.append(numer[i])
-            i += 1
-        else:
-            keep_d.append(denom[j])
-            j += 1
-    keep_n.extend(numer[i:])
-    keep_d.extend(denom[j:])
-
+    keep_n, keep_d = _cancel_common(numer_exps, denom_exps)
     c = [1]
     for a in keep_n:
         c.extend([0] * a)
@@ -246,6 +232,30 @@ def cyclo_product(numer_exps, denom_exps):
     for b in keep_d:
         _divide_cyclo(c, b)
     return QPolynomial(c)
+
+
+def _cancel_common(a, b):
+    """The sorted exponent multisets a and b, less their common part;
+    raises ValueError on an exponent below 1, for which 1 - q^e is no
+    cyclotomic factor."""
+    a, b = sorted(a), sorted(b)
+    if min(a + b, default=1) < 1:
+        raise ValueError("(1 - q^e) factors need positive exponents e")
+    i = j = 0
+    keep_a, keep_b = [], []
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            i += 1
+            j += 1
+        elif a[i] < b[j]:
+            keep_a.append(a[i])
+            i += 1
+        else:
+            keep_b.append(b[j])
+            j += 1
+    keep_a.extend(a[i:])
+    keep_b.extend(b[j:])
+    return keep_a, keep_b
 
 
 def _divide_cyclo(c, b):
@@ -311,14 +321,27 @@ class GradedSeries:
 
 
 def series_equal(s1, s2):
-    """Cross-multiplied equality of the two rational functions."""
-    lhs = s1.numerator
-    for d in s2.denominator_exponents:
-        lhs = lhs * (QPolynomial.one() - QPolynomial.monomial(d))
-    rhs = s2.numerator
-    for d in s1.denominator_exponents:
-        rhs = rhs * (QPolynomial.one() - QPolynomial.monomial(d))
-    return lhs == rhs
+    """Cross-multiplied equality of the two rational functions.
+
+    The denominator exponents the two series share are cancelled as sorted
+    multisets first; each numerator is then multiplied by the other's
+    remaining (1 - q^d) factors with one ``_times_one_minus`` pass per
+    factor.  Raises ValueError on an exponent below 1."""
+    d1, d2 = _cancel_common(s1.denominator_exponents,
+                            s2.denominator_exponents)
+    return _times_cyclo(s1.numerator, d2) == _times_cyclo(s2.numerator, d1)
+
+
+def _times_cyclo(p, exps):
+    """The coefficients of p * prod_e (1 - q^e), for positive e.  Each
+    factor raises the degree of a nonzero product by e and negates its
+    leading coefficient, so no trailing zero appears."""
+    c = list(p.coeffs)
+    if c:
+        for e in exps:
+            c.extend([0] * e)
+            _times_one_minus(c, e)
+    return c
 
 
 # ---------------------------------------------------------------------------

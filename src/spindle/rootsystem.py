@@ -118,35 +118,38 @@ def _closure(cartan, sym):
     sorted by (height, root), from one upward reflection closure of the
     simple roots.
 
-    A root r with weights w steps to s_j r = r - w_j alpha_j, with weights
-    w - w_j (row j of ``cartan``), wherever w_j < 0.  A reflection keeps
-    the length, so each root carries the entry e of ``sym`` for its length
-    class, and gamma^vee = sum_i n_i e_i / e alpha_i^vee.
+    A root gamma with weights w steps to s_j gamma = gamma - w_j alpha_j,
+    with weights w - w_j (row j of ``cartan``), wherever w_j < 0.  A
+    reflection keeps the length, so each root carries the entry e of
+    ``sym`` for its length class, and its coroot steps along with it:
+    s_j gamma^vee = gamma^vee + (-w_j e_j / e) alpha_j^vee, as
+    <alpha_j, gamma^vee> = w_j e_j / e.  Each increment must be an
+    integer, so a wrong ``sym`` raises InternalConsistencyError.
     """
     l = len(cartan)
     found = {}
     for i in range(l):
-        found[tuple(int(k == i) for k in range(l))] = (cartan[i], sym[i])
+        unit = tuple(int(k == i) for k in range(l))
+        found[unit] = (cartan[i], sym[i], unit)
     order = list(found)
     for r in order:  # grows while it is read
-        w, e = found[r]
+        w, e, v = found[r]
         for j, c in enumerate(w):
             if c < 0:
                 s = r[:j] + (r[j] - c,) + r[j + 1:]
                 if s not in found:
+                    k, rem = divmod(-c * sym[j], e)
+                    if rem:
+                        raise InternalConsistencyError(
+                            f"coroot of {s} is not integral")
                     found[s] = (
-                        tuple(x - c * y for x, y in zip(w, cartan[j])), e
+                        tuple([x - c * y for x, y in zip(w, cartan[j])]), e,
+                        v[:j] + (v[j] + k,) + v[j + 1:],
                     )
                     order.append(s)
     roots = tuple(sorted(found, key=lambda r: (sum(r), r)))
-    coroots = []
-    for r in roots:
-        e = found[r][1]
-        cc = [divmod(n * ei, e) for n, ei in zip(r, sym)]
-        if any(rem for _, rem in cc):
-            raise InternalConsistencyError(f"coroot of {r} is not integral")
-        coroots.append(tuple(q for q, _ in cc))
-    return roots, tuple(found[r][0] for r in roots), tuple(coroots)
+    return (roots, tuple(found[r][0] for r in roots),
+            tuple(found[r][2] for r in roots))
 
 
 def _coroot_chain(coroots):
@@ -210,11 +213,12 @@ class RootSystem:
         (self.positive_roots, self.positive_root_weights,
          self.positive_coroots) = _closure(
             self.cartan_matrix, self.symmetrizer)
-        self.root_heights = tuple(sum(r) for r in self.positive_roots)
-        self.coroot_heights = tuple(sum(c) for c in self.positive_coroots)
+        self.root_heights = tuple(map(sum, self.positive_roots))
+        self.coroot_heights = tuple(map(sum, self.positive_coroots))
         # the nodes each positive coroot is supported on, as a bit mask
-        self._coroot_supports = tuple(sum(1 << i for i, n in enumerate(c) if n)
-                                      for c in self.positive_coroots)
+        self._coroot_supports = tuple(
+            sum([1 << i for i, n in enumerate(c) if n])
+            for c in self.positive_coroots)
         self._coroot_chain, self._simple_coroots = _coroot_chain(
             self.positive_coroots)
         self._weyl_denominator = prod(self.coroot_heights)
@@ -228,16 +232,8 @@ class RootSystem:
             )
         self.weyl_order = prod(self.degrees)
 
-        # Fundamental-basis -> root-basis conversion: the inverse of
-        # cartan^T, kept as the integer matrix N * inverse with N the least
-        # common denominator of its entries.
-        self._root_denominator, self._scaled_cartan_t_inv = la.scaled_inverse(
-            tuple(zip(*self.cartan_matrix)))
-
         # 2(varpi_i, rho^vee) = column sums of the coroot table.
-        self.two_rho_check = tuple(
-            sum(c[i] for c in self.positive_coroots) for i in range(rank)
-        )
+        self.two_rho_check = tuple(map(sum, zip(*self.positive_coroots)))
 
         # -w_0 as a permutation sigma of the fundamental weights.  As -w_0
         # maps sum c_i varpi_i to sum c_i varpi_sigma(i), one walk from
@@ -250,6 +246,21 @@ class RootSystem:
         self.longest_element = tuple(w.index(i + 1) for i in range(rank))
 
     # -- coordinate plumbing ------------------------------------------------
+
+    @cached_property
+    def _root_inverse(self):
+        """(N, N * (cartan^T)^-1), N the least common denominator of the
+        inverse: the fundamental-basis -> root-basis conversion, built on
+        first use for ``root_lattice_coords``."""
+        return la.scaled_inverse(tuple(zip(*self.cartan_matrix)))
+
+    @property
+    def _root_denominator(self):
+        return self._root_inverse[0]
+
+    @property
+    def _scaled_cartan_t_inv(self):
+        return self._root_inverse[1]
 
     def root_to_weight_coords(self, root):
         """Simple-root coordinates -> fundamental-weight coordinates."""

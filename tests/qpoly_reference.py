@@ -1,13 +1,43 @@
-"""Reference routes for the polynomial tests: schoolbook long division in
-Z[q] and the trial-division cyclotomic factoriser that the text display
-is checked against.  Both are independent of the stride passes of
-``spindle.qpoly``.
+"""Reference routes for the polynomial tests: coefficientwise sums,
+graded-series equality by ring-operation cross-multiplication, schoolbook
+long division in Z[q] and the trial-division cyclotomic factoriser that
+the text display is checked against.  All are independent of the list
+passes of ``spindle.qpoly``.
 """
 
 from functools import cache
 
 from spindle.errors import ExactDivisionError
 from spindle.qpoly import QPolynomial, poly_str
+
+
+def add(a, b):
+    """a + b, one ``coefficient`` lookup per side and exponent."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return QPolynomial([a.coefficient(i) + b.coefficient(i) for i in range(n)])
+
+
+def sub(a, b):
+    """a - b, one ``coefficient`` lookup per side and exponent."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    return QPolynomial([a.coefficient(i) - b.coefficient(i) for i in range(n)])
+
+
+def one_minus(d):
+    """1 - q^d as a dense polynomial."""
+    return QPolynomial([1] + [0] * (d - 1) + [-1])
+
+
+def series_equal(s1, s2):
+    """Each numerator times the other's denominator by generic products
+    with the dense 1 - q^d, no exponent cancelled."""
+    lhs = s1.numerator
+    for d in s2.denominator_exponents:
+        lhs = lhs * one_minus(d)
+    rhs = s2.numerator
+    for d in s1.denominator_exponents:
+        rhs = rhs * one_minus(d)
+    return lhs == rhs
 
 
 def long_divide(num, den):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -122,3 +123,33 @@ def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
         assert err.startswith(f"warning: unusable cache directory {directory}")
         assert err.count("\n") == 1
     assert not_a_dir.read_text() == ""
+
+
+@pytest.mark.parametrize("value", [
+    {"b": [1, "2", {"z": None, "a": -3}], "a": "q"},
+    [],
+    [[[1, -2], 3]],
+    [[[i, -i], {"m": i, "c": str(i)}] for i in range(2 * cache._SLICE + 5)],
+    list(range(cache._SLICE)),
+])
+def test_store_writes_the_sorted_json_dump(cache_env, value):
+    key = cache.cache_key("op", "A", 1, (1,))
+    cache.store(key, value)
+    path = os.path.join(str(cache_env), key + ".json")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(value, sort_keys=True)
+
+
+def test_character_cache_miss_and_hit_print_the_same(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+    argv = ["--cache-dir", str(tmp_path), "compute", "character", "--type",
+            "E", "--rank", "7", "--weight", "1,0,0,0,0,0,1"]
+    digests = []
+    for _ in range(2):  # a miss that stores the entry, then a hit
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digests.append(hashlib.md5(captured.out.encode()).hexdigest())
+    assert len(list(tmp_path.iterdir())) == 1
+    assert digests == ["16b48d31ac07f32f6684928476932fdc"] * 2

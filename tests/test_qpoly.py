@@ -165,6 +165,94 @@ def test_graded_series_equality_is_semantic():
         hash(s1)
 
 
+@st.composite
+def series_pairs(draw):
+    """(s1, s2, equal) with exponents in 1..8: a core series with its
+    numerator and denominator times factors 1 - q^a for s1 and 1 - q^b
+    for s2, so the exponent lists share the core and any common a and b,
+    and are disjoint when there are none.  An unequal pair changes one
+    numerator coefficient of s2."""
+    num = P(draw(st.lists(st.integers(-5, 5), max_size=6)))
+    core = draw(st.lists(st.integers(1, 8), max_size=4))
+    series = []
+    for _ in range(2):
+        extra = draw(st.lists(st.integers(1, 8), max_size=4))
+        n = num
+        for d in extra:
+            n = n * ref.one_minus(d)
+        series.append([n, draw(st.permutations(core + extra))])
+    equal = draw(st.booleans())
+    if not equal:
+        i = draw(st.integers(0, series[1][0].degree + 2))
+        series[1][0] = series[1][0] + P.monomial(
+            i, draw(st.sampled_from([-2, -1, 1, 3])))
+    s1, s2 = (GradedSeries(n, exps) for n, exps in series)
+    return s1, s2, equal
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+@example((GradedSeries(P.one(), [1]), GradedSeries(P([1, 1]), [2]), True))
+@example((GradedSeries(P.one(), [1, 2]), GradedSeries(P.one(), [1, 3]),
+          False))
+def test_series_equal_matches_ring_operations(pair):
+    s1, s2, equal = pair
+    assert series_equal(s1, s2) == ref.series_equal(s1, s2) == equal
+    assert series_equal(s2, s1) == equal
+
+
+def test_series_equal_makes_no_generic_product(monkeypatch):
+    from spindle import verify as vf
+    from spindle import qanalogues as qa
+
+    pairs = [(qa.poincare_cg(rs, lam), qa.poincare_ct(rs, lam))
+             for rs, lam in vf._minuscule_fundamentals(5)]
+    pairs.append((GradedSeries(P([1, 2, 1]), [1, 4, 4]),
+                  GradedSeries(P([1, 3]), [2, 5, 7])))
+    calls = []
+    multiply = QPolynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(QPolynomial, "__mul__", counted)
+    monkeypatch.setattr(QPolynomial, "__rmul__", counted)
+    results = [series_equal(a, b) for a, b in pairs]
+    assert calls == []
+    monkeypatch.undo()
+    assert results == [ref.series_equal(a, b) for a, b in pairs]
+    assert results[:-1] == [True] * (len(pairs) - 1)
+
+
+def test_series_equal_refuses_a_nonpositive_exponent():
+    with pytest.raises(ValueError):
+        series_equal(GradedSeries(P.one(), [0]), GradedSeries(P.one(), [1]))
+
+
+sum_operands = st.one_of(
+    st.lists(st.integers(-4, 4), max_size=7).map(P),
+    st.integers(-4, 4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=7).map(P), sum_operands)
+@example(P([1, 2, 3]), P([1, 2, 3]))
+@example(P([1, 2, 3]), P([0, 0, 3]))
+@example(P([5]), 5)
+def test_sums_match_coefficientwise_reference(a, b):
+    pb = b if isinstance(b, QPolynomial) else P([b])
+    assert a + b == ref.add(a, pb)
+    assert b + a == ref.add(pb, a)
+    assert a - b == ref.sub(a, pb)
+    assert b - a == ref.sub(pb, a)
+    for r in (a + b, a - b, b - a):
+        assert not r.coeffs or r.coeffs[-1] != 0
+    assert (a - a).coeffs == ()
+    assert (a + (-a)).coeffs == ()
+
+
 def test_factored_blocks():
     p = P([1, 1]) * P([1, 0, 1]) * P([1, 0, 0, 1])
     blocks = factored_blocks(p)

@@ -243,9 +243,12 @@ def _check_orbit_walk(rs, mu):
 
 
 def test_orbit_heights_checks_the_mirrored_total(monkeypatch):
+    # patched on the class: an instance attribute would be a bound method
+    # left on a fresh system, a cycle that outlives the test
     rs = RootSystem("B", 3)
-    size = rs.orbit_size
-    monkeypatch.setattr(rs, "orbit_size", lambda mu: size(mu) + 1)
+    size = RootSystem.orbit_size
+    monkeypatch.setattr(RootSystem, "orbit_size",
+                        lambda self, mu: size(self, mu) + 1)
     with pytest.raises(InternalConsistencyError,
                        match=r"orbit walk of \(1, 0, 1\) found 24 points, "
                              r"orbit size is 25"):
@@ -375,6 +378,38 @@ def test_fixed_tables_match_fraction_reference(key):
     rs = build_root_system(*key)
     assert (rs.symmetrizer, rs._root_denominator, rs._scaled_cartan_t_inv,
             rs.longest_element) == _reference_fixed_tables(rs)
+
+
+def test_inverse_cartan_is_built_on_first_root_lattice_read(monkeypatch):
+    from spindle import exactla
+
+    calls = []
+    invert = exactla.scaled_inverse
+
+    def counted(rows):
+        calls.append(len(rows))
+        return invert(rows)
+
+    monkeypatch.setattr(exactla, "scaled_inverse", counted)
+    systems = [RootSystem(*key) for key in ALL_TYPES]
+    assert calls == []
+    for rs in systems:
+        simple = rs.cartan_matrix[0]
+        assert rs.root_lattice_coords(simple) == (1,) + (0,) * (rs.rank - 1)
+        assert rs.root_lattice_coords(simple) is not None
+    assert calls == [rs.rank for rs in systems]
+    assert all(type(rs.__dict__["_root_inverse"]) is tuple for rs in systems)
+
+
+@pytest.mark.parametrize("letter,rank,sym", [
+    ("B", 2, (1, 2)), ("C", 3, (2, 2, 1)), ("G", 2, (3, 1)),
+    ("F", 4, (1, 1, 2, 2)),
+])
+def test_closure_refuses_a_wrong_symmetrizer(letter, rank, sym):
+    cartan = build_root_system(letter, rank).cartan_matrix
+    assert _symmetrizer(cartan) != sym
+    with pytest.raises(InternalConsistencyError, match="not integral"):
+        _closure(cartan, sym)
 
 
 def _reference_weyl_dimension(rs, lam):

@@ -36,3 +36,19 @@ def test_three_way_identity():
         for m in range(1, 7):
             assert ts.verify_section6_identity(n, m)
             assert ts.box_partition_poincare(n, m) == gaussian_binomial(m, n)
+
+
+def test_suite_enumerates_each_box_once(monkeypatch):
+    from spindle import verify as vf
+
+    calls = []
+    enumerate_box = ts.box_partition_poincare
+
+    def counted(n, m, *args, **kwargs):
+        calls.append((n, m))
+        return enumerate_box(n, m, *args, **kwargs)
+
+    monkeypatch.setattr(ts, "box_partition_poincare", counted)
+    checks = vf.suite_truncsym()
+    assert len(checks) == 64 and all(c.ok for c in checks)
+    assert sorted(calls) == [(n, m) for n in range(1, 9) for m in range(1, 9)]
