@@ -102,33 +102,13 @@ def load(key, operation=None, directory=None):
         return None
 
 
-# Top-level list items encoded per call of the C JSON encoder.
-_SLICE = 128
-
-
-def _write_json(fh, value):
-    """Write json.dumps(value, sort_keys=True) to fh with the C encoder,
-    which runs only in json.dumps's one-shot mode (json.dump runs the pure
-    Python one).  In CPython 3.11 the one-shot encoder keeps each token of
-    its output as a separate string until the end, some 50 bytes a token,
-    so a top-level list is encoded a slice at a time."""
-    import json
-
-    encode = json.JSONEncoder(sort_keys=True).encode
-    if not isinstance(value, list):
-        fh.write(encode(value))
-        return
-    fh.write("[")
-    for i in range(0, len(value), _SLICE):
-        fh.write((", " if i else "") + encode(value[i:i + _SLICE])[1:-1])
-    fh.write("]")
-
-
 def store(key, value, directory=None):
     """Atomically write value under key; no-op without a cache directory."""
     directory = cache_dir(directory)
     if directory is None:
         return
+    import json
+
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -138,7 +118,8 @@ def store(key, value, directory=None):
     path = _path(directory, key)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            _write_json(fh, value)
+            # json.dump would run the pure-Python encoder; dumps runs the C one
+            fh.write(json.dumps(value, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         try:

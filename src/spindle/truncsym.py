@@ -46,13 +46,15 @@ def box_partition_poincare(n, m, budget=DEFAULT_ENUM_BUDGET):
     return QPolynomial(counts)
 
 
-def verify_section6_identity(n, m, budget=DEFAULT_ENUM_BUDGET, box=None):
+def verify_section6_identity(n, m, budget=DEFAULT_ENUM_BUDGET):
     """Box partitions = Gaussian binomial = Dynkin polynomial of
-    (A_n, m*varpi_1), all three exactly.  ``box`` is the box-partition
-    series when the caller already enumerated it, so the box is
-    enumerated once."""
-    if box is None:
-        box = box_partition_poincare(n, m, budget)
+    (A_n, m*varpi_1), all three exactly."""
+    return section6_identity_holds(n, m, box_partition_poincare(n, m, budget))
+
+
+def section6_identity_holds(n, m, box):
+    """The box-partition series ``box`` of the n x m box equals the
+    Gaussian binomial and the Dynkin polynomial of (A_n, m*varpi_1)."""
     gauss = gaussian_binomial(m, n)
     rs = build_root_system("A", n)
     dyn = dynkin_product(rs, (m,) + (0,) * (n - 1))

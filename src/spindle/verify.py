@@ -357,7 +357,7 @@ def suite_truncsym(max_rank=8):
             box = ts.box_partition_poincare(n, m)
             checks.append(_check(
                 f"(n,m)=({n},{m}) three-way identity",
-                ts.verify_section6_identity(n, m, box=box)
+                ts.section6_identity_holds(n, m, box)
                 and box(1) == comb(m + n, m),
                 f"box {poly_str(box)}",
             ))

@@ -129,8 +129,8 @@ def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
     {"b": [1, "2", {"z": None, "a": -3}], "a": "q"},
     [],
     [[[1, -2], 3]],
-    [[[i, -i], {"m": i, "c": str(i)}] for i in range(2 * cache._SLICE + 5)],
-    list(range(cache._SLICE)),
+    [[[i, -i], {"m": i, "c": str(i)}] for i in range(300)],
+    {"coefficients": list(range(500)), "denominator_exponents": [2, 3]},
 ])
 def test_store_writes_the_sorted_json_dump(cache_env, value):
     key = cache.cache_key("op", "A", 1, (1,))

@@ -38,6 +38,13 @@ def test_three_way_identity():
             assert ts.box_partition_poincare(n, m) == gaussian_binomial(m, n)
 
 
+def test_identity_check_refuses_a_wrong_box():
+    box = ts.box_partition_poincare(3, 2)
+    assert ts.section6_identity_holds(3, 2, box)
+    assert not ts.section6_identity_holds(3, 2, box + 1)
+    assert not ts.section6_identity_holds(2, 3, ts.box_partition_poincare(2, 2))
+
+
 def test_suite_enumerates_each_box_once(monkeypatch):
     from spindle import verify as vf
 
