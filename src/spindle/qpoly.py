@@ -2,12 +2,8 @@
 plus graded series num / prod(1 - q^{d_i}).
 
 Coefficients are stored densely, index = exponent, with no trailing zeros;
-the zero polynomial has an empty coefficient tuple.  Sums are one pass over
-the two coefficient lists.  Products and quotients by 1 - q^a are one
-stride pass over a single coefficient list (``_times_one_minus``,
-``_over_one_minus``), after the exponents on both sides are cancelled as
-sorted multisets; ``cyclo_product``, ``series_equal`` and the factored
-display all use them.
+the zero polynomial has an empty coefficient tuple.  Products and quotients
+by 1 - q^a are one stride pass over one coefficient list.
 """
 
 from __future__ import annotations
@@ -321,12 +317,9 @@ class GradedSeries:
 
 
 def series_equal(s1, s2):
-    """Cross-multiplied equality of the two rational functions.
-
-    The denominator exponents the two series share are cancelled as sorted
-    multisets first; each numerator is then multiplied by the other's
-    remaining (1 - q^d) factors with one ``_times_one_minus`` pass per
-    factor.  Raises ValueError on an exponent below 1."""
+    """Cross-multiplied equality of the two rational functions, after the
+    denominator exponents they share are cancelled; raises ValueError on
+    an exponent below 1."""
     d1, d2 = _cancel_common(s1.denominator_exponents,
                             s2.denominator_exponents)
     return _times_cyclo(s1.numerator, d2) == _times_cyclo(s2.numerator, d1)
