@@ -1,8 +1,10 @@
-"""Structure checks of the graded commutant algebra End_{z(e)} V.
+"""The graded commutant algebra End_{z(e)} V and its structure checks.
 
-The commutant of the centralizer z(e) of a regular nilpotent e is solved
-on the module route, ``modulerep.commutant``, graded by floor.  For a
-weight-multiplicity-free module we check the structural claims on it:
+The centralizer z(e) of a regular nilpotent e is solved inside the
+bracket closure of the simple raising operators, height by height, and
+its commutant grade by floor; both through the one graded-kernel solver
+``exactla.graded_kernel``.  For a weight-multiplicity-free module we
+check the structural claims on the commutant:
 commutativity, a 1-dimensional socle, the lowest-vector bijection, the
 Lefschetz ranges of e, nonvanishing projections of e-powers and a
 1-dimensional joint kernel of z(e).  Everything is read off the module:
@@ -65,14 +67,55 @@ def type_a_module(n, kind, dim_bound=DEFAULT_DIM_BOUND):
     return mr.HighestWeightModule(build_root_system("A", n), lam, dim_bound)
 
 
+def _nilradical_span(module):
+    """Bracket closure of the simple raising operators: the image of the
+    positive nilradical, each element homogeneous of definite height.
+
+    Yields (height, [(m, [e, m]), ...]) per height, in increasing height,
+    in integer matrices, with e = principal_nilpotent(module); the factor
+    D leaves the centralizer of e unchanged.
+    """
+    n = module.dimension
+    simple = mr.scaled_raising(module)
+    space = la.span([la.flatten(m, n) for m in simple])
+    frontier, h = simple, 1
+    while frontier:
+        grade, new = [], []
+        for m in frontier:
+            brackets = [la.bracket(s, m) for s in simple]
+            new.extend(br for br in brackets if space.add(la.flatten(br, n)))
+            grade.append((m, la.combination((1, br) for br in brackets)))
+        yield h, grade
+        frontier, h = new, h + 1
+
+
+def nilpotent_centralizer(module):
+    """Homogeneous basis of the centralizer of e = sum of simple raising
+    operators inside the nilradical image; dimension equals the rank for
+    any faithful module."""
+    out = [z for z, _ in la.graded_kernel(_nilradical_span(module))]
+    if len(out) != module.rs.rank:
+        raise InternalConsistencyError(
+            f"nilpotent centralizer has dimension {len(out)}, "
+            f"expected the rank {module.rs.rank}"
+        )
+    return out
+
+
 class GradedCommutant:
     """Homogeneous basis [(T, grade)] of the commutant of z(e) on a
-    module, graded by floor, with the z(e) it was solved for."""
+    module, graded by floor (T raises every floor by its grade), with the
+    z(e) it was solved for."""
 
     def __init__(self, module):
         self.module = module
-        self.centralizer = mr.nilpotent_centralizer(module)
-        self.basis = mr.commutant(module, self.centralizer)
+        self.centralizer = nilpotent_centralizer(module)
+        self.basis = la.graded_commutant(self.centralizer, module.floors())
+        if self.basis and self.basis[0][1] < 0:
+            raise InternalConsistencyError(
+                f"commutant element at negative grade {self.basis[0][1]} "
+                f"for {module.lam}"
+            )
 
     @property
     def dimension(self):

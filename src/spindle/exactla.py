@@ -8,7 +8,9 @@ r <- a*r - r[p]*b against the basis row b of pivot p, a = b[p] (Bareiss's
 integer-preserving elimination).  ``rank`` and ``nullspace`` (one
 primitive integer vector per free column, positive there and 0 in the
 other free columns) read a ``RowSpace``, so they do not depend on the row
-order.
+order.  One graded-kernel solver, ``graded_kernel``, is the only caller of
+``nullspace``: it solves z(e) height by height and, through
+``graded_commutant``, the commutant of z(e) grade by grade.
 
 A matrix is sparse: ``{row: {col: value}}``, with no stored zeros and
 no empty rows, so equal matrices are equal dicts.  A vector is
@@ -135,34 +137,50 @@ def nullspace(rows, ncols):
     return basis
 
 
-def graded_commutant(ops, levels):
-    """Solve [T, op] = 0 for every op in ops, one grade at a time.
+def graded_kernel(grades):
+    """Solve sum_k x_k image_k = 0 one grade at a time.
 
-    The unknowns of grade g are the entries T[u][v] with
-    levels[u] - levels[v] = g, listed in ``pairs``.  Yields
-    (g, pairs, basis) for each grade in increasing order, where basis is a
-    nullspace basis of coefficient vectors over ``pairs``.
+    grades yields (g, [(m, image), ...]) in increasing g, with m and image
+    sparse matrices.  Returns [(T, g)], one T = sum_k x_k m_k for each
+    nullspace vector x of the grade's system: the one graded-kernel
+    solver, and the one caller of ``nullspace``.
+    """
+    out = []
+    for g, unknowns in grades:
+        rows = coefficient_rows(image for _, image in unknowns)
+        for x in nullspace(rows, len(unknowns)):
+            out.append((combination(
+                (c, m) for c, (m, _) in zip(x, unknowns) if c), g))
+    return out
+
+
+def graded_commutant(ops, levels):
+    """Homogeneous basis [(T, g)] of the T with [T, op] = 0 for every op
+    in ops, T raising levels by g.
+
+    The unknowns of grade g are the matrix units E_uv with
+    levels[u] - levels[v] = g, each with its brackets [E_uv, op] stacked
+    into one matrix; only one grade's unknowns are built at a time.
     """
     by_level = {}
     for v, lv in enumerate(levels):
         by_level.setdefault(lv, []).append(v)
     cols = [transpose(op) for op in ops]
-    for g in sorted({a - b for a in by_level for b in by_level}):
-        pairs = [
-            (u, v) for u, lv in enumerate(levels)
-            for v in by_level.get(lv - g, ())
-        ]
-        rows = {}
-        for k, (op, op_cols) in enumerate(zip(ops, cols)):
-            for t, (u, v) in enumerate(pairs):
-                # (T op)[u][q] gets op[v][q]; (op T)[p][v] gets op[p][u]
-                for q, x in op.get(v, {}).items():
-                    row = rows.setdefault((k, u, q), {})
-                    row[t] = row.get(t, 0) + x
-                for p, x in op_cols.get(u, {}).items():
-                    row = rows.setdefault((k, p, v), {})
-                    row[t] = row.get(t, 0) - x
-        yield g, pairs, nullspace(rows.values(), len(pairs))
+
+    def unknowns(g):
+        for u, lv in enumerate(levels):
+            for v in by_level.get(lv - g, ()):
+                image = {}
+                for k, (op, op_cols) in enumerate(zip(ops, cols)):
+                    # [E_uv, op] = E_uv op - op E_uv: op[v] in row u, minus
+                    # the column op[., u] in column v
+                    br = combination([(1, {u: op.get(v, {})}), (-1, {
+                        p: {v: x} for p, x in op_cols.get(u, {}).items()})])
+                    image.update(((k, p), row) for p, row in br.items())
+                yield {u: {v: 1}}, image
+
+    grades = sorted({a - b for a in by_level for b in by_level})
+    return graded_kernel((g, list(unknowns(g))) for g in grades)
 
 
 def coefficient_rows(mats):

@@ -1,8 +1,8 @@
 """Exact construction of irreducible highest-weight modules from the
-Cartan matrix alone, and what is read off a regular nilpotent element e
-on the module: the q-multiplicities m_lam^mu(q), through the
-Brylinski-Kostant filtration of each dominant weight space, and the
-graded commutant of the centralizer z(e).
+Cartan matrix alone, their principal grading, and the q-multiplicities
+m_lam^mu(q) read off a regular nilpotent element e on the module through
+the Brylinski-Kostant filtration of each dominant weight space.  The
+centralizer z(e) and its commutant are solved in ``endalg``.
 
 This is the matrix-level oracle for the q-multiplicity identities: it
 never touches the alternating Weyl sum or a Kostant partition table, so
@@ -147,7 +147,7 @@ class HighestWeightModule:
         return [(lv - low) // 2 for lv in levels]
 
 
-def _scaled_raising(module):
+def scaled_raising(module):
     """The simple raising operators times D, the common denominator of
     their entries: integer matrices with the same brackets up to scale."""
     cols = module._e_cols
@@ -158,54 +158,7 @@ def _scaled_raising(module):
 def principal_nilpotent(module):
     """e = D times the sum of the simple raising operators: a regular
     nilpotent, as an integer matrix."""
-    return la.combination((1, m) for m in _scaled_raising(module))
-
-
-def _nilradical_span(module):
-    """Bracket closure of the simple raising operators: the image of the
-    positive nilradical, each element homogeneous of definite height.
-
-    Yields (height, m, [e, m]) per basis element m, in integer matrices,
-    with e = principal_nilpotent(module); the factor D leaves the
-    centralizer of e unchanged.
-    """
-    n = module.dimension
-    simple = _scaled_raising(module)
-    space = la.span([la.flatten(m, n) for m in simple])
-    frontier = [(1, m) for m in simple]
-    while frontier:
-        new = []
-        for h, m in frontier:
-            brackets = [la.bracket(s, m) for s in simple]
-            for br in brackets:
-                if space.add(la.flatten(br, n)):
-                    new.append((h + 1, br))
-            yield h, m, la.combination((1, br) for br in brackets)
-        frontier = new
-
-
-def nilpotent_centralizer(module):
-    """Homogeneous basis of the centralizer of e = sum of simple raising
-    operators inside the nilradical image; dimension equals the rank for
-    any faithful module."""
-    rank = module.rs.rank
-    by_height = {}
-    for h, m, em in _nilradical_span(module):
-        by_height.setdefault(h, []).append((m, em))
-    out = []
-    for h in sorted(by_height):
-        group = by_height[h]
-        rows = la.coefficient_rows(em for _, em in group)
-        for vec in la.nullspace(rows, len(group)):
-            out.append(la.combination(
-                (c, m) for c, (m, _) in zip(vec, group) if c
-            ))
-    if len(out) != rank:
-        raise InternalConsistencyError(
-            f"nilpotent centralizer has dimension {len(out)}, "
-            f"expected the rank {rank}"
-        )
-    return out
+    return la.combination((1, m) for m in scaled_raising(module))
 
 
 def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
@@ -249,22 +202,3 @@ def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     if not rs.in_root_lattice(lam):
         raise DomainError(f"jump polynomial needs {lam} in the root lattice")
     return filtration_q_multiplicity(rs, lam, (0,) * rs.rank, dim_budget)
-
-
-def commutant(module, zs):
-    """Homogeneous basis [(T, grade)] of the commutant of the nilpotent
-    centralizer zs = z(e) on the module: T raises every floor by its
-    grade."""
-    basis = []
-    for g, pairs, sols in la.graded_commutant(zs, module.floors()):
-        if sols and g < 0:
-            raise InternalConsistencyError(
-                f"commutant element at negative grade {g} for {module.lam}"
-            )
-        for vec in sols:
-            m = {}
-            for (u, v), x in zip(pairs, vec):
-                if x:
-                    m.setdefault(u, {})[v] = x
-            basis.append((m, g))
-    return basis

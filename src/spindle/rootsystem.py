@@ -254,14 +254,6 @@ class RootSystem:
         first use for ``root_lattice_coords``."""
         return la.scaled_inverse(tuple(zip(*self.cartan_matrix)))
 
-    @property
-    def _root_denominator(self):
-        return self._root_inverse[0]
-
-    @property
-    def _scaled_cartan_t_inv(self):
-        return self._root_inverse[1]
-
     def root_to_weight_coords(self, root):
         """Simple-root coordinates -> fundamental-weight coordinates."""
         return tuple(
@@ -269,19 +261,13 @@ class RootSystem:
             for j in range(self.rank)
         )
 
-    def _scaled_root_coords(self, weight):
-        """``_root_denominator`` times the simple-root coordinates."""
-        return tuple(
-            sum(a * w for a, w in zip(row, weight))
-            for row in self._scaled_cartan_t_inv
-        )
-
     def root_lattice_coords(self, weight):
         """Integer simple-root coordinates of ``weight``, or None when it
         lies outside the root lattice."""
+        den, inv = self._root_inverse
         coords = []
-        for x in self._scaled_root_coords(weight):
-            q, r = divmod(x, self._root_denominator)
+        for row in inv:
+            q, r = divmod(sum(a * w for a, w in zip(row, weight)), den)
             if r:
                 return None
             coords.append(q)

@@ -173,7 +173,8 @@ def bounded_weights(draw):
 def _brute_force_dominant_weights(rs, lam):
     """Every lam - sum g_i alpha_i that is dominant, over the integer box
     0 <= g <= floor(root coordinates of lam)."""
-    top = [x // rs._root_denominator for x in rs._scaled_root_coords(lam)]
+    den, inv = rs._root_inverse
+    top = [sum(a * w for a, w in zip(row, lam)) // den for row in inv]
     out = set()
     for g in product(*(range(t + 1) for t in top)):
         mu = tuple(l - a for l, a in zip(lam, rs.root_to_weight_coords(g)))

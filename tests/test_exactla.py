@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exactla_reference as ref
 import spindle.exactla as la
 
 matrices = st.integers(1, 5).flatmap(
@@ -103,13 +105,16 @@ def test_row_space_accepts_sparse_rows():
     assert {0: 1} not in space
 
 
+def _grade_dimensions(basis):
+    return dict(Counter(g for _, g in basis))
+
+
 def test_graded_commutant_of_a_jordan_block():
     n = 4
     jordan = _sparse([[int(j == i + 1) for j in range(n)] for i in range(n)])
     levels = list(range(n - 1, -1, -1))
-    dims = {g: len(basis)
-            for g, _, basis in la.graded_commutant([jordan], levels)}
-    assert dims == {g: 1 if g >= 0 else 0 for g in range(1 - n, n)}
+    basis = la.graded_commutant([jordan], levels)
+    assert _grade_dimensions(basis) == {g: 1 for g in range(n)}
 
 
 def test_graded_commutant_of_two_operators_pins_the_sign():
@@ -120,8 +125,36 @@ def test_graded_commutant_of_two_operators_pins_the_sign():
     jordan = [[int(j == i + 1) for j in range(n)] for i in range(n)]
     ops = [_sparse(jordan), _sparse(_dense_product(jordan, jordan))]
     levels = list(range(n - 1, -1, -1))
-    dims = {g: len(basis) for g, _, basis in la.graded_commutant(ops, levels)}
-    assert dims == {g: 1 if g >= 0 else 0 for g in range(1 - n, n)}
+    basis = la.graded_commutant(ops, levels)
+    assert _grade_dimensions(basis) == {g: 1 for g in range(n)}
+
+
+def test_graded_kernel_combines_each_nullspace_vector():
+    # grade 0: x0 E_00 + x1 E_11 with x0 + x1 = 0; grade 1: x0 = 0
+    unit = {0: {0: 1}}
+    grades = [(0, [(unit, unit), ({1: {1: 1}}, unit)]),
+              (1, [({0: {1: 1}}, unit)])]
+    assert la.graded_kernel(grades) == [({0: {0: -1}, 1: {1: 1}}, 0)]
+
+
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+op_sets = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n), min_size=1, max_size=3),
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_sets)
+def test_graded_commutant_matches_the_op_major_reference(case):
+    # any entries: diagonal ones, and ops that are not homogeneous
+    ops, levels = case
+    ops = [_sparse(op) for op in ops]
+    basis = la.graded_commutant(ops, levels)
+    assert basis == ref.graded_commutant(ops, levels)
+    for t, _ in basis:
+        assert all(la.bracket(t, op) == {} for op in ops)
 
 
 def _gauss_jordan(rows, ncols):

@@ -2,9 +2,11 @@
 
 The module route never reads the Weyl route: ``modulerep`` checks the
 alternating Weyl sum, so it must not import ``qanalogues`` nor name its
-Kostant table or its Weyl walk.  And no module but ``rootsystem`` names a
+Kostant table or its Weyl walk.  No module but ``rootsystem`` names a
 private member of ``RootSystem``: the Weyl group is reached only through
-its public walk and descent."""
+its public walk and descent.  And there is one graded-kernel solver:
+``nullspace`` is called only by ``exactla.graded_kernel``, and
+``modulerep`` holds no z(e) or commutant code."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,19 @@ PACKAGE = Path(spindle.__file__).parent
 MODULEREP = PACKAGE / "modulerep.py"
 ROOTSYSTEM = PACKAGE / "rootsystem.py"
 WEYL_ROUTE_NAMES = {"alternation_walk", "_box_table", "kostant_partition_q"}
+SOLVER_NAMES = {"graded_kernel", "graded_commutant", "nilpotent_centralizer",
+                "_nilradical_span", "commutant"}
+
+
+def _name(node):
+    """The name a Name, attribute, import alias or def binds or reads."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.alias, ast.FunctionDef)):
+        return node.name
+    return None
 
 
 def _violations(tree):
@@ -27,9 +42,7 @@ def _violations(tree):
             modules = []
         if any("qanalogues" in m.split(".") for m in modules):
             yield f"line {node.lineno}: imports qanalogues"
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias) else None)
+        name = _name(node)
         if name in WEYL_ROUTE_NAMES:
             yield f"line {getattr(node, 'lineno', '?')}: names {name}"
 
@@ -99,3 +112,55 @@ def test_the_private_member_guard_sees_each_kind_of_use():
     for source in ["rs.dominant_descent(mu)", "rs.weyl_orbit(mu)",
                    "module._e_cols", "rs.__class__"]:
         assert not list(_private_uses(ast.parse(source), private)), source
+
+
+def _solver_violations(module, tree):
+    """Where module (a file stem of the package) steps outside the one
+    graded-kernel solver."""
+    if module == "exactla":
+        # only graded_kernel calls nullspace
+        scopes = [top for top in tree.body if getattr(top, "name", None)
+                  not in ("nullspace", "graded_kernel")]
+        banned = {"nullspace"}
+    else:
+        scopes = [tree]
+        banned = {"nullspace"} | (SOLVER_NAMES if module == "modulerep"
+                                  else set())
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if _name(node) in banned:
+                yield f"line {getattr(node, 'lineno', '?')}: names {_name(node)}"
+
+
+def test_one_graded_kernel_solver():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if uses := list(_solver_violations(path.stem, tree)):
+            found[path.name] = uses
+    assert found == {}
+    exactla = ast.parse((PACKAGE / "exactla.py").read_text())
+    kernel = next(top for top in exactla.body
+                  if getattr(top, "name", None) == "graded_kernel")
+    assert "nullspace" in {_name(node) for node in ast.walk(kernel)}
+
+
+def test_the_solver_guard_sees_each_kind_of_violation():
+    cases = [
+        ("endalg", "for h in heights:\n    out += la.nullspace(rows, n)"),
+        ("endalg", "from .exactla import nullspace"),
+        ("exactla", "def rank_deficit(rows, n):\n    return nullspace(rows, n)"),
+        ("modulerep", "zs = la.graded_kernel(grades)"),
+        ("modulerep", "basis = la.graded_commutant(zs, floors)"),
+        ("modulerep", "def nilpotent_centralizer(module):\n    pass"),
+        ("modulerep", "from .endalg import _nilradical_span"),
+        ("modulerep", "def commutant(module, zs):\n    pass"),
+    ]
+    for module, source in cases:
+        assert list(_solver_violations(module, ast.parse(source))), source
+    for module, source in [
+        ("endalg", "zs = la.graded_kernel(_nilradical_span(module))"),
+        ("endalg", "basis = la.graded_commutant(zs, module.floors())"),
+        ("exactla", "def graded_kernel(grades):\n    return nullspace(r, n)"),
+    ]:
+        assert not list(_solver_violations(module, ast.parse(source))), source
