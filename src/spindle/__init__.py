@@ -9,6 +9,7 @@ All arithmetic is exact, in integers only; there are no rationals and no
 floats anywhere in the engine.
 """
 
+from .budget import limits
 from .characters import (
     decompose_tensor_square,
     dominant_multiplicities,
@@ -91,6 +92,7 @@ __all__ = [
     "jump_tensor",
     "kostant_partition_q",
     "kostant_t0_factorization",
+    "limits",
     "lusztig_q_multiplicity",
     "poincare_cg",
     "poincare_ct",

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    ResourceBudgetError,
-)
+from . import budget
+from .errors import DomainError, InternalConsistencyError
 from .qpoly import QPolynomial
-
-DEFAULT_DIM_BUDGET = 10**6
 
 
 class WeightCharacter:
@@ -53,7 +48,7 @@ class WeightCharacter:
         return [[list(mu), m] for mu, m in items]
 
 
-def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def dominant_multiplicities(rs, lam):
     """Map dominant mu -> m_lam^mu, in order of decreasing height.
 
     The dominant weights of V_lam are reached from lam by subtracting
@@ -71,16 +66,14 @@ def dominant_multiplicities(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     for alpha = sum n_i alpha_i is proportional to sum n_i e_i nu_i, and
     (lam+rho)^2 - (mu+rho)^2 to sum gap_i e_i (lam_i + mu_i + 2), with the
     same factor.  The per-root tables are ``rs.freudenthal_tables``, built
-    once per root system.  Dominance and the dimension budget are checked
-    on every call, before the memo (``_freudenthal``, per (rs, lam)) is
-    read, so that a memo hit meets the same budget as the first call.
+    once per root system.  Dominance and the ``dim`` limit are checked on
+    every call, before the memo (``_freudenthal``, per (rs, lam)) is
+    read, so that a memo hit meets the same limit as the first call.
     """
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
-    dim = rs.weyl_dimension(lam)
-    if dim > dim_budget:
-        raise ResourceBudgetError("character dimension", dim, dim_budget)
+    budget.charge("dim", "character dimension", rs.weyl_dimension(lam))
     return _freudenthal(rs, lam)
 
 
@@ -138,10 +131,10 @@ def _freudenthal(rs, lam):
     return mult
 
 
-def irreducible_character(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def irreducible_character(rs, lam):
     """Full W-invariant character of V_lam."""
     lam = tuple(lam)
-    dom = dominant_multiplicities(rs, lam, dim_budget)
+    dom = dominant_multiplicities(rs, lam)
     entries = {}
     for mu, m in dom.items():
         for w in rs.weyl_orbit(mu):
@@ -149,14 +142,14 @@ def irreducible_character(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     return WeightCharacter(entries, highest_weight=lam, root_system=rs)
 
 
-def dominant_weights(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def dominant_weights(rs, lam):
     """Dominant mu with m_lam^mu > 0, ordered by decreasing height."""
-    return list(dominant_multiplicities(rs, lam, dim_budget))
+    return list(dominant_multiplicities(rs, lam))
 
 
-def is_wmf(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def is_wmf(rs, lam):
     """True iff every weight multiplicity of V_lam equals 1."""
-    dom = dominant_multiplicities(rs, lam, dim_budget)
+    dom = dominant_multiplicities(rs, lam)
     return all(m == 1 for m in dom.values())
 
 
@@ -168,12 +161,12 @@ def minuscule_by_pairing(rs, lam):
     )
 
 
-def is_minuscule(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def is_minuscule(rs, lam):
     """Minuscule test; evaluates both the pairing criterion and the
     single-orbit criterion and insists they agree."""
     by_pairing = minuscule_by_pairing(rs, lam)
     lam = tuple(lam)
-    single_orbit = dominant_weights(rs, lam, dim_budget) == [lam]
+    single_orbit = dominant_weights(rs, lam) == [lam]
     if by_pairing != single_orbit:
         raise InternalConsistencyError(
             f"minuscule criteria disagree on {lam}: "
@@ -197,17 +190,17 @@ def is_small(rs, lam):
                zip(rs.positive_roots, rs.positive_root_weights) if min(w) >= 0)
 
 
-def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def decompose_tensor_square(rs, lam):
     """V_lam (x) V_lam^* as [(nu, c_nu), ...] by the Brauer-Klimyk rule:
     the sum of m_lam(x) det(w) V_{w(lam + rho - x) - rho} over the weights
     x of V_lam, w taking lam + rho - x to the dominant chamber, where a
     point on a wall counts 0 (Humphreys, section 24).  One signed descent
-    per weight; only the character of V_lam is computed, so
-    ``dim_budget`` bounds the dimension of V_lam.
+    per weight; only the character of V_lam is computed, so the ``dim``
+    limit bounds the dimension of V_lam.
     """
     lam = tuple(lam)
     coeffs = {}
-    for mu, m in dominant_multiplicities(rs, lam, dim_budget).items():
+    for mu, m in dominant_multiplicities(rs, lam).items():
         for x in rs.weyl_orbit(mu):
             y, sign = rs.dominant_descent(
                 [l + 1 - a for l, a in zip(lam, x)])  # rho = 1,...,1
@@ -226,7 +219,7 @@ def decompose_tensor_square(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     return out
 
 
-def floor_profile(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def floor_profile(rs, lam):
     """Weight-space dimensions by floor number: coefficient of q^n is the
     total multiplicity at lattice distance n above the lowest weight.
 
@@ -234,7 +227,7 @@ def floor_profile(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     so no orbit point is visited twice across calls.
     """
     lam = tuple(lam)
-    dom = dominant_multiplicities(rs, lam, dim_budget)
+    dom = dominant_multiplicities(rs, lam)
     # floor(x) = (x + lam*, rho^vee); doubled floors are integers and the
     # halving is checked once per orbit height.
     base = rs.doubled_height(rs.dual_weight(lam))

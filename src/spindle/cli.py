@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import cache
+from . import budget, cache
 from . import characters as ch
 from . import dynkin as dy
 from . import endalg as ea
@@ -26,7 +26,7 @@ from .errors import (
     UsageError,
 )
 from .qpoly import QPolynomial, factored_str, poly_str
-from .rootsystem import DEFAULT_WEYL_BUDGET, build_root_system
+from .rootsystem import build_root_system
 
 FULL_WEYL_BUDGET = 10**10
 
@@ -136,10 +136,10 @@ COMPUTE_METHODS = {
 # it is not given, so that an option a subcommand does not read is seen.
 COMPUTE_DEFAULTS = {
     "method": "auto",
-    "weyl_budget": DEFAULT_WEYL_BUDGET,
+    "weyl_budget": budget.DEFAULTS["weyl"],
     "full_weyl": False,
-    "dim_budget": ch.DEFAULT_DIM_BUDGET,
-    "matrix_budget": ea.DEFAULT_DIM_BOUND,
+    "dim_budget": budget.DEFAULTS["dim"],
+    "matrix_budget": budget.DEFAULTS["matrix"],
 }
 
 
@@ -179,6 +179,13 @@ def _check_compute_options(args):
 
 def cmd_compute(args, out):
     _check_compute_options(args)
+    weyl = FULL_WEYL_BUDGET if args.full_weyl else args.weyl_budget
+    with budget.limits(weyl=weyl, dim=args.dim_budget,
+                       matrix=args.matrix_budget):
+        return _compute(args, out)
+
+
+def _compute(args, out):
     sub = args.subcommand
     fmt = args.format
     if sub == "truncsym":
@@ -190,8 +197,7 @@ def cmd_compute(args, out):
     if sub == "end-alg-a":
         if args.n is None or args.kind is None:
             raise UsageError("end-alg-a needs --n and --kind")
-        module = ea.type_a_module(args.n, args.kind,
-                                  dim_bound=args.matrix_budget)
+        module = ea.type_a_module(args.n, args.kind)
         comm = ea.commutant(module)
         rows = [
             ("dimension", module.dimension),
@@ -232,14 +238,10 @@ def cmd_compute(args, out):
         _emit_rows(rows, ("property", "value"), fmt, out)
         return 0
 
-    weyl_budget = FULL_WEYL_BUDGET if args.full_weyl else args.weyl_budget
-
     if sub == "character":
         entries = cache.cached(
             "character", rs.type_letter, rs.rank, lam,
-            lambda: ch.irreducible_character(
-                rs, lam, dim_budget=args.dim_budget
-            ).to_json(),
+            lambda: ch.irreducible_character(rs, lam).to_json(),
             directory=args.cache_dir,
         )
         rows = [(_weight_str(mu), m) for mu, m in entries]
@@ -261,41 +263,29 @@ def cmd_compute(args, out):
         if args.method == "module":
             poly = mr.filtration_q_multiplicity(rs, lam, mu)
         else:
-            poly = qa.lusztig_q_multiplicity(rs, lam, mu, budget=weyl_budget)
+            poly = qa.lusztig_q_multiplicity(rs, lam, mu)
         _emit_poly(poly, fmt, out)
         return 0
     if sub == "jump":
-        _emit_poly(
-            qa.jump_tensor(rs, lam, mu or lam, method=args.method,
-                           budget=weyl_budget, dim_budget=args.dim_budget),
-            fmt, out,
-        )
+        poly = qa.jump_tensor(rs, lam, mu or lam, method=args.method)
+        _emit_poly(poly, fmt, out)
         return 0
     if sub == "f-lambda":
         data = cache.cached(
             "f-lambda", rs.type_letter, rs.rank, lam,
-            lambda: qa.f_lambda(
-                rs, lam, method=args.method,
-                budget=weyl_budget, dim_budget=args.dim_budget,
-            ).to_json(),
+            lambda: qa.f_lambda(rs, lam, method=args.method).to_json(),
             extra=args.method, directory=args.cache_dir,
         )
         _emit_poly(QPolynomial.from_json(data), fmt, out)
         return 0
     if sub == "poincare-cg":
-        _emit_series(
-            qa.poincare_cg(rs, lam, method=args.method,
-                           budget=weyl_budget, dim_budget=args.dim_budget),
-            fmt, out,
-        )
+        _emit_series(qa.poincare_cg(rs, lam, method=args.method), fmt, out)
         return 0
     if sub == "poincare-ct":
-        _emit_series(
-            qa.poincare_ct(rs, lam, dim_budget=args.dim_budget), fmt, out
-        )
+        _emit_series(qa.poincare_ct(rs, lam), fmt, out)
         return 0
     if sub == "tensor-square":
-        pieces = ch.decompose_tensor_square(rs, lam, dim_budget=args.dim_budget)
+        pieces = ch.decompose_tensor_square(rs, lam)
         rows = [(_weight_str(nu), c) for nu, c in pieces]
         _emit_rows(rows, ("highest_weight", "multiplicity"), fmt, out)
         return 0
@@ -368,11 +358,11 @@ def build_parser():
                     help="bound on Weyl alternation walk points plus "
                          "Kostant table cells, and plus the table's packed "
                          "64-bit words, per q-multiplicity (default "
-                         f"{DEFAULT_WEYL_BUDGET})")
+                         f"{budget.DEFAULTS['weyl']})")
     pc.add_argument("--dim-budget", type=int,
-                    help=f"default {ch.DEFAULT_DIM_BUDGET}")
+                    help=f"default {budget.DEFAULTS['dim']}")
     pc.add_argument("--matrix-budget", type=int,
-                    help=f"default {ea.DEFAULT_DIM_BOUND}")
+                    help=f"default {budget.DEFAULTS['matrix']}")
     pc.add_argument("--full-weyl", action="store_true", default=None,
                     help="lift the --weyl-budget cap")
 

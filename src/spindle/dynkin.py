@@ -13,10 +13,10 @@ from .qanalogues import parabolic_quotient, t_poly  # noqa: F401
 from .rootsystem import build_root_system
 
 
-def dynkin_sum(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
+def dynkin_sum(rs, lam):
     """Dynkin polynomial from the character: weight multiplicities counted
     by floor number (character-based oracle)."""
-    return ch.floor_profile(rs, lam, dim_budget)
+    return ch.floor_profile(rs, lam)
 
 
 def dynkin_product(rs, lam):
@@ -29,10 +29,10 @@ def dynkin_product(rs, lam):
     return cyclo_product(rs.rho_pairings(lam), rs.coroot_heights)
 
 
-def dynkin_minuscule(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
+def dynkin_minuscule(rs, lam):
     """Quotient formula t_0/t_lam, valid exactly on minuscule weights."""
     lam = tuple(lam)
-    if not ch.is_minuscule(rs, lam, dim_budget):
+    if not ch.is_minuscule(rs, lam):
         raise DomainError(f"{lam} is not minuscule")
     return parabolic_quotient(rs, lam)
 

@@ -12,9 +12,9 @@ e is D times the sum of the simple raising operators, and the lowest
 vector is the one basis vector of minimal level.
 
 ``type_a_module`` names the type-A cases: S^m and Lambda^k of the
-defining representation of sl_{n+1} are V(m w_1) and V(w_k).  One budget
-bounds both the module dimension and the rank n, because the module route
-builds the whole root system of A_n and n elements of z(e).
+defining representation of sl_{n+1} are V(m w_1) and V(w_k).  The
+``matrix`` limit bounds both the module dimension and the rank n, because
+the module route builds the whole root system of A_n and n elements of z(e).
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
+from . import budget
 from . import exactla as la
 from . import modulerep as mr
-from .errors import DomainError, InternalConsistencyError, ResourceBudgetError, UsageError
+from .errors import DomainError, InternalConsistencyError, UsageError
 from .rootsystem import build_root_system
-
-DEFAULT_DIM_BOUND = 60
 
 
 def _parse_kind(kind):
@@ -43,10 +42,10 @@ def _parse_kind(kind):
     return kind[0], power
 
 
-def type_a_module(n, kind, dim_bound=DEFAULT_DIM_BOUND):
+def type_a_module(n, kind):
     """S^m or Lambda^k of the defining rep of sl_{n+1} as the module of
     A_n with highest weight m w_1 or w_k (0 for k = n+1).  Its dimension,
-    then n, is checked against dim_bound before anything is built."""
+    then n, is charged to the ``matrix`` limit, which also bounds the build."""
     if n < 1:
         raise UsageError("n must be >= 1")
     flavor, power = _parse_kind(kind)
@@ -58,13 +57,12 @@ def type_a_module(n, kind, dim_bound=DEFAULT_DIM_BOUND):
             raise UsageError(f"exterior power {power} exceeds {n + 1}")
         dim = comb(n + 1, power)
         lam = tuple(int(i == power - 1) for i in range(n))
-    if dim > dim_bound:
-        raise ResourceBudgetError("matrix model dimension", dim, dim_bound)
+    budget.charge("matrix", "matrix model dimension", dim)
     # A faithful module of sl_{n+1} has dimension > n, so only the trivial
     # Lambda^{n+1} can pass the first check with n over the budget.
-    if n > dim_bound:
-        raise ResourceBudgetError("matrix model rank", n, dim_bound)
-    return mr.HighestWeightModule(build_root_system("A", n), lam, dim_bound)
+    budget.charge("matrix", "matrix model rank", n)
+    with budget.limits(dim=budget.limit("matrix")):
+        return mr.HighestWeightModule(build_root_system("A", n), lam)
 
 
 def _nilradical_span(module):
@@ -104,11 +102,13 @@ def nilpotent_centralizer(module):
 
 class GradedCommutant:
     """Homogeneous basis [(T, grade)] of the commutant of z(e) on a
-    module, graded by floor (T raises every floor by its grade), with the
+    module, graded by floor (T raises every floor by its grade, so a
+    product whose grades sum past the top floor ``top`` is 0), with the
     z(e) it was solved for."""
 
     def __init__(self, module):
         self.module = module
+        self.top = max(module.floors())
         self.centralizer = nilpotent_centralizer(module)
         self.basis = la.graded_commutant(self.centralizer, module.floors())
         if self.basis and self.basis[0][1] < 0:
@@ -122,7 +122,7 @@ class GradedCommutant:
         return len(self.basis)
 
     def graded_dimensions(self):
-        out = [0] * (max(self.module.floors()) + 1)
+        out = [0] * (self.top + 1)
         for _, g in self.basis:
             out[g] += 1
         return out
@@ -135,8 +135,8 @@ class GradedCommutant:
     def _commutes(self):
         return not any(
             la.bracket(a, b)
-            for i, (a, _) in enumerate(self.basis)
-            for b, _g in self.basis[i + 1:]
+            for i, (a, ga) in enumerate(self.basis)
+            for b, gb in self.basis[i + 1:] if ga + gb <= self.top
         )
 
     def _span(self):
@@ -199,7 +199,8 @@ def socle_dimension(comm):
             continue
         # row block: coefficients x_i of sum x_i b_i with (sum x_i b_i) m = 0
         rows.extend(la.coefficient_rows(
-            la.mat_mul(b, m) for b, _ in comm.basis
+            la.mat_mul(b, m) if gb + g <= comm.top else {}
+            for b, gb in comm.basis
         ))
     return comm.dimension - la.rank(rows)
 
@@ -210,7 +211,7 @@ def lefschetz_check(comm):
     e = mr.principal_nilpotent(comm.module)
     if not comm.contains(e):
         raise InternalConsistencyError("e is not in the commutant")
-    top = max(comm.module.floors())
+    top = comm.top
     dim = comm.module.dimension
     by_grade = {}
     for m, g in comm.basis:

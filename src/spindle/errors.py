@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole engine.
 
-Exit-code mapping used by the CLI: UsageError -> 2, ResourceBudgetError -> 3,
-verification failures -> 1.
+Exit codes of the CLI: UsageError, DomainError, ExactDivisionError -> 2;
+ResourceBudgetError -> 3; InternalConsistencyError and failed checks -> 1.
 """
 
 
@@ -14,17 +14,17 @@ class UsageError(SpindleError):
 
 
 class ResourceBudgetError(SpindleError):
-    """A computation would exceed a configured enumeration budget.
+    """A computation would exceed one of the work limits of ``budget``.
 
     ``what`` names the layer; ``needed`` is the work it needs or, for a
     walk cut short, the work done so far.
     """
 
-    def __init__(self, what, needed, budget):
+    def __init__(self, what, needed, cap):
         self.what = what
         self.needed = needed
-        self.budget = budget
-        super().__init__(f"{what}: {needed} exceeds budget {budget}")
+        self.cap = cap
+        super().__init__(f"{what}: {needed} exceeds budget {cap}")
 
 
 class ExactDivisionError(SpindleError, ArithmeticError):

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+from . import budget
 from . import exactla as la
-from .characters import DEFAULT_DIM_BUDGET
 from .dynkin import dynkin_product
-from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
+from .errors import DomainError, InternalConsistencyError
 from .qpoly import QPolynomial
 
 
@@ -41,16 +41,15 @@ class HighestWeightModule:
     lam are built: the raising operators are then complete on them, the
     lowering operators are not.  Each level must hold as many vectors as
     the matching coefficient of the Dynkin polynomial, and their number
-    is charged to ``dim_budget`` before anything is built.
+    is charged to the ``dim`` limit before anything is built.
     """
 
-    def __init__(self, rs, lam, dim_budget=DEFAULT_DIM_BUDGET, depth=None):
+    def __init__(self, rs, lam, depth=None):
         lam = tuple(lam)
         # vectors per level, top down; a full build ends on an empty level
         sizes = dynkin_product(rs, lam).coeffs + (0,)
         sizes = sizes[:None if depth is None else depth + 1]
-        if sum(sizes) > dim_budget:
-            raise ResourceBudgetError("module dimension", sum(sizes), dim_budget)
+        budget.charge("dim", "module dimension", sum(sizes))
         self.rs = rs
         self.lam = lam
         self.weights = [lam]
@@ -161,7 +160,7 @@ def principal_nilpotent(module):
     return la.combination((1, m) for m in scaled_raising(module))
 
 
-def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
+def filtration_q_multiplicity(rs, lam, mu):
     """m_lam^mu(q) for dominant mu, read off the Brylinski-Kostant
     filtration F_k = ker e^{k+1} on the weight space V_lam(mu): the
     coefficient of q^k is dim F_k / F_{k-1} (Brylinski 1989 under a
@@ -180,7 +179,7 @@ def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
     gap = rs.root_lattice_coords(tuple(l - m for l, m in zip(lam, mu)))
     if gap is None or min(gap) < 0:
         return QPolynomial.zero()
-    module = HighestWeightModule(rs, lam, dim_budget, depth=sum(gap))
+    module = HighestWeightModule(rs, lam, depth=sum(gap))
     e_t = la.transpose(principal_nilpotent(module))
     vecs = {c: {c: 1} for c, w in enumerate(module.weights) if w == mu}
     ranks = [len(vecs)]  # the rank of e^k on V_lam(mu), k = 0, 1, ...
@@ -192,7 +191,7 @@ def filtration_q_multiplicity(rs, lam, mu, dim_budget=DEFAULT_DIM_BUDGET):
     return QPolynomial([a - b for a, b in zip(ranks, ranks[1:])])
 
 
-def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
+def jump_polynomial(rs, lam):
     """Jump polynomial of V_lam computed from the module itself: the
     Brylinski-Kostant filtration of the zero weight space.
 
@@ -201,4 +200,4 @@ def jump_polynomial(rs, lam, dim_budget=DEFAULT_DIM_BUDGET):
     lam = tuple(lam)
     if not rs.in_root_lattice(lam):
         raise DomainError(f"jump polynomial needs {lam} in the root lattice")
-    return filtration_q_multiplicity(rs, lam, (0,) * rs.rank, dim_budget)
+    return filtration_q_multiplicity(rs, lam, (0,) * rs.rank)

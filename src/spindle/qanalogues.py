@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from math import prod
 
+from . import budget
 from . import characters as ch
-from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
+from .errors import DomainError, InternalConsistencyError
 from .qpoly import GradedSeries, QPolynomial, cyclo_product
-from .rootsystem import DEFAULT_WEYL_BUDGET
 
 
 def _box_table(rs, top, width):
@@ -40,22 +40,20 @@ def _box_table(rs, top, width):
     return table, strides
 
 
-def _kostant_cells(rs, top, points=0, budget=None):
+def _kostant_cells(rs, top, points=0):
     """Function nu -> coefficient list of P_q(nu), for nu in [0, top].
 
     P(top)(1) bounds every coefficient in the box (adding simple roots
     embeds the partitions of nu into those of top), so slots of its bit
-    length never carry.  With a ``budget``, ``points`` plus the 64-bit
-    words of the packed cells must fit in it.
+    length never carry.  ``points`` plus the 64-bit words of the packed
+    cells must fit in the ``weyl`` limit.
     """
     counts = _box_table(rs, top, 0)[0]
     width = counts[-1].bit_length()
     words = -(-width * (sum(top) + 1) // 64)
-    if budget is not None and points + len(counts) * words > budget:
-        raise ResourceBudgetError(
-            "Kostant partition table",
-            f"{points} points + {len(counts)} cells of {words} words", budget,
-        )
+    budget.charge("weyl", "Kostant partition table",
+                  points + len(counts) * words,
+                  f"{points} points + {len(counts)} cells of {words} words")
     table, strides = _box_table(rs, top, width)
     mask = (1 << width) - 1
 
@@ -74,13 +72,13 @@ def kostant_partition_q(rs, nu):
     return QPolynomial(_kostant_cells(rs, nu)(nu))
 
 
-def lusztig_q_multiplicity(rs, lam, mu, budget=DEFAULT_WEYL_BUDGET):
+def lusztig_q_multiplicity(rs, lam, mu):
     """Alternating Weyl sum of P_q over w(lam+rho) - mu - rho.
 
     Only the Weyl alternation set contributes; it is walked pruned, and
     its terms are read from one Kostant table over the box [0, lam - mu].
-    ``budget`` bounds walk points plus table cells, and walk points plus
-    the 64-bit words of the packed table.  Asserts the classical
+    The ``weyl`` limit bounds walk points plus table cells, and walk
+    points plus the 64-bit words of the packed table.  Asserts the classical
     properties: nonnegative coefficients, support iff mu is a weight of
     V_lam, degree (lam-mu, rho^vee).
     """
@@ -89,16 +87,11 @@ def lusztig_q_multiplicity(rs, lam, mu, budget=DEFAULT_WEYL_BUDGET):
     gap = rs.root_lattice_coords(tuple(l - m for l, m in zip(lam, mu)))
     acc = QPolynomial.zero()
     if gap is not None and min(gap) >= 0:
-        points = rs.alternation_walk(
-            tuple(l + 1 for l in lam), gap, budget=budget
-        )
+        points = rs.alternation_walk(tuple(l + 1 for l in lam), gap)
         cells = prod(g + 1 for g in gap)
-        if len(points) + cells > budget:
-            raise ResourceBudgetError(
-                "Kostant partition table",
-                f"{len(points)} points + {cells} cells", budget,
-            )
-        cell = _kostant_cells(rs, gap, len(points), budget)
+        budget.charge("weyl", "Kostant partition table", len(points) + cells,
+                      f"{len(points)} points + {cells} cells")
+        cell = _kostant_cells(rs, gap, len(points))
         coeffs = [0] * (sum(gap) + 1)
         for nu, sign in points:
             for k, c in enumerate(cell(nu)):
@@ -138,21 +131,21 @@ def kostant_t0_factorization(rs):
     )
 
 
-def generalized_exponents(rs, lam, budget=DEFAULT_WEYL_BUDGET):
+def generalized_exponents(rs, lam):
     """Sorted exponent multiset of the zero-weight q-multiplicity."""
     lam = tuple(lam)
     if not rs.in_root_lattice(lam):
         raise DomainError(
             f"{lam} is outside the root lattice; no covariants exist"
         )
-    m0 = lusztig_q_multiplicity(rs, lam, (0,) * rs.rank, budget=budget)
+    m0 = lusztig_q_multiplicity(rs, lam, (0,) * rs.rank)
     return m0.exponents_with_multiplicity()
 
 
-def _q_mult_fn(rs, lam, wmf, method, budget):
+def _q_mult_fn(rs, lam, wmf, method):
     """Choose between the alternating sum and the wmf q-power shortcut."""
     if method == "weyl" or (method == "auto" and not wmf):
-        return lambda nu: lusztig_q_multiplicity(rs, lam, nu, budget=budget)
+        return lambda nu: lusztig_q_multiplicity(rs, lam, nu)
     if not wmf:
         raise DomainError(
             f"the closed form needs a weight-multiplicity-free highest "
@@ -169,21 +162,20 @@ def _q_mult_fn(rs, lam, wmf, method, budget):
     return power
 
 
-def jump_tensor(rs, lam, mu, method="auto", budget=DEFAULT_WEYL_BUDGET,
-                dim_budget=ch.DEFAULT_DIM_BUDGET):
+def jump_tensor(rs, lam, mu, method="auto"):
     """Jump polynomial of V_lam (x) V_mu^*: the t_0/t_nu-weighted sum of
     products of q-multiplicities over the shared dominant weights.  For
     mu = lam each q-multiplicity is evaluated once and squared."""
     lam = tuple(lam)
     mu = tuple(mu)
-    f_lam = _q_mult_fn(rs, lam, ch.is_wmf(rs, lam, dim_budget), method, budget)
+    f_lam = _q_mult_fn(rs, lam, ch.is_wmf(rs, lam), method)
     if mu == lam:
         f_mu = mu_support = None
     else:
-        f_mu = _q_mult_fn(rs, mu, ch.is_wmf(rs, mu, dim_budget), method, budget)
-        mu_support = set(ch.dominant_weights(rs, mu, dim_budget))
+        f_mu = _q_mult_fn(rs, mu, ch.is_wmf(rs, mu), method)
+        mu_support = set(ch.dominant_weights(rs, mu))
     acc = QPolynomial.zero()
-    for nu in ch.dominant_weights(rs, lam, dim_budget):
+    for nu in ch.dominant_weights(rs, lam):
         if mu_support is not None and nu not in mu_support:
             continue
         ratio = parabolic_quotient(rs, nu)
@@ -192,8 +184,7 @@ def jump_tensor(rs, lam, mu, method="auto", budget=DEFAULT_WEYL_BUDGET,
     return acc
 
 
-def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
-             dim_budget=ch.DEFAULT_DIM_BUDGET):
+def f_lambda(rs, lam, method="auto"):
     """Jump polynomial of End V_lam.
 
     For wmf weights the closed q-power form is used; unless ``method`` is
@@ -202,20 +193,17 @@ def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
     laws are asserted.
     """
     lam = tuple(lam)
-    wmf = ch.is_wmf(rs, lam, dim_budget)
+    wmf = ch.is_wmf(rs, lam)
     if wmf:
-        result = jump_tensor(rs, lam, lam, method="closed",
-                             budget=budget, dim_budget=dim_budget)
+        result = jump_tensor(rs, lam, lam, method="closed")
         if method != "closed":
-            via_sum = jump_tensor(rs, lam, lam, method="weyl",
-                                  budget=budget, dim_budget=dim_budget)
+            via_sum = jump_tensor(rs, lam, lam, method="weyl")
             if via_sum != result:
                 raise InternalConsistencyError(
                     f"closed form and Weyl sum disagree for {lam}"
                 )
     else:
-        result = jump_tensor(rs, lam, lam, method=method,
-                             budget=budget, dim_budget=dim_budget)
+        result = jump_tensor(rs, lam, lam, method=method)
 
     if any(lam):
         expected_deg = rs.doubled_height(lam)
@@ -223,7 +211,7 @@ def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
             raise InternalConsistencyError(
                 f"deg F = {result.degree}, expected {expected_deg} for {lam}"
             )
-    dom = ch.dominant_multiplicities(rs, lam, dim_budget)
+    dom = ch.dominant_multiplicities(rs, lam)
     expected_mass = sum(m * m * rs.orbit_size(mu) for mu, m in dom.items())
     if result(1) != expected_mass:
         raise InternalConsistencyError(
@@ -232,20 +220,16 @@ def f_lambda(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
     return result
 
 
-def poincare_cg(rs, lam, method="auto", budget=DEFAULT_WEYL_BUDGET,
-                dim_budget=ch.DEFAULT_DIM_BUDGET):
+def poincare_cg(rs, lam, method="auto"):
     """Graded series of the algebra of invariant matrix-valued polynomial
     maps on the Lie algebra (numerator = jump polynomial of End V_lam)."""
-    num = jump_tensor(
-        rs, lam, lam, method=method, budget=budget, dim_budget=dim_budget
-    )
-    return GradedSeries(num, rs.degrees)
+    return GradedSeries(jump_tensor(rs, lam, lam, method=method), rs.degrees)
 
 
-def poincare_ct(rs, lam, dim_budget=ch.DEFAULT_DIM_BUDGET):
+def poincare_ct(rs, lam):
     """Graded series of the Cartan counterpart: numerator is the plain sum
     of t_0/t_nu over the dominant weights of V_lam."""
     acc = QPolynomial.zero()
-    for nu in ch.dominant_weights(rs, tuple(lam), dim_budget):
+    for nu in ch.dominant_weights(rs, tuple(lam)):
         acc = acc + parabolic_quotient(rs, nu)
     return GradedSeries(acc, rs.degrees)

@@ -125,12 +125,6 @@ class QPolynomial:
             return self
         return QPolynomial([0] * exp + list(self.coeffs))
 
-    def __pow__(self, n):
-        acc = QPolynomial.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     # -- structure tests -------------------------------------------------
 
     def is_symmetric(self):

@@ -16,10 +16,9 @@ from __future__ import annotations
 from functools import cache, cached_property
 from math import gcd, prod
 
+from . import budget
 from . import exactla as la
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
-
-DEFAULT_WEYL_BUDGET = 10**7
 
 Weight = tuple
 
@@ -484,7 +483,7 @@ class RootSystem:
                         for r, w in pairs)
         return steps, strings
 
-    def alternation_walk(self, start, gap, budget=DEFAULT_WEYL_BUDGET):
+    def alternation_walk(self, start, gap):
         """Signed points w(start) - target with nonnegative root coordinates.
 
         ``start`` is regular dominant and ``gap`` holds the simple-root
@@ -492,14 +491,15 @@ class RootSystem:
         pruned at a negative gap, yields each such point once.  From a
         regular point every tree step makes w one longer, so det w is the
         parity of the steps.  Returns [(gap, det w)], one entry per w in the
-        Weyl alternation set.
+        Weyl alternation set; the walk stops at the ``weyl`` limit.
         """
+        cap = budget.limit("weyl")
         points = []
         for _, _, g, sign in self._orbit_walk(start, tuple(gap)):
-            if len(points) >= budget:
+            if len(points) >= cap:
                 raise ResourceBudgetError(
                     "Weyl alternation walk",
-                    f"{len(points)} points + 0 cells", budget,
+                    f"{len(points)} points + 0 cells", cap,
                 )
             points.append((g, sign))
         return points

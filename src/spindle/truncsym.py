@@ -7,15 +7,14 @@ from __future__ import annotations
 
 from math import comb
 
+from . import budget
 from .dynkin import dynkin_product
-from .errors import InternalConsistencyError, ResourceBudgetError
+from .errors import InternalConsistencyError
 from .qpoly import QPolynomial, gaussian_binomial
 from .rootsystem import build_root_system
 
-DEFAULT_ENUM_BUDGET = 10**6
 
-
-def box_partition_poincare(n, m, budget=DEFAULT_ENUM_BUDGET):
+def box_partition_poincare(n, m):
     """Coefficient of q^d counts partitions of d with at most m parts,
     each part at most n, by direct lexicographic enumeration.
 
@@ -24,8 +23,7 @@ def box_partition_poincare(n, m, budget=DEFAULT_ENUM_BUDGET):
     if n < 1 or m < 1:
         raise ValueError("box_partition_poincare needs n, m >= 1")
     total = comb(m + n, m)
-    if total > budget:
-        raise ResourceBudgetError("box partition enumeration", total, budget)
+    budget.charge("enum", "box partition enumeration", total)
     counts = [0] * (n * m + 1)
     parts, size = [], 0
     while True:
@@ -46,10 +44,10 @@ def box_partition_poincare(n, m, budget=DEFAULT_ENUM_BUDGET):
     return QPolynomial(counts)
 
 
-def verify_section6_identity(n, m, budget=DEFAULT_ENUM_BUDGET):
+def verify_section6_identity(n, m):
     """Box partitions = Gaussian binomial = Dynkin polynomial of
     (A_n, m*varpi_1), all three exactly."""
-    return section6_identity_holds(n, m, box_partition_poincare(n, m, budget))
+    return section6_identity_holds(n, m, box_partition_poincare(n, m))
 
 
 def section6_identity_holds(n, m, box):

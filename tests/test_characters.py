@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spindle import budget
 from spindle import characters as ch
 from spindle import dynkin as dy
 from spindle import verify as vf
@@ -50,11 +51,9 @@ def test_c3_w2_not_wmf():
 
 
 def test_dimension_budget():
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError), budget.limits(dim=1000):
         ch.dominant_multiplicities(
-            build_root_system("E", 8), (1, 0, 0, 0, 0, 0, 0, 0),
-            dim_budget=1000,
-        )
+            build_root_system("E", 8), (1, 0, 0, 0, 0, 0, 0, 0))
 
 
 def test_dominant_weights_order():
@@ -110,9 +109,11 @@ def test_tensor_square_mass():
 
 def test_tensor_square_budget():
     # the budget bounds the one character computed, dim V_lam = 64
-    with pytest.raises(ResourceBudgetError, match="64 exceeds budget 63"):
-        ch.decompose_tensor_square(A2, (3, 3), dim_budget=63)
-    assert len(ch.decompose_tensor_square(A2, (3, 3), dim_budget=64)) > 1
+    with pytest.raises(ResourceBudgetError, match="64 exceeds budget 63"), \
+            budget.limits(dim=63):
+        ch.decompose_tensor_square(A2, (3, 3))
+    with budget.limits(dim=64):
+        assert len(ch.decompose_tensor_square(A2, (3, 3))) > 1
 
 
 def test_floor_profile_adjoint():
@@ -201,8 +202,8 @@ def test_dynkin_sum_equals_product(case):
 def test_dimension_budget_holds_on_a_memo_hit():
     rs = build_root_system("A", 2)
     ch.dominant_multiplicities(rs, (3, 3))
-    with pytest.raises(ResourceBudgetError):
-        ch.dominant_multiplicities(rs, (3, 3), dim_budget=10)
+    with pytest.raises(ResourceBudgetError), budget.limits(dim=10):
+        ch.dominant_multiplicities(rs, (3, 3))
 
 
 def _strip_full_characters(rs, lam):
@@ -337,5 +338,6 @@ def test_orbit_strings_equal_per_root_recursion(case):
     # values and order: one root string per W_mu-orbit gives the same
     # multiplicities as one per positive root
     rs, lam = case
-    got = ch.dominant_multiplicities(rs, lam, dim_budget=10**9)
+    with budget.limits(dim=10**9):
+        got = ch.dominant_multiplicities(rs, lam)
     assert list(got.items()) == _per_root_multiplicities(rs, lam)

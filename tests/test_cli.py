@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spindle import cli
+from spindle import budget, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -253,6 +253,20 @@ def test_exit_code_budget(capsys):
          "--weight", "1,0,0,0,0,0,0,0", "--dim-budget", "100"], capsys)
     assert code == 3
     assert "budget" in err
+
+
+def test_limits_do_not_leak_between_calls(capsys):
+    # a refused call leaves no limit behind for the next one in the process
+    argv = ["compute", "tensor-square", "--type", "A", "--rank", "2",
+            "--weight", "1,1", "--format", "csv"]
+    code, out, err = run(argv + ["--dim-budget", "1"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: character dimension: 8 exceeds budget 1\n"
+    assert budget.limit("dim") == budget.DEFAULTS["dim"] == 10**6
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.split() == ["highest_weight,multiplicity", "(2,2),1",
+                           "(0,3),1", "(3,0),1", "(1,1),2", "(0,0),1"]
 
 
 def test_weyl_budget_error_names_layer_and_work(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spindle import budget
 from spindle import characters as ch
 from spindle import cli
 from spindle import endalg as ea
@@ -32,8 +33,8 @@ def test_parse_kind_errors():
 
 
 def test_dim_bound():
-    with pytest.raises(ResourceBudgetError):
-        ea.type_a_module(3, "S4", dim_bound=10)
+    with pytest.raises(ResourceBudgetError), budget.limits(matrix=10):
+        ea.type_a_module(3, "S4")
 
 
 def _e_raises_floors_by_one(module):
@@ -113,6 +114,32 @@ def test_commutativity_is_decided_once(monkeypatch):
     monkeypatch.setattr(la, "bracket", refuse)
     assert comm.is_commutative()
     assert ea.socle_dimension(comm) == 1
+
+
+def test_products_zero_by_grading_are_not_computed(monkeypatch):
+    # a product or bracket of grades summing past the top floor is 0
+    comm = ea.commutant(ea.type_a_module(3, "S3"))
+    grades = [g for _, g in comm.basis]
+    positive = [g for g in grades if g > 0]
+    zero = [(a, b) for a, ga in comm.basis for b, gb in comm.basis
+            if ga + gb > comm.top]
+    assert zero and not any(la.mat_mul(a, b) for a, b in zero)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(a, b):
+            calls[fn.__name__] += 1
+            return fn(a, b)
+        return wrapper
+
+    monkeypatch.setattr(la, "mat_mul", counted(la.mat_mul))
+    monkeypatch.setattr(la, "bracket", counted(la.bracket))
+    assert comm.is_commutative() and ea.socle_dimension(comm) == 1
+    products = sum(g + h <= comm.top for g in positive for h in grades)
+    brackets = sum(g + h <= comm.top for g, h in combinations(grades, 2))
+    assert products < len(positive) * len(grades)
+    assert brackets < len(grades) * (len(grades) - 1) // 2
+    assert calls == {"mat_mul": products, "bracket": brackets}
 
 
 def test_suite_asks_each_structure_question_once(monkeypatch):

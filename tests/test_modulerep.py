@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindle import budget
 from spindle import characters as ch
 from spindle import dynkin as dy
 from spindle import endalg
@@ -120,16 +121,18 @@ def test_module_route_is_integer_only(monkeypatch):
 
 
 def test_module_budget():
-    with pytest.raises(ResourceBudgetError):
-        mr.HighestWeightModule(G2, (2, 2), dim_budget=50)
+    with pytest.raises(ResourceBudgetError), budget.limits(dim=50):
+        mr.HighestWeightModule(G2, (2, 2))
 
 
 def test_truncated_build_is_charged_only_the_levels_it_builds():
     # G2 (2, 2) has dimension 729; its top three levels hold 1 + 2 + 4.
-    module = mr.HighestWeightModule(G2, (2, 2), dim_budget=7, depth=2)
+    with budget.limits(dim=7):
+        module = mr.HighestWeightModule(G2, (2, 2), depth=2)
     assert module.dimension == 7
-    with pytest.raises(ResourceBudgetError, match="module dimension: 7"):
-        mr.HighestWeightModule(G2, (2, 2), dim_budget=6, depth=2)
+    with pytest.raises(ResourceBudgetError, match="module dimension: 7"), \
+            budget.limits(dim=6):
+        mr.HighestWeightModule(G2, (2, 2), depth=2)
 
 
 @pytest.mark.parametrize("rs,lam", [(G2, (1, 1)), (C3, (0, 1, 0)),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpoly_reference import long_divide
+from spindle import budget
 from spindle import characters as ch
 from spindle import qanalogues as qa
 from spindle import verify as vf
@@ -67,7 +68,7 @@ def test_wmf_q_power_law():
 def test_wmf_closed_form_refuses_a_half_integral_height(monkeypatch):
     rs = RootSystem("C", 3)
     monkeypatch.setattr(rs, "doubled_height", lambda mu: 1)
-    power = qa._q_mult_fn(rs, (0, 0, 1), True, "closed", 10)
+    power = qa._q_mult_fn(rs, (0, 0, 1), True, "closed")
     with pytest.raises(InternalConsistencyError, match="half-integral"):
         power((0, 0, 1))
 
@@ -247,8 +248,9 @@ def test_lusztig_budget_counts_walk_and_table():
     adjoint = (0, 0, 0, 0, 0, 0, 0, 1)
     # 2318 walk points + 151200 cells of the box [0, theta]
     with pytest.raises(ResourceBudgetError,
-                       match=r"2318 points \+ 151200 cells"):
-        qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8, budget=153517)
+                       match=r"2318 points \+ 151200 cells"), \
+            budget.limits(weyl=153517):
+        qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8)
 
 
 def test_lusztig_budget_counts_packed_table_words():
@@ -259,8 +261,8 @@ def test_lusztig_budget_counts_packed_table_words():
         ResourceBudgetError,
         match=r"^Kostant partition table: 2318 points \+ 151200 cells of "
               r"12 words exceeds budget 1000000$",
-    ):
-        qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8, budget=10**6)
+    ), budget.limits(weyl=10**6):
+        qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8)
 
 
 # The F(1) mass law: F_lam(1) = dim End V_lam^T = sum over all weights of

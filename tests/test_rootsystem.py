@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindle import budget
 from spindle.errors import (
     InternalConsistencyError,
     ResourceBudgetError,
@@ -144,8 +145,9 @@ def test_alternation_walk_budget():
     e8 = build_root_system("E", 8)
     theta = max(e8.positive_roots, key=sum)
     rho_plus_theta = (1, 1, 1, 1, 1, 1, 1, 2)
-    with pytest.raises(ResourceBudgetError, match="1000 points"):
-        e8.alternation_walk(rho_plus_theta, theta, budget=1000)
+    with pytest.raises(ResourceBudgetError, match="1000 points"), \
+            budget.limits(weyl=1000):
+        e8.alternation_walk(rho_plus_theta, theta)
     assert len(e8.alternation_walk(rho_plus_theta, theta)) == 2318
 
 

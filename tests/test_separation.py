@@ -6,9 +6,12 @@ Kostant table or its Weyl walk.  No module but ``rootsystem`` names a
 private member of ``RootSystem``: the Weyl group is reached only through
 its public walk and descent.  And there is one graded-kernel solver:
 ``nullspace`` is called only by ``exactla.graded_kernel``, and
-``modulerep`` holds no z(e) or commutant code."""
+``modulerep`` holds no z(e) or commutant code.  The work limits live in
+``budget`` alone: no function takes a limit as a parameter to pass it
+down, and no other module keeps a default of its own."""
 
 import ast
+import re
 from pathlib import Path
 
 import spindle
@@ -17,6 +20,8 @@ PACKAGE = Path(spindle.__file__).parent
 MODULEREP = PACKAGE / "modulerep.py"
 ROOTSYSTEM = PACKAGE / "rootsystem.py"
 WEYL_ROUTE_NAMES = {"alternation_walk", "_box_table", "kostant_partition_q"}
+BUDGET_PARAMETERS = {"budget", "dim_budget", "dim_bound"}
+BUDGET_DEFAULT = re.compile(r"DEFAULT_\w*BUDGET|DEFAULT_DIM_BOUND")
 SOLVER_NAMES = {"graded_kernel", "graded_commutant", "nilpotent_centralizer",
                 "_nilradical_span", "commutant"}
 
@@ -164,3 +169,52 @@ def test_the_solver_guard_sees_each_kind_of_violation():
         ("exactla", "def graded_kernel(grades):\n    return nullspace(r, n)"),
     ]:
         assert not list(_solver_violations(module, ast.parse(source))), source
+
+
+def _budget_violations(module, tree):
+    """Where module (a file stem of the package) passes a limit down as a
+    parameter, or, outside ``budget``, sets a default limit of its own."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            for arg in (a.posonlyargs + a.args + a.kwonlyargs
+                        + [a.vararg, a.kwarg]):
+                if arg is not None and arg.arg in BUDGET_PARAMETERS:
+                    yield f"line {node.lineno}: parameter {arg.arg}"
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if module != "budget" and BUDGET_DEFAULT.fullmatch(node.id):
+                yield f"line {node.lineno}: assigns {node.id}"
+
+
+def test_limits_live_in_one_module():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if uses := list(_budget_violations(path.stem, tree)):
+            found[path.name] = uses
+    assert found == {}
+
+
+def test_the_budget_guard_sees_each_kind_of_violation():
+    cases = [
+        ("characters", "def is_wmf(rs, lam, dim_budget=10**6):\n    pass"),
+        ("rootsystem", "def walk(self, start, gap, budget=None):\n    pass"),
+        ("endalg", "def type_a_module(n, kind, *, dim_bound):\n    pass"),
+        ("qanalogues", "f = lambda nu, budget: nu"),
+        ("rootsystem", "DEFAULT_WEYL_BUDGET = 10**7"),
+        ("endalg", "DEFAULT_DIM_BOUND = 60"),
+        ("truncsym", "DEFAULT_ENUM_BUDGET: int = 10**6"),
+        ("budget", "def charge(kind, what, needed, budget):\n    pass"),
+    ]
+    for module, source in cases:
+        assert list(_budget_violations(module, ast.parse(source))), source
+    for module, source in [
+        ("characters", "budget.charge('dim', 'character dimension', dim)"),
+        ("endalg", "with budget.limits(dim=budget.limit('matrix')):\n    pass"),
+        ("cli", "FULL_WEYL_BUDGET = 10**10"),
+        ("cli", "help = f'default {budget.DEFAULTS[\"dim\"]}'"),
+        ("budget", "DEFAULT_WEYL_BUDGET = 10**7"),
+        ("errors", "def __init__(self, what, needed, cap):\n    pass"),
+    ]:
+        assert not list(_budget_violations(module, ast.parse(source))), source

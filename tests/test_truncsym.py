@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from spindle import budget
 from spindle import truncsym as ts
 from spindle.errors import ResourceBudgetError
 from spindle.qpoly import QPolynomial, gaussian_binomial
@@ -22,8 +23,8 @@ def test_box_partition_total_count():
 
 
 def test_box_partition_budget():
-    with pytest.raises(ResourceBudgetError):
-        ts.box_partition_poincare(20, 20, budget=100)
+    with pytest.raises(ResourceBudgetError), budget.limits(enum=100):
+        ts.box_partition_poincare(20, 20)
 
 
 def test_box_partition_bad_input():
