@@ -118,8 +118,17 @@ def store(key, value, directory=None):
     path = _path(directory, key)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # json.dump would run the pure-Python encoder; dumps runs the C one
-            fh.write(json.dumps(value, sort_keys=True))
+            # json.dump would run the pure-Python encoder; dumps runs the C
+            # one, which holds every token of its output until the final
+            # join, so a long list is encoded a slice at a time
+            if isinstance(value, list):
+                fh.write("[")
+                for i in range(0, len(value), 256):
+                    fh.write((", " if i else "")
+                             + json.dumps(value[i:i + 256], sort_keys=True)[1:-1])
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         try:

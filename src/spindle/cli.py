@@ -1,8 +1,11 @@
 """Command-line entry point: compute invariants, run verification suites,
 serve cached results.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-budget exceeded.
+Each compute subcommand is one row of ``COMPUTE``: the options it reads,
+its --method values and the function that returns its result, which
+``_emit`` prints.  An error prints one ``error:`` line and the call exits
+with the code its class carries (``errors``); a failed check of a
+verification suite exits 1.
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ from . import modulerep as mr
 from . import qanalogues as qa
 from . import truncsym as ts
 from . import verify as vf
-from .errors import (
-    DomainError,
-    ExactDivisionError,
-    ResourceBudgetError,
-    SpindleError,
-    UsageError,
-)
-from .qpoly import QPolynomial, factored_str, poly_str
+from .errors import SpindleError, UsageError
+from .qpoly import GradedSeries, QPolynomial, factored_str
 from .rootsystem import build_root_system
 
 FULL_WEYL_BUDGET = 10**10
@@ -45,91 +42,144 @@ def _parse_weight(text, rank):
     return coords
 
 
-def _emit_json(obj, out):
-    import json
+def _emit(value, fmt, out):
+    """Print a QPolynomial, a GradedSeries or a (header, rows) pair, whose
+    rows are tuples of scalars, as text, json or csv.  A row value json
+    cannot encode (a QPolynomial) prints as its str, as in text and csv."""
+    table = isinstance(value, tuple)
+    if fmt == "json":
+        import json
 
-    out.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def _emit_poly(poly, fmt, out):
-    if fmt == "text":
-        out.write(factored_str(poly) + "\n")
-    elif fmt == "json":
-        _emit_json(poly.to_json(), out)
+        obj = ([dict(zip(value[0], r)) for r in value[1]] if table
+               else value.to_json())
+        out.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
+    elif table:
+        lines = [value[0], *value[1]]
+        sep, widths = ",", [0] * len(value[0])
+        if fmt == "text":
+            sep = "  "
+            widths = [max(len(str(x)) for x in column)
+                      for column in zip(*lines)]
+        for r in lines:
+            out.write(sep.join(str(x).ljust(w) for x, w in zip(r, widths))
+                      + "\n")
     else:
+        series = isinstance(value, GradedSeries)
+        poly = value.numerator if series else value
+        if fmt == "text":
+            line = factored_str(poly)
+            if series:
+                line = f"({line}) / " + "".join(
+                    f"(1 - q^{d})" for d in value.denominator_exponents)
+            out.write(line + "\n")
+            return
         out.write("exponent,coefficient\n")
         for e, c in enumerate(poly.coeffs):
             out.write(f"{e},{c}\n")
-
-
-def _emit_series(series, fmt, out):
-    if fmt == "text":
-        denom = "".join(
-            f"(1 - q^{d})" for d in series.denominator_exponents
-        )
-        out.write(f"({factored_str(series.numerator)}) / {denom}\n")
-    elif fmt == "json":
-        _emit_json(series.to_json(), out)
-    else:
-        out.write("exponent,coefficient\n")
-        for e, c in enumerate(series.numerator.coeffs):
-            out.write(f"{e},{c}\n")
-        out.write("# denominator exponents: "
-                  + ",".join(str(d) for d in series.denominator_exponents)
-                  + "\n")
-
-
-def _emit_rows(rows, header, fmt, out):
-    """rows: list of tuples of printable scalars."""
-    if fmt == "json":
-        _emit_json([dict(zip(header, r)) for r in rows], out)
-        return
-    if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for r in rows:
-            out.write(",".join(str(x) for x in r) + "\n")
-        return
-    widths = [
-        max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
-        for i, h in enumerate(header)
-    ]
-    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
-    for r in rows:
-        out.write("  ".join(str(x).ljust(w) for x, w in zip(r, widths)) + "\n")
+        if series:
+            out.write("# denominator exponents: "
+                      + ",".join(str(d) for d in value.denominator_exponents)
+                      + "\n")
 
 
 def _weight_str(w):
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
+def _cached(args, rs, compute, extra=None):
+    """The JSON form of compute(), through the result cache under the
+    subcommand's name."""
+    return cache.cached(
+        args.subcommand, rs.type_letter, rs.rank, args.weight,
+        lambda: compute().to_json(), extra=extra, directory=args.cache_dir,
+    )
+
+
+def _root_system(args, rs):
+    return ("property", "value"), [
+        ("type", f"{rs.type_letter}{rs.rank}"),
+        ("positive_roots", len(rs.positive_roots)),
+        ("exponents", " ".join(str(e) for e in rs.exponents)),
+        ("degrees", " ".join(str(d) for d in rs.degrees)),
+        ("weyl_order", rs.weyl_order),
+        ("highest_root_height", max(rs.root_heights)),
+    ]
+
+
+def _character(args, rs):
+    entries = _cached(args, rs,
+                      lambda: ch.irreducible_character(rs, args.weight))
+    return ("weight", "multiplicity"), [
+        (_weight_str(mu), m) for mu, m in entries]
+
+
+def _dynkin(args, rs):
+    return QPolynomial.from_json(
+        _cached(args, rs, lambda: dy.dynkin_product(rs, args.weight)))
+
+
+def _lusztig(args, rs):
+    mu = args.mu or (0,) * rs.rank
+    if args.method == "module":
+        return mr.filtration_q_multiplicity(rs, args.weight, mu)
+    return qa.lusztig_q_multiplicity(rs, args.weight, mu)
+
+
+def _f_lambda(args, rs):
+    return QPolynomial.from_json(_cached(
+        args, rs, lambda: qa.f_lambda(rs, args.weight, method=args.method),
+        extra=args.method))
+
+
+def _tensor_square(args, rs):
+    pieces = ch.decompose_tensor_square(rs, args.weight)
+    return ("highest_weight", "multiplicity"), [
+        (_weight_str(nu), c) for nu, c in pieces]
+
+
+def _end_alg_a(args, rs):
+    module = ea.type_a_module(args.n, args.kind)
+    return ("property", "value"), [
+        ("dimension", module.dimension),
+        ("highest_weight", _weight_str(module.lam)),
+        *ea.structure(ea.commutant(module)),
+    ]
+
+
+def _truncsym(args, rs):
+    _require_positive(args, ("n", "m"))
+    return ts.box_partition_poincare(args.n, args.m)
+
+
 _WEIGHT = ("type", "rank", "weight")
 _WEYL = ("method", "weyl_budget", "full_weyl", "dim_budget")
+_CLOSED = ("auto", "weyl", "closed")
 
-# The options each compute subcommand reads, besides --format; the
-# top-level --cache-dir counts as "cache_dir".  No other command reads it.
-COMPUTE_OPTIONS = {
-    "root-system": ("type", "rank"),
-    "character": _WEIGHT + ("dim_budget", "cache_dir"),
-    "dynkin": _WEIGHT + ("cache_dir",),
-    "jump": _WEIGHT + ("mu",) + _WEYL,
-    "lusztig": _WEIGHT + ("mu", "method", "weyl_budget", "full_weyl"),
-    "t-poly": _WEIGHT,
-    "f-lambda": _WEIGHT + _WEYL + ("cache_dir",),
-    "poincare-cg": _WEIGHT + _WEYL,
-    "poincare-ct": _WEIGHT + ("dim_budget",),
-    "tensor-square": _WEIGHT + ("dim_budget",),
-    "end-alg-a": ("n", "kind", "matrix_budget"),
-    "truncsym": ("n", "m"),
-}
-
-# The --method values of each subcommand that reads --method.  Only
-# lusztig has a module route, which reads no Weyl budget, and it has no
-# closed form.
-COMPUTE_METHODS = {
-    "jump": ("auto", "weyl", "closed"),
-    "lusztig": ("auto", "weyl", "module"),
-    "f-lambda": ("auto", "weyl", "closed"),
-    "poincare-cg": ("auto", "weyl", "closed"),
+# One row per compute subcommand: the options it reads besides --format
+# (the top-level --cache-dir counts as "cache_dir"; no other command reads
+# it), its --method values, and the function of (options, root system)
+# that returns its result.  A row that reads --type gets the root system,
+# else None, and one that reads --weight gets it and --mu as tuples.
+# Only lusztig has a module route, which reads no Weyl budget, and it has
+# no closed form.
+COMPUTE = {
+    "root-system": (("type", "rank"), (), _root_system),
+    "character": (_WEIGHT + ("dim_budget", "cache_dir"), (), _character),
+    "dynkin": (_WEIGHT + ("cache_dir",), (), _dynkin),
+    "jump": (_WEIGHT + ("mu",) + _WEYL, _CLOSED, lambda args, rs:
+             qa.jump_tensor(rs, args.weight, args.mu or args.weight,
+                            method=args.method)),
+    "lusztig": (_WEIGHT + ("mu", "method", "weyl_budget", "full_weyl"),
+                ("auto", "weyl", "module"), _lusztig),
+    "t-poly": (_WEIGHT, (), lambda args, rs: qa.t_poly(rs, args.weight)),
+    "f-lambda": (_WEIGHT + _WEYL + ("cache_dir",), _CLOSED, _f_lambda),
+    "poincare-cg": (_WEIGHT + _WEYL, _CLOSED, lambda args, rs:
+                    qa.poincare_cg(rs, args.weight, method=args.method)),
+    "poincare-ct": (_WEIGHT + ("dim_budget",), (), lambda args, rs:
+                    qa.poincare_ct(rs, args.weight)),
+    "tensor-square": (_WEIGHT + ("dim_budget",), (), _tensor_square),
+    "end-alg-a": (("n", "kind", "matrix_budget"), (), _end_alg_a),
+    "truncsym": (("n", "m"), (), _truncsym),
 }
 
 # Defaults of the options that have one; every option parses to None when
@@ -151,145 +201,46 @@ def _require_positive(args, names):
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _check_compute_options(args):
-    """Reject options the subcommand does not read; fill in defaults."""
-    reads = COMPUTE_OPTIONS[args.subcommand]
-    methods = COMPUTE_METHODS.get(args.subcommand, ())
+def cmd_compute(args, out):
+    """Check the options against the subcommand's row of COMPUTE, then run
+    it under the limits they set and print its result."""
+    sub = args.subcommand
+    reads, methods, run = COMPUTE[sub]
     if args.method == "module" and "module" in methods:
         reads = tuple(n for n in reads if n not in ("weyl_budget", "full_weyl"))
     unread = [
         "--" + name.replace("_", "-")
-        for name in dict.fromkeys(n for opts in COMPUTE_OPTIONS.values()
-                                  for n in opts)
+        for name in dict.fromkeys(n for row in COMPUTE.values()
+                                  for n in row[0])
         if name not in reads and getattr(args, name) is not None
     ]
     if unread:
-        raise UsageError(
-            f"compute {args.subcommand} does not take {', '.join(unread)}"
-        )
+        raise UsageError(f"compute {sub} does not take {', '.join(unread)}")
     if args.method is not None and args.method not in methods:
-        raise UsageError(
-            f"compute {args.subcommand} does not take --method {args.method}"
-        )
+        raise UsageError(f"compute {sub} does not take --method {args.method}")
     _require_positive(args, ("weyl_budget", "dim_budget", "matrix_budget"))
     for name, value in COMPUTE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-
-
-def cmd_compute(args, out):
-    _check_compute_options(args)
     weyl = FULL_WEYL_BUDGET if args.full_weyl else args.weyl_budget
     with budget.limits(weyl=weyl, dim=args.dim_budget,
                        matrix=args.matrix_budget):
-        return _compute(args, out)
-
-
-def _compute(args, out):
-    sub = args.subcommand
-    fmt = args.format
-    if sub == "truncsym":
-        if args.n is None or args.m is None:
-            raise UsageError("truncsym needs --n and --m")
-        _require_positive(args, ("n", "m"))
-        _emit_poly(ts.box_partition_poincare(args.n, args.m), fmt, out)
-        return 0
-    if sub == "end-alg-a":
-        if args.n is None or args.kind is None:
-            raise UsageError("end-alg-a needs --n and --kind")
-        module = ea.type_a_module(args.n, args.kind)
-        comm = ea.commutant(module)
-        rows = [
-            ("dimension", module.dimension),
-            ("highest_weight", _weight_str(module.lam)),
-            ("commutant_dimension", comm.dimension),
-            ("graded_polynomial",
-             poly_str(QPolynomial(comm.graded_dimensions()))),
-            ("commutative", comm.is_commutative()),
-            ("socle_dimension", ea.socle_dimension(comm)),
-            ("lowest_vector_bijection", ea.check_bijection(comm)),
-            ("lefschetz", ea.lefschetz_check(comm)),
-            ("e_power_projections", ea.e_power_projections(module)),
-            ("invariants_dimension", ea.a_invariants_dimension(comm)),
-        ]
-        _emit_rows(rows, ("property", "value"), fmt, out)
-        return 0
-
-    if args.type is None or args.rank is None:
-        raise UsageError(f"{sub} needs --type and --rank")
-    if sub != "root-system":
-        # parsed before the build, whose cost grows with the rank, so that
-        # a weight of the wrong length is refused at once
-        if args.weight is None:
-            raise UsageError(f"{sub} needs --weight")
-        lam = _parse_weight(args.weight, args.rank)
-        mu = _parse_weight(args.mu, args.rank) if args.mu else None
-    rs = build_root_system(args.type, args.rank)
-
-    if sub == "root-system":
-        rows = [
-            ("type", f"{rs.type_letter}{rs.rank}"),
-            ("positive_roots", len(rs.positive_roots)),
-            ("exponents", " ".join(str(e) for e in rs.exponents)),
-            ("degrees", " ".join(str(d) for d in rs.degrees)),
-            ("weyl_order", rs.weyl_order),
-            ("highest_root_height", max(rs.root_heights)),
-        ]
-        _emit_rows(rows, ("property", "value"), fmt, out)
-        return 0
-
-    if sub == "character":
-        entries = cache.cached(
-            "character", rs.type_letter, rs.rank, lam,
-            lambda: ch.irreducible_character(rs, lam).to_json(),
-            directory=args.cache_dir,
-        )
-        rows = [(_weight_str(mu), m) for mu, m in entries]
-        _emit_rows(rows, ("weight", "multiplicity"), fmt, out)
-        return 0
-    if sub == "dynkin":
-        data = cache.cached(
-            "dynkin", rs.type_letter, rs.rank, lam,
-            lambda: dy.dynkin_product(rs, lam).to_json(),
-            directory=args.cache_dir,
-        )
-        _emit_poly(QPolynomial.from_json(data), fmt, out)
-        return 0
-    if sub == "t-poly":
-        _emit_poly(qa.t_poly(rs, lam), fmt, out)
-        return 0
-    if sub == "lusztig":
-        mu = mu or (0,) * rs.rank
-        if args.method == "module":
-            poly = mr.filtration_q_multiplicity(rs, lam, mu)
-        else:
-            poly = qa.lusztig_q_multiplicity(rs, lam, mu)
-        _emit_poly(poly, fmt, out)
-        return 0
-    if sub == "jump":
-        poly = qa.jump_tensor(rs, lam, mu or lam, method=args.method)
-        _emit_poly(poly, fmt, out)
-        return 0
-    if sub == "f-lambda":
-        data = cache.cached(
-            "f-lambda", rs.type_letter, rs.rank, lam,
-            lambda: qa.f_lambda(rs, lam, method=args.method).to_json(),
-            extra=args.method, directory=args.cache_dir,
-        )
-        _emit_poly(QPolynomial.from_json(data), fmt, out)
-        return 0
-    if sub == "poincare-cg":
-        _emit_series(qa.poincare_cg(rs, lam, method=args.method), fmt, out)
-        return 0
-    if sub == "poincare-ct":
-        _emit_series(qa.poincare_ct(rs, lam), fmt, out)
-        return 0
-    if sub == "tensor-square":
-        pieces = ch.decompose_tensor_square(rs, lam)
-        rows = [(_weight_str(nu), c) for nu, c in pieces]
-        _emit_rows(rows, ("highest_weight", "multiplicity"), fmt, out)
-        return 0
-    raise UsageError(f"unknown compute subcommand {sub!r}")
+        # every option a row reads but --mu, --method, the limits and the
+        # cache is required; the weight is asked for after the others
+        for group in (("type", "rank", "n", "m", "kind"), ("weight",)):
+            needed = [n for n in group if n in reads]
+            if any(getattr(args, n) is None for n in needed):
+                raise UsageError(
+                    f"{sub} needs " + " and ".join("--" + n for n in needed))
+        if "weight" in reads:
+            # parsed before the build, whose cost grows with the rank, so
+            # that a weight of the wrong length is refused at once
+            args.weight = _parse_weight(args.weight, args.rank)
+            if args.mu:
+                args.mu = _parse_weight(args.mu, args.rank)
+        rs = build_root_system(args.type, args.rank) if "type" in reads else None
+        _emit(run(args, rs), args.format, out)
+    return 0
 
 
 def cmd_verify(args, out):
@@ -331,7 +282,7 @@ def build_parser():
             "fundamental-weight coordinates with Bourbaki node numbering."
         ),
     )
-    cached = [k for k, opts in COMPUTE_OPTIONS.items() if "cache_dir" in opts]
+    cached = [k for k, row in COMPUTE.items() if "cache_dir" in row[0]]
     parser.add_argument("--cache-dir", help=(
         "result cache directory (also via SPINDLE_CACHE_DIR), read by "
         f"compute {', '.join(cached)}"))
@@ -340,7 +291,7 @@ def build_parser():
     pc = sub.add_parser("compute", help="compute one invariant")
     pc.add_argument(
         "subcommand",
-        choices=list(COMPUTE_OPTIONS),
+        choices=list(COMPUTE),
     )
     pc.add_argument("--type", help="type letter A-G")
     pc.add_argument("--rank", type=int)
@@ -348,9 +299,17 @@ def build_parser():
     pc.add_argument("--mu", help="second weight where applicable")
     pc.add_argument("--format", choices=["text", "json", "csv"],
                     default="text")
-    pc.add_argument("--method", choices=["auto", "weyl", "closed", "module"],
-                    help="default auto; closed for jump, f-lambda and "
-                         "poincare-cg, module for lusztig")
+    takers = {}
+    for name, (_, methods, _) in COMPUTE.items():
+        for method in methods:
+            takers.setdefault(method, []).append(name)
+    routes = [
+        f"{method} for " + " and ".join(
+            filter(None, (", ".join(subs[:-1]), subs[-1])))
+        for method, subs in takers.items() if method not in ("auto", "weyl")
+    ]
+    pc.add_argument("--method", choices=list(takers),
+                    help="default auto; " + ", ".join(routes))
     pc.add_argument("--n", type=int, help="for end-alg-a / truncsym")
     pc.add_argument("--m", type=int, help="for truncsym")
     pc.add_argument("--kind", help="S<m> or E<k> for end-alg-a")
@@ -381,15 +340,9 @@ def main(argv=None):
         if args.command == "compute":
             return cmd_compute(args, out)
         return cmd_verify(args, out)
-    except ResourceBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UsageError, DomainError, ExactDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpindleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ its commutant grade by floor; both through the one graded-kernel solver
 check the structural claims on the commutant:
 commutativity, a 1-dimensional socle, the lowest-vector bijection, the
 Lefschetz ranges of e, nonvanishing projections of e-powers and a
-1-dimensional joint kernel of z(e).  Everything is read off the module:
-e is D times the sum of the simple raising operators, and the lowest
-vector is the one basis vector of minimal level.
+1-dimensional joint kernel of z(e).  ``structure`` asks them all, in one
+order, for both ``compute end-alg-a`` and ``verify endalg``.  Everything
+is read off the module: e is D times the sum of the simple raising
+operators, and the lowest vector is the one basis vector of minimal level.
 
 ``type_a_module`` names the type-A cases: S^m and Lambda^k of the
 defining representation of sl_{n+1} are V(m w_1) and V(w_k).  The
@@ -26,6 +27,7 @@ from . import budget
 from . import exactla as la
 from . import modulerep as mr
 from .errors import DomainError, InternalConsistencyError, UsageError
+from .qpoly import QPolynomial
 from .rootsystem import build_root_system
 
 
@@ -252,3 +254,20 @@ def a_invariants_dimension(comm):
     dim = comm.module.dimension
     rows = [row for z in comm.centralizer for row in z.values()]
     return dim - la.rank(rows)
+
+
+def structure(comm):
+    """The structure questions on a commutant, as ordered (property, value)
+    pairs: its dimension, graded dimensions (a QPolynomial), commutativity,
+    socle dimension, lowest-vector bijection, Lefschetz ranges, e-power
+    projections and the dimension of the joint kernel of z(e)."""
+    return [
+        ("commutant_dimension", comm.dimension),
+        ("graded_polynomial", QPolynomial(comm.graded_dimensions())),
+        ("commutative", comm.is_commutative()),
+        ("socle_dimension", socle_dimension(comm)),
+        ("lowest_vector_bijection", check_bijection(comm)),
+        ("lefschetz", lefschetz_check(comm)),
+        ("e_power_projections", e_power_projections(comm.module)),
+        ("invariants_dimension", a_invariants_dimension(comm)),
+    ]

@@ -1,16 +1,17 @@
-"""Exception hierarchy shared by the whole engine.
-
-Exit codes of the CLI: UsageError, DomainError, ExactDivisionError -> 2;
-ResourceBudgetError -> 3; InternalConsistencyError and failed checks -> 1.
-"""
+"""Exception hierarchy shared by the whole engine.  Each class carries
+the exit code the CLI ends with when it reports one of its errors."""
 
 
 class SpindleError(Exception):
     """Base class for all engine errors."""
 
+    exit_code = 1
+
 
 class UsageError(SpindleError):
     """Invalid user input (bad type/rank pair, malformed weight, ...)."""
+
+    exit_code = 2
 
 
 class ResourceBudgetError(SpindleError):
@@ -19,6 +20,8 @@ class ResourceBudgetError(SpindleError):
     ``what`` names the layer; ``needed`` is the work it needs or, for a
     walk cut short, the work done so far.
     """
+
+    exit_code = 3
 
     def __init__(self, what, needed, cap):
         self.what = what
@@ -30,10 +33,14 @@ class ResourceBudgetError(SpindleError):
 class ExactDivisionError(SpindleError, ArithmeticError):
     """A division that a formula guarantees to be exact was not exact."""
 
+    exit_code = 2
+
 
 class DomainError(SpindleError):
     """Operation applied outside its mathematical domain (e.g. weight not
     in the root lattice)."""
+
+    exit_code = 2
 
 
 class InternalConsistencyError(SpindleError):

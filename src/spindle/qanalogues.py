@@ -45,9 +45,13 @@ def _kostant_cells(rs, top, points=0):
 
     P(top)(1) bounds every coefficient in the box (adding simple roots
     embeds the partitions of nu into those of top), so slots of its bit
-    length never carry.  ``points`` plus the 64-bit words of the packed
-    cells must fit in the ``weyl`` limit.
+    length never carry.  ``points`` plus the cells of the box, then
+    ``points`` plus the 64-bit words of the packed cells, must fit in the
+    ``weyl`` limit; the first is charged before any table is allocated.
     """
+    cells = prod(t + 1 for t in top)
+    budget.charge("weyl", "Kostant partition table", points + cells,
+                  f"{points} points + {cells} cells")
     counts = _box_table(rs, top, 0)[0]
     width = counts[-1].bit_length()
     words = -(-width * (sum(top) + 1) // 64)
@@ -88,9 +92,6 @@ def lusztig_q_multiplicity(rs, lam, mu):
     acc = QPolynomial.zero()
     if gap is not None and min(gap) >= 0:
         points = rs.alternation_walk(tuple(l + 1 for l in lam), gap)
-        cells = prod(g + 1 for g in gap)
-        budget.charge("weyl", "Kostant partition table", len(points) + cells,
-                      f"{len(points)} points + {cells} cells")
         cell = _kostant_cells(rs, gap, len(points))
         coeffs = [0] * (sum(gap) + 1)
         for nu, sign in points:

@@ -1,7 +1,7 @@
 """Identity suites: every structural claim the package exposes, run as
 named batches of exact checks.  Each check yields a CheckResult; a suite
-passes iff every check does.  Report ordering is fixed by definition
-order, never by completion order.
+passes iff every check does.  Reports follow the order of ``SUITES``,
+never the order of completion.
 """
 
 from __future__ import annotations
@@ -23,20 +23,6 @@ from .qpoly import QPolynomial, gaussian_binomial, poly_str
 from .rootsystem import build_root_system
 
 CheckResult = namedtuple("CheckResult", ["label", "ok", "detail"])
-
-SUITES = (
-    "table1",
-    "spindle",
-    "lusztig-vs-jump",
-    "dynkin-cross",
-    "wmf-iff",
-    "minuscule-series",
-    "kostant-t0",
-    "hermite",
-    "endalg",
-    "truncsym",
-    "tensor-mf",
-)
 
 RANDOM_SEED = 20230815
 SPINDLE_SAMPLES = 200
@@ -309,8 +295,24 @@ ENDALG_GRID = (
 )
 
 
+# The check label of each property of endalg.structure.
+_ENDALG_LABELS = {
+    "commutant_dimension": "commutant dimension",
+    "graded_polynomial": "graded dimensions",
+    "commutative": "commutative",
+    "socle_dimension": "socle",
+    "lowest_vector_bijection": "lowest-vector bijection",
+    "lefschetz": "hard Lefschetz ranges",
+    "e_power_projections": "e-power projections",
+    "invariants_dimension": "invariants of the nilpotent algebra",
+}
+
+
 def suite_endalg():
-    """Graded commutant of z(e) on the type-A grid, from the module route."""
+    """Graded commutant of z(e) on the type-A grid, from the module route:
+    every structure property of a wmf module holds (True), and its
+    dimensions are dim V, the Dynkin polynomial, and 1 for the socle and
+    the invariants."""
     checks = []
     for n, kind in ENDALG_GRID:
         name = f"sl{n + 1} {kind}"
@@ -320,32 +322,18 @@ def suite_endalg():
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             checks.append(_check(f"{name} construction", False, repr(exc)))
             continue
-        d_poly = dy.dynkin_product(module.rs, module.lam)
-        socle = ea.socle_dimension(comm)
-        invariants = ea.a_invariants_dimension(comm)
-        checks.append(_check(
-            f"{name} commutant dimension",
-            comm.dimension == module.dimension,
-            f"{comm.dimension} != {module.dimension}",
-        ))
-        checks.append(_check_poly(
-            f"{name} graded dimensions",
-            QPolynomial(comm.graded_dimensions()), d_poly,
-        ))
-        checks.append(_check(
-            f"{name} commutative", comm.is_commutative(), "products differ"))
-        checks.append(_check(
-            f"{name} socle", socle == 1, f"socle dim {socle}"))
-        checks.append(_check(
-            f"{name} lowest-vector bijection", ea.check_bijection(comm)))
-        checks.append(_check(
-            f"{name} hard Lefschetz ranges", ea.lefschetz_check(comm)))
-        checks.append(_check(
-            f"{name} e-power projections", ea.e_power_projections(module)))
-        checks.append(_check(
-            f"{name} invariants of the nilpotent algebra",
-            invariants == 1, f"dim {invariants}",
-        ))
+        want = {
+            "commutant_dimension": module.dimension,
+            "graded_polynomial": dy.dynkin_product(module.rs, module.lam),
+            "socle_dimension": 1,
+            "invariants_dimension": 1,
+        }
+        for prop, value in ea.structure(comm):
+            expected = want.get(prop, True)
+            checks.append(_check(
+                f"{name} {_ENDALG_LABELS[prop]}", value == expected,
+                f"{prop} is {value}, expected {expected}",
+            ))
     return checks
 
 
@@ -386,7 +374,8 @@ def suite_tensor_mf():
     return checks
 
 
-_SUITE_FNS = {
+# Every suite by name, in report order.
+SUITES = {
     "table1": suite_table1,
     "spindle": suite_spindle,
     "lusztig-vs-jump": suite_lusztig_vs_jump,
@@ -404,7 +393,7 @@ _SUITE_FNS = {
 def suite_parameters(name):
     """Option names a suite reads: each suite takes only defaulted
     positional-or-keyword parameters, so they lead ``co_varnames``."""
-    code = _SUITE_FNS[name].__code__
+    code = SUITES[name].__code__
     return code.co_varnames[:code.co_argcount]
 
 
@@ -424,7 +413,7 @@ def run_suite(name, **options):
                 s, **{k: v for k, v in opts.items() if k in params}
             ))
         return results
-    fn = _SUITE_FNS.get(name)
+    fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}")
     params = suite_parameters(name)

@@ -130,6 +130,8 @@ def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
     [],
     [[[1, -2], 3]],
     [[[i, -i], {"m": i, "c": str(i)}] for i in range(300)],
+    list(range(256)),
+    list(range(513)),
     {"coefficients": list(range(500)), "denominator_exponents": [2, 3]},
 ])
 def test_store_writes_the_sorted_json_dump(cache_env, value):

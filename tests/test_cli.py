@@ -323,8 +323,65 @@ def test_method_a_subcommand_does_not_have_is_a_usage_error(
 
 
 def test_each_subcommand_that_reads_method_lists_its_methods():
-    assert set(cli.COMPUTE_METHODS) == {
-        sub for sub, opts in cli.COMPUTE_OPTIONS.items() if "method" in opts}
+    for sub, (reads, methods, _) in cli.COMPUTE.items():
+        assert bool(methods) == ("method" in reads), sub
+
+
+# One light case per row of cli.COMPUTE, with the md5 of its text, json
+# and csv outputs in that order.
+FORMAT_CASES = [
+    ("root-system --type G --rank 2",
+     "9de43796716d629f14edfcd9ba202ad0"),
+    ("character --type A --rank 2 --weight 1,1",
+     "50d75cc02d1a9120283588feaad9e6f1"),
+    ("dynkin --type G --rank 2 --weight 1,0",
+     "3823d7e38ff15e0eaa6b8be5ee924682"),
+    ("jump --type A --rank 2 --weight 2,0 --mu 0,1",
+     "955058ab5f49d5a6753029b0cd2ea03c"),
+    ("lusztig --type B --rank 2 --weight 0,2",
+     "7790e309470b753458af8ea2c38c8f82"),
+    ("t-poly --type B --rank 3 --weight 0,1,0",
+     "735a92c97996486b05e18bd5aead0670"),
+    ("f-lambda --type C --rank 3 --weight 0,1,0",
+     "654387b7002bc7bf758df00555d977b3"),
+    ("poincare-cg --type B --rank 2 --weight 1,0",
+     "3e86d4ca79aee991109a6ac81ccfe6e5"),
+    ("poincare-ct --type B --rank 2 --weight 1,0",
+     "9017811887e0d36ba2859815d5384cac"),
+    ("tensor-square --type G --rank 2 --weight 1,0",
+     "8ad57e812a461d2ec4b1fb2007e61455"),
+    ("end-alg-a --n 2 --kind S2",
+     "1cab77dc0acef72550006f440b0c0e02"),
+    ("truncsym --n 2 --m 3",
+     "65cec8c065698ebbe5e62ea3d9b3158f"),
+]
+
+
+def test_format_cases_cover_every_subcommand():
+    assert [argv.split()[0] for argv, _ in FORMAT_CASES] == list(cli.COMPUTE)
+
+
+@pytest.mark.parametrize("argv,digest", FORMAT_CASES)
+def test_each_subcommand_output_is_pinned_in_every_format(capsys, argv,
+                                                          digest):
+    md5 = hashlib.md5()
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(["compute"] + argv.split() + ["--format", fmt],
+                             capsys)
+        assert (code, err) == (0, "")
+        md5.update(out.encode())
+    assert md5.hexdigest() == digest
+
+
+def test_each_error_class_carries_its_exit_code():
+    from spindle import errors
+
+    assert {cls.__name__: cls.exit_code for cls in (
+        errors.SpindleError, errors.InternalConsistencyError,
+        errors.UsageError, errors.DomainError, errors.ExactDivisionError,
+        errors.ResourceBudgetError)} == {
+        "SpindleError": 1, "InternalConsistencyError": 1, "UsageError": 2,
+        "DomainError": 2, "ExactDivisionError": 2, "ResourceBudgetError": 3}
 
 
 def test_e6_adjoint_lusztig_golden(capsys):
@@ -623,7 +680,7 @@ def test_suite_parameters_match_the_signatures():
     from spindle import verify as vf
 
     for name in vf.SUITES:
-        fn = vf._SUITE_FNS[name]
+        fn = vf.SUITES[name]
         params = inspect.signature(fn).parameters
         assert vf.suite_parameters(name) == tuple(params)
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD

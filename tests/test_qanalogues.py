@@ -265,6 +265,18 @@ def test_lusztig_budget_counts_packed_table_words():
         qa.lusztig_q_multiplicity(e8, adjoint, (0,) * 8)
 
 
+def test_refused_kostant_table_is_never_allocated(monkeypatch):
+    filled = []
+    monkeypatch.setattr(qa, "_box_table", lambda *args: filled.append(args))
+    with pytest.raises(
+        ResourceBudgetError,
+        match=r"^Kostant partition table: 0 points \+ 90601 cells "
+              r"exceeds budget 10$",
+    ), budget.limits(weyl=10):
+        qa.kostant_partition_q(A2, (300, 300))
+    assert filled == []
+
+
 # The F(1) mass law: F_lam(1) = dim End V_lam^T = sum over all weights of
 # m_lam(mu)^2, read from the full character rather than the dominant ones.
 MASS_TYPES = [
