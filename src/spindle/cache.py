@@ -1,11 +1,16 @@
-"""Content-addressed JSON result cache.
+"""JSON result cache, one file per entry.
 
-Entries are keyed by a sha256 of a canonical JSON description (schema
-version, root system, weight, operation).  Writes are atomic (tmp file +
+An entry's key is the canonical JSON of what it holds (schema version,
+operation, root system, weight, extra).  Its file is named by the zlib
+crc32 of the key, and the entry records the key: ``{"key": key, "value":
+value}``.  A value is returned only when the recorded key is the one asked
+for, so a digest collision or an entry copied to another name is a miss,
+which the next store overwrites.  Entries written under an earlier schema
+have other names and are never read.  Writes are atomic (tmp file +
 os.replace) and idempotent.  A corrupt entry, an entry of the wrong shape
 for its operation and an unwritable directory draw a warning and a fresh
 computation.  The directory is the caller's ``directory`` argument, else
-SPINDLE_CACHE_DIR; with neither, caching is off and nothing is hashed.
+SPINDLE_CACHE_DIR; with neither, caching is off and no key is built.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import re
 import sys
 import tempfile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def cache_dir(directory=None):
@@ -23,7 +28,7 @@ def cache_dir(directory=None):
 
 
 def cache_key(operation, type_letter, rank, weight, extra=None):
-    import hashlib
+    """The canonical JSON description of one cached result."""
     import json
 
     payload = {
@@ -34,12 +39,19 @@ def cache_key(operation, type_letter, rank, weight, extra=None):
         "weight": list(weight) if weight is not None else None,
         "extra": extra,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(key):
+    """The file stem of key.  It names the entry only; the key the entry
+    records decides a hit."""
+    import zlib
+
+    return f"{zlib.crc32(key.encode('utf-8')):08x}"
 
 
 def _path(directory, key):
-    return os.path.join(directory, key + ".json")
+    return os.path.join(directory, _digest(key) + ".json")
 
 
 def _is_int(x):
@@ -74,8 +86,9 @@ _SHAPES = {
 
 
 def load(key, operation=None, directory=None):
-    """Cached JSON value for key, or None on miss, corruption or a value
-    of the wrong shape for ``operation``."""
+    """Cached JSON value for key, or None on a miss, an entry that records
+    another key, corruption or a value of the wrong shape for
+    ``operation``."""
     directory = cache_dir(directory)
     if directory is None:
         return None
@@ -84,7 +97,12 @@ def load(key, operation=None, directory=None):
     path = _path(directory, key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            value = json.load(fh)
+            entry = json.load(fh)
+        if not isinstance(entry, dict) or entry.keys() != {"key", "value"}:
+            raise ValueError("not a cache entry")
+        if entry["key"] != key:
+            return None  # another key under the same name: store replaces it
+        value = entry["value"]
         valid = _SHAPES.get(operation)
         if valid is not None and not valid(value):
             raise ValueError(f"wrong shape for {operation}")
@@ -103,7 +121,9 @@ def load(key, operation=None, directory=None):
 
 
 def store(key, value, directory=None):
-    """Atomically write value under key; no-op without a cache directory."""
+    """Atomically write the entry of value under key; no-op without a
+    cache directory.  The file holds json.dumps({"key": key, "value":
+    value}, sort_keys=True)."""
     directory = cache_dir(directory)
     if directory is None:
         return
@@ -118,6 +138,7 @@ def store(key, value, directory=None):
     path = _path(directory, key)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write('{"key": ' + json.dumps(key) + ', "value": ')
             # json.dump would run the pure-Python encoder; dumps runs the C
             # one, which holds every token of its output until the final
             # join, so a long list is encoded a slice at a time
@@ -129,6 +150,7 @@ def store(key, value, directory=None):
                 fh.write("]")
             else:
                 fh.write(json.dumps(value, sort_keys=True))
+            fh.write("}")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -141,7 +163,7 @@ def store(key, value, directory=None):
 def cached(operation, type_letter, rank, weight, compute, extra=None,
            directory=None):
     """Fetch-or-compute wrapper around load/store."""
-    if cache_dir(directory) is None:  # json and hashlib stay unimported
+    if cache_dir(directory) is None:  # json and zlib stay unimported
         return compute()
     key = cache_key(operation, type_letter, rank, weight, extra)
     hit = load(key, operation, directory)

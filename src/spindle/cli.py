@@ -114,6 +114,10 @@ def _character(args, rs):
 
 
 def _dynkin(args, rs):
+    # the product has 2(lam, rho^vee) + 1 coefficients, charged before the
+    # cache so that neither route allocates an unbounded list
+    budget.charge("dim", "Dynkin polynomial length",
+                  rs.doubled_height(args.weight) + 1)
     return QPolynomial.from_json(
         _cached(args, rs, lambda: dy.dynkin_product(rs, args.weight)))
 
@@ -165,7 +169,7 @@ _CLOSED = ("auto", "weyl", "closed")
 COMPUTE = {
     "root-system": (("type", "rank"), (), _root_system),
     "character": (_WEIGHT + ("dim_budget", "cache_dir"), (), _character),
-    "dynkin": (_WEIGHT + ("cache_dir",), (), _dynkin),
+    "dynkin": (_WEIGHT + ("dim_budget", "cache_dir"), (), _dynkin),
     "jump": (_WEIGHT + ("mu",) + _WEYL, _CLOSED, lambda args, rs:
              qa.jump_tensor(rs, args.weight, args.mu or args.weight,
                             method=args.method)),

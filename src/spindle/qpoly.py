@@ -105,14 +105,20 @@ class QPolynomial:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
+        x, y = self.coeffs, _coerce(other).coeffs
+        if not x or not y:
             return QPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        if y.count(0) == len(y) - 1:
+            x, y = y, x
+        if x.count(0) == len(x) - 1:
+            # x = c q^k: y scaled by c and shifted by k in one pass
+            c = x[-1]
+            return QPolynomial([0] * (len(x) - 1) + [c * b for b in y])
+        out = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(y):
                 if b:
                     out[i + j] += a * b
         return QPolynomial(out)

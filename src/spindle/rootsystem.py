@@ -177,6 +177,11 @@ def _coroot_chain(coroots):
     return tuple(chain), simple
 
 
+def _mask(coords):
+    """The bit mask of the nonzero coordinates."""
+    return sum(1 << j for j, a in enumerate(coords) if a)
+
+
 def _degrees(heights):
     """Degrees of the reflection group of a set of positive coroots, given
     by their heights: one more than the exponents, the conjugate partition
@@ -215,9 +220,7 @@ class RootSystem:
         self.root_heights = tuple(map(sum, self.positive_roots))
         self.coroot_heights = tuple(map(sum, self.positive_coroots))
         # the nodes each positive coroot is supported on, as a bit mask
-        self._coroot_supports = tuple(
-            sum([1 << i for i, n in enumerate(c) if n])
-            for c in self.positive_coroots)
+        self._coroot_supports = tuple(map(_mask, self.positive_coroots))
         self._coroot_chain, self._simple_coroots = _coroot_chain(
             self.positive_coroots)
         self._weyl_denominator = prod(self.coroot_heights)
@@ -417,8 +420,7 @@ class RootSystem:
         the degrees off the heights of those coroots.  Memoized per J, as
         the bit mask of its complement.
         """
-        return list(self._parabolic(
-            sum(1 << i for i, c in enumerate(lam) if c)))
+        return list(self._parabolic(_mask(lam)))
 
     @cache
     def _parabolic(self, off):
@@ -428,7 +430,12 @@ class RootSystem:
         return (1,) * (self.rank - len(degs)) + degs
 
     def stabilizer_order(self, lam):
-        return prod(self.parabolic_degrees(lam))
+        return self._stabilizer_order(_mask(lam))
+
+    @cache
+    def _stabilizer_order(self, off):
+        """|W_J|, J the complement of the bit mask off."""
+        return prod(self._parabolic(off))
 
     def stabilizer_root_orbits(self, mu):
         """The positive roots up to the stabilizer W_J, J the zero
@@ -443,26 +450,31 @@ class RootSystem:
         generated by the s_j, j in J, with w_j = 0.  Memoized per J, and
         checked on build: sum c = 2|Phi+|.
         """
-        return self._root_orbit_table(
-            tuple(j for j, m in enumerate(mu) if m == 0))
+        return self._root_orbit_table(_mask(mu))
+
+    @cached_property
+    def _root_masks(self):
+        """(negative, nonzero, support) per positive root: bit masks of its
+        negative and its nonzero weight coordinates and of its support."""
+        return tuple(
+            (_mask(a < 0 for a in w), _mask(w), support)
+            for w, support in zip(self.positive_root_weights,
+                                  self._coroot_supports))
 
     @cache
-    def _root_orbit_table(self, support):
-        # a weight with zero set J; the table depends on nothing else
-        mu = tuple(int(j not in support) for j in range(self.rank))
-        whole = self.stabilizer_order(mu)
+    def _root_orbit_table(self, off):
+        # J is the complement of off; a root's fixer in W_J is W_K, K the
+        # j in J with w_j = 0, so the complement of K is off | nonzero
+        whole = self._stabilizer_order(off)
         table = []
-        for i, (r, w) in enumerate(
-                zip(self.positive_roots, self.positive_root_weights)):
-            if all(w[j] >= 0 for j in support):
-                # zero exactly where mu_j = w_j = 0
-                fixer = [m or a for m, a in zip(mu, w)]
-                size = whole // self.stabilizer_order(fixer)
-                inside = all(n == 0 or m == 0 for n, m in zip(r, mu))
-                table.append((i, size if inside else 2 * size))
+        for i, (negative, nonzero, support) in enumerate(self._root_masks):
+            if not negative & ~off:
+                size = whole // self._stabilizer_order(off | nonzero)
+                table.append((i, 2 * size if support & off else size))
         if (total := sum(c for _, c in table)) != 2 * len(self.positive_roots):
+            zero_set = tuple(j for j in range(self.rank) if not off >> j & 1)
             raise InternalConsistencyError(
-                f"W_J-orbits of the roots for J = {support} count {total}, "
+                f"W_J-orbits of the roots for J = {zero_set} count {total}, "
                 f"not 2|Phi+| = {2 * len(self.positive_roots)}"
             )
         return tuple(table)

@@ -1,8 +1,8 @@
 """Reference routes for the polynomial tests: coefficientwise sums,
-graded-series equality by ring-operation cross-multiplication, schoolbook
-long division in Z[q] and the trial-division cyclotomic factoriser that
-the text display is checked against.  All are independent of the list
-passes of ``spindle.qpoly``.
+schoolbook products, graded-series equality by ring-operation
+cross-multiplication, schoolbook long division in Z[q] and the
+trial-division cyclotomic factoriser that the text display is checked
+against.  All are independent of the list passes of ``spindle.qpoly``.
 """
 
 from functools import cache
@@ -21,6 +21,17 @@ def sub(a, b):
     """a - b, one ``coefficient`` lookup per side and exponent."""
     n = max(len(a.coeffs), len(b.coeffs))
     return QPolynomial([a.coefficient(i) - b.coefficient(i) for i in range(n)])
+
+
+def mul(a, b):
+    """a * b by the schoolbook double loop over every pair of exponents."""
+    if not a.coeffs or not b.coeffs:
+        return QPolynomial.zero()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return QPolynomial(out)
 
 
 def one_minus(d):

@@ -39,7 +39,7 @@ def test_key_depends_on_inputs():
 
 def test_key_depends_on_schema_version(monkeypatch):
     before = cache.cache_key("dynkin", "A", 2, (1, 1))
-    monkeypatch.setattr(cache, "SCHEMA_VERSION", 2)
+    monkeypatch.setattr(cache, "SCHEMA_VERSION", cache.SCHEMA_VERSION + 1)
     assert cache.cache_key("dynkin", "A", 2, (1, 1)) != before
 
 
@@ -55,17 +55,51 @@ def test_double_store_idempotent(cache_env):
 def test_corrupt_entry_recovers(cache_env, capsys):
     key = cache.cache_key("dynkin", "A", 1, (3,))
     cache.store(key, {"v": 1})
-    path = os.path.join(str(cache_env), key + ".json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{ not json")
-    assert cache.load(key) is None
-    assert "corrupt cache entry" in capsys.readouterr().err
-    assert not os.path.exists(path)
-    # the cached() wrapper recomputes and repopulates
-    value = cache.cached("dynkin", "A", 1, (3,), lambda: {"v": 1})
-    assert value == {"v": 1}
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh) == {"v": 1}
+    (path,) = cache_env.iterdir()
+    for bad in ("{ not json", json.dumps({"v": 1})):  # a bare value too
+        path.write_text(bad)
+        assert cache.load(key) is None
+        err = capsys.readouterr().err
+        assert "corrupt cache entry" in err and err.count("\n") == 1
+        assert not path.exists()
+        # the cached() wrapper recomputes and repopulates
+        value = cache.cached("dynkin", "A", 1, (3,), lambda: {"v": 1})
+        assert value == {"v": 1}
+        assert json.loads(path.read_text()) == {"key": key, "value": {"v": 1}}
+
+
+def test_keys_that_share_a_file_each_get_their_own_value(
+        cache_env, capsys, monkeypatch):
+    monkeypatch.setattr(cache, "_digest", lambda key: "same")
+    calls = []
+
+    def compute(value):
+        calls.append(value)
+        return value
+
+    for weight, value in [((1,), [1]), ((2,), [2]), ((1,), [1]), ((1,), [1])]:
+        assert cache.cached("op", "A", 1, weight,
+                            lambda: compute(value)) == value
+    # each switch of key is a miss that overwrites the one file
+    assert calls == [[1], [2], [1]]
+    assert [p.name for p in cache_env.iterdir()] == ["same.json"]
+    assert capsys.readouterr().err == ""
+
+
+def test_entry_that_records_another_key_is_a_silent_miss(cache_env, capsys):
+    mine = cache.cache_key("dynkin", "A", 1, (4,))
+    other = cache.cache_key("dynkin", "A", 1, (5,))
+    cache.store(other, {"coefficients": ["1"]})
+    (stored,) = cache_env.iterdir()
+    copied = cache_env / (cache._digest(mine) + ".json")
+    copied.write_bytes(stored.read_bytes())
+    assert cache.load(mine, "dynkin") is None
+    assert capsys.readouterr().err == ""
+    assert copied.exists()
+    cache.store(mine, {"coefficients": ["2"]})
+    assert cache.load(mine, "dynkin") == {"coefficients": ["2"]}
+    assert cache.load(other, "dynkin") == {"coefficients": ["1"]}
+    assert json.loads(copied.read_text())["key"] == mine
 
 
 def test_cached_skips_compute_on_hit(cache_env):
@@ -94,12 +128,13 @@ def test_wrong_shape_entry_is_dropped_and_recomputed(
     assert cli.main(argv) == 0
     want = capsys.readouterr().out
     entry = next(tmp_path.iterdir())
-    entry.write_text(json.dumps(bad))
+    key = json.loads(entry.read_text())["key"]
+    entry.write_text(json.dumps({"key": key, "value": bad}))
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == want
     assert "wrong shape" in captured.err and captured.err.count("\n") == 1
-    assert json.loads(entry.read_text()) != bad
+    assert json.loads(entry.read_text())["value"] != bad
 
 
 def test_cached_without_a_directory_hashes_nothing(monkeypatch):
@@ -137,9 +172,9 @@ def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
 def test_store_writes_the_sorted_json_dump(cache_env, value):
     key = cache.cache_key("op", "A", 1, (1,))
     cache.store(key, value)
-    path = os.path.join(str(cache_env), key + ".json")
-    with open(path, encoding="utf-8") as fh:
-        assert fh.read() == json.dumps(value, sort_keys=True)
+    (path,) = cache_env.iterdir()
+    assert path.read_text() == json.dumps({"key": key, "value": value},
+                                          sort_keys=True)
 
 
 def test_character_cache_miss_and_hit_print_the_same(tmp_path, capsys,

@@ -255,6 +255,29 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_dynkin_length_is_charged_to_the_dim_budget(capsys, tmp_path,
+                                                    monkeypatch, cached):
+    # 2(lam, rho^vee) + 1 coefficients, refused before anything is built
+    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+    head = ["--cache-dir", str(tmp_path)] if cached else []
+    argv = head + ["compute", "dynkin", "--type", "A", "--rank", "1",
+                   "--weight", "99999999999999999999"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: Dynkin polynomial length: 100000000000000000000"
+                   " exceeds budget 1000000\n")
+    argv = head + ["compute", "dynkin", "--type", "A", "--rank", "1",
+                   "--weight", "5"]
+    code, out, err = run(argv + ["--dim-budget", "5"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: Dynkin polynomial length: 6 exceeds budget 5\n"
+    code, out, err = run(argv + ["--dim-budget", "6"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "1 + q + q^2 + q^3 + q^4 + q^5\n"
+    assert len(list(tmp_path.iterdir())) == int(cached)
+
+
 def test_limits_do_not_leak_between_calls(capsys):
     # a refused call leaves no limit behind for the next one in the process
     argv = ["compute", "tensor-square", "--type", "A", "--rank", "2",
@@ -487,7 +510,7 @@ def test_verify_rejects_option_the_suite_does_not_read(capsys):
 
 
 @pytest.mark.parametrize("argv,flags", [
-    (["dynkin", "--type", "A", "--rank", "2", "--weight", "1,1",
+    (["t-poly", "--type", "A", "--rank", "2", "--weight", "1,1",
       "--method", "weyl", "--dim-budget", "1"], "--dim-budget, --method"),
     (["character", "--type", "A", "--rank", "2", "--weight", "1,1",
       "--full-weyl", "--mu", "1,0"], "--mu, --full-weyl"),
@@ -654,7 +677,7 @@ def _modules_after(code):
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def test_start_up_imports_no_unused_stdlib_module():
+def test_start_up_imports_no_unused_stdlib_module(tmp_path):
     bare = _modules_after("pass")
     imported = _modules_after("import spindle.cli") - bare
     assert "spindle.cli" in imported
@@ -672,6 +695,16 @@ def test_start_up_imports_no_unused_stdlib_module():
     ) - bare
     assert "spindle.modulerep" in module_route
     assert not module_route & UNUSED_AT_START_UP
+    # a cached call, a miss and then a hit, loads json but never OpenSSL
+    for _ in range(2):
+        cached_call = _modules_after(
+            "from spindle import cli\n"
+            f"cli.main(['--cache-dir', {str(tmp_path)!r}, 'compute', 'dynkin',"
+            " '--type', 'A', '--rank', '2', '--weight', '1,1'])"
+        ) - bare
+        assert "json" in cached_call
+        assert not cached_call & {"hashlib", "_hashlib"}
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_suite_parameters_match_the_signatures():

@@ -253,6 +253,27 @@ def test_sums_match_coefficientwise_reference(a, b):
     assert (a + (-a)).coeffs == ()
 
 
+# dense polynomials and monomials c q^k (zero when c = 0), and ints
+polynomial_factors = st.one_of(
+    st.lists(st.integers(-4, 4), max_size=7).map(P),
+    st.builds(P.monomial, st.integers(0, 6), st.integers(-4, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_factors, st.one_of(polynomial_factors, st.integers(-4, 4)))
+@example(P([1, 2, 3]), P([0, 0, 3]))
+@example(P([0, 0, -2]), P([0, 5]))
+@example(P([4]), P.zero())
+@example(P([1, 2, 3]), 0)
+@example(P([0, 1]), 7)
+def test_products_match_schoolbook_reference(a, b):
+    want = ref.mul(a, b if isinstance(b, QPolynomial) else P([b]))
+    assert a * b == want
+    assert b * a == want
+    assert not (a * b).coeffs or (a * b).coeffs[-1] != 0
+
+
 def test_factored_blocks():
     p = P([1, 1]) * P([1, 0, 1]) * P([1, 0, 0, 1])
     blocks = factored_blocks(p)

@@ -8,7 +8,9 @@ its public walk and descent.  And there is one graded-kernel solver:
 ``nullspace`` is called only by ``exactla.graded_kernel``, and
 ``modulerep`` holds no z(e) or commutant code.  The work limits live in
 ``budget`` alone: no function takes a limit as a parameter to pass it
-down, and no other module keeps a default of its own."""
+down, and no other module keeps a default of its own.  No module imports
+``hashlib``, whose OpenSSL costs every cached call memory and start-up
+time: the result cache names its files with a zlib digest."""
 
 import ast
 import re
@@ -218,3 +220,33 @@ def test_the_budget_guard_sees_each_kind_of_violation():
         ("errors", "def __init__(self, what, needed, cap):\n    pass"),
     ]:
         assert not list(_budget_violations(module, ast.parse(source))), source
+
+
+def _hashlib_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[0] in ("hashlib", "_hashlib") for m in modules):
+            yield f"line {node.lineno}: imports hashlib"
+
+
+def test_no_module_imports_hashlib():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if uses := list(_hashlib_imports(tree)):
+            found[path.name] = uses
+    assert found == {}
+
+
+def test_the_hashlib_guard_sees_each_kind_of_import():
+    for source in ["import hashlib", "import os, hashlib as h",
+                   "from hashlib import sha256", "import _hashlib",
+                   "def key(blob):\n    import hashlib\n    return blob"]:
+        assert list(_hashlib_imports(ast.parse(source))), source
+    for source in ["import zlib", "from . import cache", "hashlib = None"]:
+        assert not list(_hashlib_imports(ast.parse(source))), source
