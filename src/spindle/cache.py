@@ -1,22 +1,21 @@
-"""JSON result cache, one file per entry.
+"""JSON result cache, one file per entry, that knows no value.
 
 An entry's key is the canonical JSON of what it holds (schema version,
 operation, root system, weight, extra).  Its file is named by the zlib
 crc32 of the key, and the entry records the key: ``{"key": key, "value":
-value}``.  A value is returned only when the recorded key is the one asked
-for, so a digest collision or an entry copied to another name is a miss,
-which the next store overwrites.  Entries written under an earlier schema
-have other names and are never read.  Writes are atomic (tmp file +
-os.replace) and idempotent.  A corrupt entry, an entry of the wrong shape
-for its operation and an unwritable directory draw a warning and a fresh
-computation.  The directory is the caller's ``directory`` argument, else
-SPINDLE_CACHE_DIR; with neither, caching is off and no key is built.
+value.to_json()}``.  A value is returned only when the recorded key is the
+one asked for, so a digest collision or a copied entry is a miss, which
+the next store overwrites; and only when its class's ``from_json`` reads
+it back to itself.  Writes are atomic (tmp file + os.replace).  A corrupt
+entry, one that fails that round trip and an unwritable directory draw a
+warning and a fresh computation.  The directory is the caller's
+``directory`` argument, else SPINDLE_CACHE_DIR; with neither, caching is
+off and no key is built.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 import tempfile
 
@@ -54,41 +53,18 @@ def _path(directory, key):
     return os.path.join(directory, _digest(key) + ".json")
 
 
-def _is_int(x):
-    """An int, or the decimal string QPolynomial.to_json writes for one."""
-    if isinstance(x, str):
-        return re.fullmatch(r"-?[0-9]+", x) is not None
-    return type(x) is int
+def _drop(path, why):
+    print(f"warning: dropping corrupt cache entry {path}: {why}",
+          file=sys.stderr)
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
-def _is_polynomial(value):
-    return (isinstance(value, dict)
-            and isinstance(value.get("coefficients"), list)
-            and all(_is_int(c) for c in value["coefficients"]))
-
-
-def _is_character(value):
-    return isinstance(value, list) and all(
-        isinstance(entry, list) and len(entry) == 2
-        and isinstance(entry[0], list)
-        and all(type(x) is int for x in entry[0])
-        and type(entry[1]) is int
-        for entry in value
-    )
-
-
-# Shape of a stored value, per operation.
-_SHAPES = {
-    "dynkin": _is_polynomial,
-    "f-lambda": _is_polynomial,
-    "character": _is_character,
-}
-
-
-def load(key, operation=None, directory=None):
-    """Cached JSON value for key, or None on a miss, an entry that records
-    another key, corruption or a value of the wrong shape for
-    ``operation``."""
+def load(key, directory=None):
+    """Stored JSON value for key, or None on a miss, an entry that records
+    another key, or corruption."""
     directory = cache_dir(directory)
     if directory is None:
         return None
@@ -102,21 +78,14 @@ def load(key, operation=None, directory=None):
             raise ValueError("not a cache entry")
         if entry["key"] != key:
             return None  # another key under the same name: store replaces it
-        value = entry["value"]
-        valid = _SHAPES.get(operation)
-        if valid is not None and not valid(value):
-            raise ValueError(f"wrong shape for {operation}")
-        return value
+        if entry["value"] is None:  # None stands for a miss
+            raise ValueError("wrong shape: a null value")
+        return entry["value"]
     except (FileNotFoundError, NotADirectoryError):
         # a missing entry, or a directory that is a file: store reports it
         return None
     except (ValueError, OSError) as exc:
-        print(f"warning: dropping corrupt cache entry {path}: {exc}",
-              file=sys.stderr)
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+        _drop(path, exc)
         return None
 
 
@@ -160,15 +129,33 @@ def store(key, value, directory=None):
         raise
 
 
-def cached(operation, type_letter, rank, weight, compute, extra=None,
+def _same(a, b):
+    """a == b as JSON: 1, 1.0 and true differ."""
+    if type(a) is dict and type(b) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list and type(b) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def cached(cls, operation, type_letter, rank, weight, compute, extra=None,
            directory=None):
-    """Fetch-or-compute wrapper around load/store."""
-    if cache_dir(directory) is None:  # json and zlib stay unimported
+    """compute(), a value of cls, through the cache: a stored value is
+    used when cls.from_json reads it back to itself, any other is dropped
+    with a warning, and a fresh value is stored as value.to_json()."""
+    directory = cache_dir(directory)
+    if directory is None:  # json and zlib stay unimported, no codec runs
         return compute()
     key = cache_key(operation, type_letter, rank, weight, extra)
-    hit = load(key, operation, directory)
-    if hit is not None:
-        return hit
+    stored = load(key, directory)
+    if stored is not None:
+        try:
+            value = cls.from_json(stored)
+            if _same(value.to_json(), stored):
+                return value
+        except (ArithmeticError, LookupError, TypeError, ValueError):
+            pass  # from_json found no value of cls
+        _drop(_path(directory, key), f"wrong shape for {cls.__name__}")
     value = compute()
-    store(key, value, directory)
+    store(key, value.to_json(), directory)
     return value

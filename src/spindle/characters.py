@@ -47,6 +47,10 @@ class WeightCharacter:
         items = sorted(self.entries.items())
         return [[list(mu), m] for mu, m in items]
 
+    @staticmethod
+    def from_json(obj):
+        return WeightCharacter({tuple(map(int, mu)): int(m) for mu, m in obj})
+
 
 def dominant_multiplicities(rs, lam):
     """Map dominant mu -> m_lam^mu, in order of decreasing height.

@@ -86,13 +86,12 @@ def _weight_str(w):
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
-def _cached(args, rs, compute, extra=None):
-    """The JSON form of compute(), through the result cache under the
+def _cached(args, rs, cls, compute, extra=None):
+    """compute(), a value of cls, through the result cache under the
     subcommand's name."""
-    return cache.cached(
-        args.subcommand, rs.type_letter, rs.rank, args.weight,
-        lambda: compute().to_json(), extra=extra, directory=args.cache_dir,
-    )
+    return cache.cached(cls, args.subcommand, rs.type_letter, rs.rank,
+                        args.weight, compute, extra=extra,
+                        directory=args.cache_dir)
 
 
 def _root_system(args, rs):
@@ -107,10 +106,13 @@ def _root_system(args, rs):
 
 
 def _character(args, rs):
-    entries = _cached(args, rs,
-                      lambda: ch.irreducible_character(rs, args.weight))
+    # charged before the cache, as a miss charges it, so that a hit meets
+    # the same limit; either route holds up to dim V entries
+    budget.charge("dim", "character dimension", rs.weyl_dimension(args.weight))
+    char = _cached(args, rs, ch.WeightCharacter,
+                   lambda: ch.irreducible_character(rs, args.weight))
     return ("weight", "multiplicity"), [
-        (_weight_str(mu), m) for mu, m in entries]
+        (_weight_str(mu), m) for mu, m in sorted(char.entries.items())]
 
 
 def _dynkin(args, rs):
@@ -118,8 +120,8 @@ def _dynkin(args, rs):
     # cache so that neither route allocates an unbounded list
     budget.charge("dim", "Dynkin polynomial length",
                   rs.doubled_height(args.weight) + 1)
-    return QPolynomial.from_json(
-        _cached(args, rs, lambda: dy.dynkin_product(rs, args.weight)))
+    return _cached(args, rs, QPolynomial,
+                   lambda: dy.dynkin_product(rs, args.weight))
 
 
 def _lusztig(args, rs):
@@ -130,9 +132,12 @@ def _lusztig(args, rs):
 
 
 def _f_lambda(args, rs):
-    return QPolynomial.from_json(_cached(
-        args, rs, lambda: qa.f_lambda(rs, args.weight, method=args.method),
-        extra=args.method))
+    # charged before the cache, as a miss charges it
+    budget.charge("dim", "character dimension", rs.weyl_dimension(args.weight))
+    return _cached(
+        args, rs, QPolynomial,
+        lambda: qa.f_lambda(rs, args.weight, method=args.method),
+        extra=args.method)
 
 
 def _tensor_square(args, rs):

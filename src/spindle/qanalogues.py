@@ -7,6 +7,7 @@ the g- and t-endomorphism algebras.
 from __future__ import annotations
 
 from math import prod
+from operator import add
 
 from . import budget
 from . import characters as ch
@@ -163,6 +164,16 @@ def _q_mult_fn(rs, lam, wmf, method):
     return power
 
 
+def _sum(polys):
+    """The sum of QPolynomials, added into one coefficient list."""
+    out = []
+    for p in polys:
+        c = p.coeffs
+        out.extend([0] * (len(c) - len(out)))
+        out[:len(c)] = map(add, out, c)
+    return QPolynomial(out)
+
+
 def jump_tensor(rs, lam, mu, method="auto"):
     """Jump polynomial of V_lam (x) V_mu^*: the t_0/t_nu-weighted sum of
     products of q-multiplicities over the shared dominant weights.  For
@@ -175,37 +186,31 @@ def jump_tensor(rs, lam, mu, method="auto"):
     else:
         f_mu = _q_mult_fn(rs, mu, ch.is_wmf(rs, mu), method)
         mu_support = set(ch.dominant_weights(rs, mu))
-    acc = QPolynomial.zero()
-    for nu in ch.dominant_weights(rs, lam):
-        if mu_support is not None and nu not in mu_support:
-            continue
-        ratio = parabolic_quotient(rs, nu)
+
+    def term(nu):
         m = f_lam(nu)
-        acc = acc + m * (m if f_mu is None else f_mu(nu)) * ratio
-    return acc
+        ratio = parabolic_quotient(rs, nu)
+        return m * (m if f_mu is None else f_mu(nu)) * ratio
+
+    return _sum(term(nu) for nu in ch.dominant_weights(rs, lam)
+                if mu_support is None or nu in mu_support)
 
 
 def f_lambda(rs, lam, method="auto"):
-    """Jump polynomial of End V_lam.
+    """Jump polynomial of End V_lam, ``jump_tensor(rs, lam, lam, method)``.
 
-    For wmf weights the closed q-power form is used; unless ``method`` is
-    "closed", the alternating-sum route is run as well and the two must
-    agree.  Off wmf, "closed" raises DomainError.  Degree and value-at-1
-    laws are asserted.
+    Under "auto" a wmf weight takes the closed q-power form, and the
+    alternating-sum route is run as well and must agree; "weyl" runs the
+    sum alone and "closed" the closed form alone, which raises DomainError
+    off wmf.  Degree and value-at-1 laws are asserted.
     """
     lam = tuple(lam)
-    wmf = ch.is_wmf(rs, lam)
-    if wmf:
-        result = jump_tensor(rs, lam, lam, method="closed")
-        if method != "closed":
-            via_sum = jump_tensor(rs, lam, lam, method="weyl")
-            if via_sum != result:
-                raise InternalConsistencyError(
-                    f"closed form and Weyl sum disagree for {lam}"
-                )
-    else:
-        result = jump_tensor(rs, lam, lam, method=method)
-
+    result = jump_tensor(rs, lam, lam, method=method)
+    if method == "auto" and ch.is_wmf(rs, lam):
+        if jump_tensor(rs, lam, lam, method="weyl") != result:
+            raise InternalConsistencyError(
+                f"closed form and Weyl sum disagree for {lam}"
+            )
     if any(lam):
         expected_deg = rs.doubled_height(lam)
         if result.degree != expected_deg:
@@ -230,7 +235,6 @@ def poincare_cg(rs, lam, method="auto"):
 def poincare_ct(rs, lam):
     """Graded series of the Cartan counterpart: numerator is the plain sum
     of t_0/t_nu over the dominant weights of V_lam."""
-    acc = QPolynomial.zero()
-    for nu in ch.dominant_weights(rs, tuple(lam)):
-        acc = acc + parabolic_quotient(rs, nu)
-    return GradedSeries(acc, rs.degrees)
+    return GradedSeries(_sum(parabolic_quotient(rs, nu)
+                             for nu in ch.dominant_weights(rs, tuple(lam))),
+                        rs.degrees)

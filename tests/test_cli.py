@@ -278,6 +278,24 @@ def test_dynkin_length_is_charged_to_the_dim_budget(capsys, tmp_path,
     assert len(list(tmp_path.iterdir())) == int(cached)
 
 
+
+@pytest.mark.parametrize("sub", ["character", "f-lambda"])
+def test_a_cache_hit_meets_the_dim_budget(capsys, tmp_path, monkeypatch,
+                                          sub):
+    # V(2,1) of A2 has dimension 15; a hit meets the limit a miss meets
+    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+    argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
+            "--rank", "2", "--weight", "2,1"]
+    refused = (3, "", "error: character dimension: 15 exceeds budget 1\n")
+    assert run(argv + ["--dim-budget", "1"], capsys) == refused  # cold
+    assert list(tmp_path.iterdir()) == []
+    assert run(argv, capsys)[0] == 0
+    assert len(list(tmp_path.iterdir())) == 1
+    assert run(argv + ["--dim-budget", "1"], capsys) == refused  # warm
+    assert run(argv[2:] + ["--dim-budget", "1"], capsys) == refused
+    assert run(argv + ["--dim-budget", "15"], capsys)[0] == 0
+
+
 def test_limits_do_not_leak_between_calls(capsys):
     # a refused call leaves no limit behind for the next one in the process
     argv = ["compute", "tensor-square", "--type", "A", "--rank", "2",
@@ -592,6 +610,25 @@ def test_verify_all_output_is_pinned():
     assert lines[-1] == "1279/1279 checks passed"
     assert hashlib.md5(proc.stdout.encode()).hexdigest() == (
         "311ff35790ea5d3f3b7c948190a20657")
+
+
+
+def test_tensor_mf_fails_a_table_row_that_is_not_wmf(capsys, monkeypatch):
+    # the adjoint of A2 is not wmf and its square holds the adjoint twice
+    from spindle import verify as vf
+    from spindle.rootsystem import build_root_system
+
+    entries = vf._table1_entries
+    a2 = build_root_system("A", 2)
+    monkeypatch.setattr(vf, "_table1_entries", lambda dim_cap: [
+        *entries(dim_cap), (a2, (1, 1))])
+    code, out, _ = run(["verify", "tensor-mf"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-2].startswith(
+        "FAIL [tensor-mf] A2 (1, 1) multiplicity-free square :: ")
+    assert [line for line in lines if line.startswith("FAIL")] == lines[-2:-1]
+    assert lines[-1] == "150/151 checks passed"
 
 
 def test_verify_rejects_unknown_suite(capsys):

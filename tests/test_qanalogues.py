@@ -158,6 +158,59 @@ def test_poincare_series():
     assert qa.poincare_cg(C3, (1, 0, 0)) == qa.poincare_ct(C3, (1, 0, 0))
 
 
+
+def test_f_lambda_weyl_method_runs_the_sum_alone(monkeypatch):
+    # C3 w3 is wmf: auto runs the closed form and the Weyl sum, weyl the
+    # sum alone, closed the closed form alone, and all three agree
+    lam = (0, 0, 1)
+    assert ch.is_wmf(C3, lam)
+    real_sum, real_power = qa.lusztig_q_multiplicity, QPolynomial.monomial
+    counts = {}
+
+    def count(name, f):
+        def wrapped(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(qa, "lusztig_q_multiplicity", count("sum", real_sum))
+    monkeypatch.setattr(QPolynomial, "monomial",
+                        staticmethod(count("power", real_power)))
+    results, seen = [], []
+    for method in ("auto", "weyl", "closed"):
+        counts.clear()
+        results.append(qa.f_lambda(C3, lam, method=method))
+        seen.append((counts.get("sum", 0) > 0, counts.get("power", 0) > 0))
+    assert seen == [(True, True), (True, False), (False, True)]
+    assert results[0] == results[1] == results[2]
+    assert results[0](1) == 14  # the dimension, every multiplicity 1
+
+
+def test_numerators_add_into_one_coefficient_list(monkeypatch):
+    # jump_tensor and poincare_ct never add two QPolynomials
+    lam, mu = (1, 1, 0), (0, 1, 0)
+    shared = set(ch.dominant_weights(C3, mu))
+    want_jump = sum(
+        (qa.lusztig_q_multiplicity(C3, lam, nu)
+         * qa.lusztig_q_multiplicity(C3, mu, nu)
+         * qa.parabolic_quotient(C3, nu)
+         for nu in ch.dominant_weights(C3, lam) if nu in shared),
+        QPolynomial.zero())
+    want_ct = sum((qa.parabolic_quotient(C3, nu)
+                   for nu in ch.dominant_weights(C3, lam)),
+                  QPolynomial.zero())
+
+    def no_add(*args):
+        raise AssertionError("QPolynomial.__add__ called")
+
+    monkeypatch.setattr(QPolynomial, "__add__", no_add)
+    monkeypatch.setattr(QPolynomial, "__radd__", no_add)
+    assert qa.jump_tensor(C3, lam, mu) == want_jump
+    assert qa.poincare_ct(C3, lam).numerator == want_ct
+    assert qa.jump_tensor(C3, mu, mu) == QPolynomial([1, 1, 2, 2, 3, 2, 3, 1, 1])
+    assert qa.poincare_ct(C3, (0, 0, 0)).numerator == QPolynomial.one()
+
+
 # Every type with |W| <= 1152, where summing over the whole group is cheap.
 SMALL = [
     build_root_system(letter, rank)

@@ -10,17 +10,22 @@ its public walk and descent.  And there is one graded-kernel solver:
 ``budget`` alone: no function takes a limit as a parameter to pass it
 down, and no other module keeps a default of its own.  No module imports
 ``hashlib``, whose OpenSSL costs every cached call memory and start-up
-time: the result cache names its files with a zlib digest."""
+time: the result cache names its files with a zlib digest.  And the cache
+knows no value: ``cache`` names no compute subcommand, and its ``load``
+takes no operation to pick a shape by; the value's own codec checks an
+entry."""
 
 import ast
 import re
 from pathlib import Path
 
 import spindle
+from spindle import cli
 
 PACKAGE = Path(spindle.__file__).parent
 MODULEREP = PACKAGE / "modulerep.py"
 ROOTSYSTEM = PACKAGE / "rootsystem.py"
+CACHE = PACKAGE / "cache.py"
 WEYL_ROUTE_NAMES = {"alternation_walk", "_box_table", "kostant_partition_q"}
 BUDGET_PARAMETERS = {"budget", "dim_budget", "dim_bound"}
 BUDGET_DEFAULT = re.compile(r"DEFAULT_\w*BUDGET|DEFAULT_DIM_BOUND")
@@ -250,3 +255,34 @@ def test_the_hashlib_guard_sees_each_kind_of_import():
         assert list(_hashlib_imports(ast.parse(source))), source
     for source in ["import zlib", "from . import cache", "hashlib = None"]:
         assert not list(_hashlib_imports(ast.parse(source))), source
+
+
+def _cache_violations(tree):
+    """Where the cache knows a value: a string that is a compute
+    subcommand, or a ``load`` that takes an operation."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in cli.COMPUTE):
+            yield f"line {node.lineno}: names {node.value!r}"
+        elif isinstance(node, ast.FunctionDef) and node.name == "load":
+            a = node.args
+            if "operation" in {arg.arg for arg in
+                               a.posonlyargs + a.args + a.kwonlyargs}:
+                yield f"line {node.lineno}: load takes operation"
+
+
+def test_the_cache_knows_no_subcommand():
+    assert list(_cache_violations(ast.parse(CACHE.read_text()))) == []
+
+
+def test_the_cache_guard_sees_each_kind_of_violation():
+    for source in ['_SHAPES = {"dynkin": _is_polynomial}',
+                   'if operation == "character":\n    pass',
+                   "def load(key, operation=None, directory=None):\n    pass",
+                   "def load(key, *, operation):\n    pass"]:
+        assert list(_cache_violations(ast.parse(source))), source
+    for source in ['key = cache_key("op", "A", 1, (1,))',
+                   "def load(key, directory=None):\n    pass",
+                   "def cached(cls, operation, compute):\n    pass",
+                   '"""A cached character or dynkin polynomial."""']:
+        assert not list(_cache_violations(ast.parse(source))), source
