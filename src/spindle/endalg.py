@@ -9,8 +9,9 @@ commutativity, a 1-dimensional socle, the lowest-vector bijection, the
 Lefschetz ranges of e, nonvanishing projections of e-powers and a
 1-dimensional joint kernel of z(e).  ``structure`` asks them all, in one
 order, for both ``compute end-alg-a`` and ``verify endalg``.  Everything
-is read off the module: e is D times the sum of the simple raising
-operators, and the lowest vector is the one basis vector of minimal level.
+is read off the module: e is the sum of its simple raising operators,
+integer matrices in the module's basis, and the lowest vector is the one
+basis vector of minimal level.
 
 ``type_a_module`` names the type-A cases: S^m and Lambda^k of the
 defining representation of sl_{n+1} are V(m w_1) and V(w_k).  The
@@ -72,11 +73,10 @@ def _nilradical_span(module):
     positive nilradical, each element homogeneous of definite height.
 
     Yields (height, [(m, [e, m]), ...]) per height, in increasing height,
-    in integer matrices, with e = principal_nilpotent(module); the factor
-    D leaves the centralizer of e unchanged.
+    in integer matrices, with e = principal_nilpotent(module).
     """
     n = module.dimension
-    simple = mr.scaled_raising(module)
+    simple = mr.raising_operators(module)
     space = la.span([la.flatten(m, n) for m in simple])
     frontier, h = simple, 1
     while frontier:

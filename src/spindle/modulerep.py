@@ -9,11 +9,13 @@ never touches the alternating Weyl sum or a Kostant partition table, so
 agreement between the two is a genuine two-algorithm check.
 
 The construction builds the module level by level.  Level-k vectors are
-f_i-images of level-(k-1) basis vectors; linear relations among them are
-detected through their e_j-images, because in an irreducible module a
+f_i-images of level-(k-1) basis vectors.  In an irreducible module a
 vector of weight below the highest killed by every raising operator is
-zero.  Everything is exact, and in integers: each operator column is
-kept as integer numerators over one denominator.
+zero, so such a vector is determined by its e_j-images: each weight
+space takes as basis the vectors whose images are the reduced echelon
+basis rows of its candidates' images.  Everything is exact.  The raising
+operators are integer matrices by construction; only a lowering column
+carries a denominator.
 """
 
 from __future__ import annotations
@@ -27,15 +29,44 @@ from .errors import DomainError, InternalConsistencyError
 from .qpoly import QPolynomial
 
 
-def _matrix(cols, den):
-    """The sparse integer matrix den times the columns (d, num); d | den."""
-    return la.transpose({gb: {r: x * (den // d) for r, x in num.items()}
-                         for gb, (d, num) in cols.items()})
+def _images(e_cols, f_col, b, i, wb):
+    """(den, img): the images e_j f_i v_b = f_i e_j v_b + [i = j] wb[i] v_b
+    of the candidate f_i v_b as the integer row img over its least
+    denominator den, row r of block j in column r * rank + j; f_col is
+    f_cols[i] and wb the weight of v_b."""
+    rank = len(e_cols)
+    cols = [(j, c, f_col[r2]) for j, e in enumerate(e_cols)
+            for r2, c in e.get(b, {}).items() if r2 in f_col]
+    den = lcm(*(d for _, _, (d, _) in cols))
+    img = {b * rank + i: wb[i] * den}
+    for j, c, (d, num) in cols:
+        c *= den // d
+        for r, x in num.items():
+            key = r * rank + j
+            img[key] = img.get(key, 0) + c * x
+    g = gcd(den, *img.values())
+    return den // g, {key: x // g for key, x in img.items() if x}
+
+
+def _lowering(den, img, pivots):
+    """The column (den', {row: int}) in lowest terms of the candidate with
+    images img / den, given (pivot, leading entry, basis vector) of each
+    echelon row of its weight space.  The rows are 0 in each other's
+    pivot columns, so the coefficient on the basis vector of the row with
+    pivot p is img[p] / (den lead)."""
+    terms = [(img[p], lead, gb) for p, lead, gb in pivots if p in img]
+    scale = lcm(*(lead for _, lead, _ in terms))
+    num = {gb: x * (scale // lead) for x, lead, gb in terms}
+    g = gcd(den * scale, *num.values())
+    return den * scale // g, {gb: x // g for gb, x in num.items()}
 
 
 class HighestWeightModule:
     """V_lam with exact matrices for the simple raising and lowering
-    operators; basis vectors carry definite weights.
+    operators; basis vectors carry definite weights.  Column b of
+    ``_e_cols[j]`` is e_j v_b as ``{row: int}``, and column b of
+    ``_f_cols[i]`` is f_i v_b as ``(den, {row: int})`` in lowest terms;
+    zero columns are not stored.
 
     With ``depth``, only the levels at most ``depth`` simple roots below
     lam are built: the raising operators are then complete on them, the
@@ -55,72 +86,34 @@ class HighestWeightModule:
         self.weights = [lam]
         rank = rs.rank
         cartan = rs.cartan_matrix
-        # Column gb of op_cols[i] is (den, {row: int}): the integer
-        # numerators over one positive denominator, in lowest terms for
-        # the lowering operators.
-        e_cols = [dict() for _ in range(rank)]
-        f_cols = [dict() for _ in range(rank)]
+        e_cols = [{} for _ in range(rank)]
+        f_cols = [{} for _ in range(rank)]
 
         prev = [0]
         for level, size in enumerate(sizes[1:], 1):
-            candidates = []
-            for gb in prev:
-                wb = self.weights[gb]
-                for i in range(rank):
-                    mu = tuple(wb[k] - cartan[i][k] for k in range(rank))
-                    # e_j f_i v_gb for every j, over one common denominator
-                    cols = [e_cols[j].get(gb, (1, {})) for j in range(rank)]
-                    den = lcm(*(d for d, _ in cols)) * lcm(*(
-                        f_cols[i][gb2][0] for _, col in cols for gb2 in col))
-                    imgs = []
-                    for j, (d_e, e_col) in enumerate(cols):
-                        num = {gb: wb[j] * den} if i == j else {}
-                        for gb2, c in e_col.items():
-                            d_f, f_col = f_cols[i][gb2]
-                            c *= den // (d_e * d_f)
-                            for r, c2 in f_col.items():
-                                num[r] = num.get(r, 0) + c * c2
-                        imgs.append({r: x for r, x in num.items() if x})
-                    g = gcd(den, *(x for num in imgs for x in num.values()))
-                    imgs = [{r: x // g for r, x in num.items()}
-                            for num in imgs]
-                    candidates.append((i, gb, mu, den // g, imgs))
             groups = {}
-            for cand in candidates:
-                groups.setdefault(cand[2], []).append(cand)
+            for b in prev:
+                wb = self.weights[b]
+                for i in range(rank):
+                    den, img = _images(e_cols, f_cols[i], b, i, wb)
+                    if img:
+                        mu = tuple(wb[k] - cartan[i][k] for k in range(rank))
+                        groups.setdefault(mu, []).append((i, b, den, img))
             new_indices = []
-            for mu in sorted(groups):
-                group = groups[mu]
-                # relations among the candidates: those of their e_j-images,
-                # read off the primitive echelon basis of their integer rows
-                images = [dict(enumerate(cand[4])) for cand in group]
-                basis = la.span(la.coefficient_rows(images)).basis()
-                pivots = [min(b) for b in basis]
-                new_of_pivot = []
-                for c_pos in pivots:
-                    i, gb, _, den, imgs = group[c_pos]
-                    gb_new = len(self.weights)
+            for mu, group in sorted(groups.items()):
+                # basis vector gb is the vector whose images are row
+                pivots = []
+                for row in la.span(img for *_, img in group).basis():
+                    gb = len(self.weights)
                     self.weights.append(mu)
-                    new_indices.append(gb_new)
-                    new_of_pivot.append(gb_new)
-                    f_cols[i][gb] = (1, {gb_new: 1})
-                    for j in range(rank):
-                        if imgs[j]:
-                            e_cols[j][gb_new] = (den, imgs[j])
-                pivot_set = set(pivots)
-                for c_pos, (i, gb, _, den, _) in enumerate(group):
-                    if c_pos in pivot_set:
-                        continue
-                    # candidate c is the sum, over the basis rows b holding
-                    # c, of b[c] den_p / (b[p] den_c) times the new vector
-                    # of the pivot p of b, kept over the least denominator
-                    terms = [(b[c_pos] * group[p][3], b[p] * den, gb_new)
-                             for b, p, gb_new in zip(basis, pivots, new_of_pivot)
-                             if c_pos in b]
-                    d = lcm(*(q for _, q, _ in terms))
-                    num = {gb_new: x * (d // q) for x, q, gb_new in terms}
-                    g = gcd(d, *num.values())
-                    f_cols[i][gb] = (d // g, {r: x // g for r, x in num.items()})
+                    new_indices.append(gb)
+                    p = min(row)
+                    pivots.append((p, row[p], gb))
+                    for key, x in row.items():
+                        r, j = divmod(key, rank)
+                        e_cols[j].setdefault(gb, {})[r] = x
+                for i, b, den, img in group:
+                    f_cols[i][b] = _lowering(den, img, pivots)
             if len(new_indices) != size:
                 raise InternalConsistencyError(
                     f"module construction for {lam} gave {len(new_indices)} "
@@ -146,18 +139,15 @@ class HighestWeightModule:
         return [(lv - low) // 2 for lv in levels]
 
 
-def scaled_raising(module):
-    """The simple raising operators times D, the common denominator of
-    their entries: integer matrices with the same brackets up to scale."""
-    cols = module._e_cols
-    den = lcm(*(d for op in cols for d, _ in op.values()))
-    return [_matrix(op, den) for op in cols]
+def raising_operators(module):
+    """The simple raising operators, as integer matrices."""
+    return [la.transpose(cols) for cols in module._e_cols]
 
 
 def principal_nilpotent(module):
-    """e = D times the sum of the simple raising operators: a regular
-    nilpotent, as an integer matrix."""
-    return la.combination((1, m) for m in scaled_raising(module))
+    """e = the sum of the simple raising operators: a regular nilpotent,
+    as an integer matrix."""
+    return la.combination((1, m) for m in raising_operators(module))
 
 
 def filtration_q_multiplicity(rs, lam, mu):
@@ -180,7 +170,8 @@ def filtration_q_multiplicity(rs, lam, mu):
     if gap is None or min(gap) < 0:
         return QPolynomial.zero()
     module = HighestWeightModule(rs, lam, depth=sum(gap))
-    e_t = la.transpose(principal_nilpotent(module))
+    # the transpose of e, summed from the raising columns
+    e_t = la.combination((1, cols) for cols in module._e_cols)
     vecs = {c: {c: 1} for c, w in enumerate(module.weights) if w == mu}
     ranks = [len(vecs)]  # the rank of e^k on V_lam(mu), k = 0, 1, ...
     while vecs:

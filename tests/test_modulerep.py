@@ -32,9 +32,12 @@ G2 = build_root_system("G", 2)
 
 
 def _rational(cols):
-    """The operator with columns (den, num) as a sparse Fraction matrix."""
+    """The operator with integer columns num, or lowering columns
+    (den, num), as a sparse Fraction matrix."""
+    pairs = ((gb, col if isinstance(col, tuple) else (1, col))
+             for gb, col in cols.items())
     return la.transpose({gb: {r: Fraction(x, den) for r, x in num.items()}
-                         for gb, (den, num) in cols.items()})
+                         for gb, (den, num) in pairs})
 
 
 def test_module_dimension_matches_weyl_formula():
@@ -57,8 +60,11 @@ def test_module_weight_multiplicities():
 
 
 def test_sl2_commutation_relation():
-    # [e_i, f_j] = delta_ij h_i, with h_i diagonal: mu_i on a weight-mu vector
-    for rs, lam in [(A2, (2, 1)), (G2, (0, 1))]:
+    # [e_i, f_j] = delta_ij h_i, with h_i diagonal: mu_i on a weight-mu
+    # vector.  G2 (1, 1) and A3 (1, 1, 1) have weight spaces of dimension
+    # >= 2 and lowering columns with denominators.
+    for rs, lam in [(A2, (2, 1)), (G2, (0, 1)), (G2, (1, 1)),
+                    (A3, (1, 1, 1))]:
         module = mr.HighestWeightModule(rs, lam)
         for i in range(rs.rank):
             h = {col: {col: w[i]}
@@ -87,23 +93,24 @@ def test_module_route_is_integer_only(monkeypatch):
     monkeypatch.setattr(la.RowSpace, "add", recording_add)
     fractional = False
     for rs, lam in [(A2, (1, 1)), (B2, (0, 2)), (C3, (0, 1, 0)),
-                    (G2, (0, 1)), (build_root_system("F", 4), (0, 0, 0, 1)),
+                    (G2, (0, 1)), (G2, (1, 1)), (A3, (1, 1, 1)),
+                    (build_root_system("F", 4), (0, 0, 0, 1)),
                     (build_root_system("E", 6), (1, 0, 0, 0, 0, 0))]:
         module = mr.HighestWeightModule(rs, lam)
-        for cols in module._e_cols + module._f_cols:
+        for cols in module._e_cols:
+            for num in cols.values():
+                assert all(type(x) is int for x in num.values())
+        # every lowering column is in lowest terms, and each basis vector
+        # below the top has a nonzero raising column
+        for cols in module._f_cols:
             for den, num in cols.values():
                 assert type(den) is int and den > 0
                 assert all(type(x) is int for x in num.values())
-        # every lowering column is in lowest terms, and each basis vector
-        # below the top is introduced by a pivot column (1, {b: 1})
-        units = set()
-        for cols in module._f_cols:
-            for den, num in cols.values():
-                assert den >= 1 and gcd(den, *num.values()) == 1
-                if den == 1 and list(num.values()) == [1]:
-                    units.update(num)
-        assert units == set(range(1, module.dimension))
-        fractional |= any(den > 1 for cols in module._e_cols
+                assert gcd(den, *num.values()) == 1
+        raised = {b for cols in module._e_cols
+                  for b, num in cols.items() if num}
+        assert raised == set(range(1, module.dimension))
+        fractional |= any(den > 1 for cols in module._f_cols
                           for den, _ in cols.values())
         for _, grade in endalg._nilradical_span(module):
             for m, em in grade:
@@ -113,11 +120,27 @@ def test_module_route_is_integer_only(monkeypatch):
         if rs.in_root_lattice(lam):
             assert mr.jump_polynomial(rs, lam) == qa.lusztig_q_multiplicity(
                 rs, lam, (0,) * rs.rank)
-    # the raising operators of these modules have non-integer entries, so
-    # the common denominator is really cleared
+    # some lowering operators of these modules have non-integer entries,
+    # so the integer raising columns are not an accident of the cases
     assert fractional
     assert stored
     assert all(type(x) is int for row in stored for x in row.values())
+
+
+@pytest.mark.parametrize("rs,lam", [(G2, (1, 1)), (A3, (1, 1, 1)),
+                                    (C3, (0, 1, 1))])
+def test_raising_columns_are_integer_rows_and_e_is_their_sum(rs, lam):
+    module = mr.HighestWeightModule(rs, lam)
+    for cols in module._e_cols:
+        for b, num in cols.items():
+            assert type(b) is int and type(num) is dict
+            assert all(type(r) is int and type(x) is int
+                       for r, x in num.items())
+    raising = [la.transpose(cols) for cols in module._e_cols]
+    assert mr.raising_operators(module) == raising
+    # no scale factor: e is the plain sum of the raising operators
+    assert mr.principal_nilpotent(module) == la.combination(
+        (1, m) for m in raising)
 
 
 def test_module_budget():
