@@ -161,28 +161,40 @@ def _truncsym(args, rs):
 
 
 _WEIGHT = ("type", "rank", "weight")
-_WEYL = ("method", "weyl_budget", "full_weyl", "dim_budget")
 _CLOSED = ("auto", "weyl", "closed")
+
+# The limit options each --method value reads besides those of its row:
+# the Weyl limit for a route that may run the Weyl sum, none for the
+# closed form, and the dimension limit for the module route.
+ROUTE_LIMITS = {
+    "auto": ("weyl_budget", "full_weyl"),
+    "weyl": ("weyl_budget", "full_weyl"),
+    "closed": (),
+    "module": ("dim_budget",),
+}
 
 # One row per compute subcommand: the options it reads besides --format
 # (the top-level --cache-dir counts as "cache_dir"; no other command reads
-# it), its --method values, and the function of (options, root system)
-# that returns its result.  A row that reads --type gets the root system,
-# else None, and one that reads --weight gets it and --mu as tuples.
-# Only lusztig has a module route, which reads no Weyl budget, and it has
-# no closed form.
+# it) and besides the ROUTE_LIMITS of its chosen --method, its --method
+# values, and the function of (options, root system) that returns its
+# result.  A row that reads --type gets the root system, else None, and
+# one that reads --weight gets it and --mu as tuples.  jump, f-lambda and
+# poincare-cg read the dimension limit on every route, as each first
+# finds whether the weight is wmf from its character.
 COMPUTE = {
     "root-system": (("type", "rank"), (), _root_system),
     "character": (_WEIGHT + ("dim_budget", "cache_dir"), (), _character),
     "dynkin": (_WEIGHT + ("dim_budget", "cache_dir"), (), _dynkin),
-    "jump": (_WEIGHT + ("mu",) + _WEYL, _CLOSED, lambda args, rs:
-             qa.jump_tensor(rs, args.weight, args.mu or args.weight,
-                            method=args.method)),
-    "lusztig": (_WEIGHT + ("mu", "method", "weyl_budget", "full_weyl"),
-                ("auto", "weyl", "module"), _lusztig),
+    "jump": (_WEIGHT + ("mu", "method", "dim_budget"), _CLOSED,
+             lambda args, rs: qa.jump_tensor(
+                 rs, args.weight, args.mu or args.weight, method=args.method)),
+    "lusztig": (_WEIGHT + ("mu", "method"), ("auto", "weyl", "module"),
+                _lusztig),
     "t-poly": (_WEIGHT, (), lambda args, rs: qa.t_poly(rs, args.weight)),
-    "f-lambda": (_WEIGHT + _WEYL + ("cache_dir",), _CLOSED, _f_lambda),
-    "poincare-cg": (_WEIGHT + _WEYL, _CLOSED, lambda args, rs:
+    "f-lambda": (_WEIGHT + ("method", "dim_budget", "cache_dir"), _CLOSED,
+                 _f_lambda),
+    "poincare-cg": (_WEIGHT + ("method", "dim_budget"), _CLOSED,
+                    lambda args, rs:
                     qa.poincare_cg(rs, args.weight, method=args.method)),
     "poincare-ct": (_WEIGHT + ("dim_budget",), (), lambda args, rs:
                     qa.poincare_ct(rs, args.weight)),
@@ -215,18 +227,20 @@ def cmd_compute(args, out):
     it under the limits they set and print its result."""
     sub = args.subcommand
     reads, methods, run = COMPUTE[sub]
-    if args.method == "module" and "module" in methods:
-        reads = tuple(n for n in reads if n not in ("weyl_budget", "full_weyl"))
+    if methods:
+        if args.method not in methods + (None,):
+            raise UsageError(
+                f"compute {sub} does not take --method {args.method}")
+        reads += ROUTE_LIMITS[args.method or "auto"]
     unread = [
         "--" + name.replace("_", "-")
-        for name in dict.fromkeys(n for row in COMPUTE.values()
-                                  for n in row[0])
+        for name in dict.fromkeys(
+            n for opts, ms, _ in COMPUTE.values()
+            for n in opts + sum((ROUTE_LIMITS[m] for m in ms), ()))
         if name not in reads and getattr(args, name) is not None
     ]
     if unread:
         raise UsageError(f"compute {sub} does not take {', '.join(unread)}")
-    if args.method is not None and args.method not in methods:
-        raise UsageError(f"compute {sub} does not take --method {args.method}")
     _require_positive(args, ("weyl_budget", "dim_budget", "matrix_budget"))
     for name, value in COMPUTE_DEFAULTS.items():
         if getattr(args, name) is None:

@@ -11,7 +11,11 @@ Lefschetz ranges of e, nonvanishing projections of e-powers and a
 order, for both ``compute end-alg-a`` and ``verify endalg``.  Everything
 is read off the module: e is the sum of its simple raising operators,
 integer matrices in the module's basis, and the lowest vector is the one
-basis vector of minimal level.
+basis vector of minimal level.  The basis is homogeneous and a product of
+grades g and h has grade g + h, so each question is asked one grade at a
+time: e is looked for in the span of grade 1, e maps the span of grade i
+into that of grade i + 1, and the socle's system splits by grade.  No
+span of the whole basis is built.
 
 ``type_a_module`` names the type-A cases: S^m and Lambda^k of the
 defining representation of sl_{n+1} are V(m w_1) and V(w_k).  The
@@ -106,7 +110,8 @@ class GradedCommutant:
     """Homogeneous basis [(T, grade)] of the commutant of z(e) on a
     module, graded by floor (T raises every floor by its grade, so a
     product whose grades sum past the top floor ``top`` is 0), with the
-    z(e) it was solved for."""
+    z(e) it was solved for.  ``grades[g]`` lists the basis elements of
+    grade g, for g = 0, ..., top."""
 
     def __init__(self, module):
         self.module = module
@@ -118,16 +123,16 @@ class GradedCommutant:
                 f"commutant element at negative grade {self.basis[0][1]} "
                 f"for {module.lam}"
             )
+        self.grades = [[] for _ in range(self.top + 1)]
+        for m, g in self.basis:
+            self.grades[g].append(m)
 
     @property
     def dimension(self):
         return len(self.basis)
 
     def graded_dimensions(self):
-        out = [0] * (self.top + 1)
-        for _, g in self.basis:
-            out[g] += 1
-        return out
+        return [len(grade) for grade in self.grades]
 
     def is_commutative(self):
         """Decided once per commutant; socle_dimension asks again."""
@@ -140,22 +145,6 @@ class GradedCommutant:
             for i, (a, ga) in enumerate(self.basis)
             for b, gb in self.basis[i + 1:] if ga + gb <= self.top
         )
-
-    def _span(self):
-        dim = self.module.dimension
-        return la.span([la.flatten(m, dim) for m, _ in self.basis])
-
-    def contains(self, matrix):
-        return la.flatten(matrix, self.module.dimension) in self._span()
-
-    def is_closed_under_product(self):
-        dim = self.module.dimension
-        span = self._span()
-        for a, _ in self.basis:
-            for b, _g in self.basis:
-                if la.flatten(la.mat_mul(a, b), dim) not in span:
-                    return False
-        return True
 
 
 def commutant(module):
@@ -192,40 +181,42 @@ def check_bijection(comm):
 
 
 def socle_dimension(comm):
-    """Dimension of the annihilator of the positive-grade part."""
+    """Dimension of the annihilator of the positive-grade part, the
+    x = sum x_i b_i with x m = 0 for every basis element m of positive
+    grade.  It is solved one grade h of the b_i at a time: b m lies in
+    grade h + g for m of grade g, so no row of the whole system mixes two
+    grades, and its rank is the sum of the per-grade ranks."""
     if not comm.is_commutative():
         raise DomainError("socle check requires a commutative commutant")
-    rows = []
-    for m, g in comm.basis:
-        if g <= 0:
-            continue
-        # row block: coefficients x_i of sum x_i b_i with (sum x_i b_i) m = 0
-        rows.extend(la.coefficient_rows(
-            la.mat_mul(b, m) if gb + g <= comm.top else {}
-            for b, gb in comm.basis
-        ))
-    return comm.dimension - la.rank(rows)
+    grades, rank = comm.grades, 0
+    for h, grade in enumerate(grades):
+        # products past the top floor are 0 and give no rows
+        rank += la.rank(
+            row for g in range(1, comm.top - h + 1) for m in grades[g]
+            for row in la.coefficient_rows(la.mat_mul(b, m) for b in grade)
+        )
+    return comm.dimension - rank
 
 
 def lefschetz_check(comm):
     """Multiplication by the grade-1 element e is injective on the lower
     half of the grading and surjective on the upper half."""
     e = mr.principal_nilpotent(comm.module)
-    if not comm.contains(e):
-        raise InternalConsistencyError("e is not in the commutant")
     top = comm.top
     dim = comm.module.dimension
-    by_grade = {}
-    for m, g in comm.basis:
-        by_grade.setdefault(g, []).append(m)
+    # e and the basis are homogeneous, so e lies in the commutant iff it
+    # lies in the span of the grade-1 part; spans are built one at a time
+    spans = (la.span(la.flatten(m, dim) for m in grade)
+             for grade in comm.grades[1:])
+    target = next(spans, la.RowSpace())
+    if la.flatten(e, dim) not in target:
+        raise InternalConsistencyError("e is not in the commutant")
     # top = 2*hot(lam); injective for i <= [(top-1)/2], surjective for
     # i >= [top/2].  Images of grade i lie inside the grade-(i+1) span, so
     # rank comparisons decide both.
     for i in range(top):
-        src = by_grade.get(i, [])
-        dst = by_grade.get(i + 1, [])
+        src, dst = comm.grades[i], comm.grades[i + 1]
         images = [la.flatten(la.mat_mul(e, m), dim) for m in src]
-        target = la.span([la.flatten(m, dim) for m in dst])
         if any(img not in target for img in images):
             raise InternalConsistencyError("product left the expected grade")
         r = la.rank(images)
@@ -233,16 +224,18 @@ def lefschetz_check(comm):
             return False
         if i >= top // 2 and r != len(dst):
             return False
+        target = next(spans, None)
     return True
 
 
 def e_power_projections(module):
     """e^n applied to the lowest vector hits every weight line on floor n."""
     floors, low = _lowest(module)
-    e = mr.principal_nilpotent(module)
+    e_t = la.transpose(mr.principal_nilpotent(module))
     vec = {low: 1}
     for step in range(1, max(floors) + 1):
-        vec = la.mat_vec(e, vec)
+        # the vector as a row: e v is the row v times the transpose of e
+        vec = la.mat_mul({0: vec}, e_t).get(0, {})
         for b, floor in enumerate(floors):
             if floor == step and b not in vec:
                 return False

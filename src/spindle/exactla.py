@@ -233,15 +233,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    out = {}
-    for i, row in a.items():
-        x = sum(y * v[c] for c, y in row.items() if c in v)
-        if x:
-            out[i] = x
-    return out
-
-
 def bracket(a, b):
     """The commutator ab - ba."""
     out = {}

@@ -353,6 +353,12 @@ def test_lusztig_module_method_answers_at_e8_omega1_zero_weight(capsys):
      "lusztig does not take --weyl-budget"),
     (["lusztig", "--method", "module", "--full-weyl"],
      "lusztig does not take --full-weyl"),
+    # the closed form runs no Weyl sum, so it reads no Weyl limit
+    *(([sub, "--method", "closed", *flag], f"{sub} does not take {flag[0]}")
+      for sub in ("f-lambda", "jump", "poincare-cg")
+      for flag in (("--weyl-budget", "5"), ("--full-weyl",))),
+    # the Weyl options of the method table are still refused elsewhere
+    (["dynkin", "--weyl-budget", "5"], "dynkin does not take --weyl-budget"),
 ])
 def test_method_a_subcommand_does_not_have_is_a_usage_error(
         capsys, argv, message):
@@ -361,6 +367,15 @@ def test_method_a_subcommand_does_not_have_is_a_usage_error(
     assert code == 2
     assert out == ""
     assert err == f"error: compute {message}\n"
+
+
+def test_lusztig_module_method_reads_the_dim_budget(capsys):
+    # the module route charges the dim limit when it builds the module
+    argv = ["compute", "lusztig", "--type", "A", "--rank", "2", "--weight",
+            "2,2", "--method", "module"]
+    assert run(argv + ["--dim-budget", "5"], capsys) == (
+        3, "", "error: module dimension: 16 exceeds budget 5\n")
+    assert run(argv + ["--dim-budget", "16"], capsys) == run(argv, capsys)
 
 
 def test_each_subcommand_that_reads_method_lists_its_methods():

@@ -69,8 +69,12 @@ def test_commutant_properties():
         comm = ea.commutant(module)
         assert comm.dimension == module.dimension, (n, kind)
         assert comm.is_commutative(), (n, kind)
-        assert comm.is_closed_under_product(), (n, kind)
-        assert comm.contains(mr.principal_nilpotent(module)), (n, kind)
+        dim = module.dimension
+        span = la.span(la.flatten(m, dim) for m, _ in comm.basis)
+        assert all(la.flatten(la.mat_mul(a, b), dim) in span
+                   for a, _ in comm.basis for b, _ in comm.basis), (n, kind)
+        assert la.flatten(mr.principal_nilpotent(module), dim) in span, (
+            n, kind)
         assert ea.socle_dimension(comm) == 1, (n, kind)
         assert ea.check_bijection(comm), (n, kind)
         assert ea.lefschetz_check(comm), (n, kind)
@@ -216,12 +220,15 @@ def _run(argv, capsys):
 
 def test_end_alg_a_text_output_is_pinned(capsys):
     digest = hashlib.md5()
+    # up to the 56-dimensional Lambda^3 of sl8, and the trivial Lambda^3
+    # of sl3
     for n, kind in [(3, "S1"), (3, "S2"), (3, "S3"), (3, "S4"), (3, "E1"),
-                    (3, "E2"), (3, "E3"), (3, "E4"), (1, "S2")]:
+                    (3, "E2"), (3, "E3"), (3, "E4"), (1, "S2"), (5, "S3"),
+                    (7, "E3"), (2, "E3")]:
         code, out, err = _run(["--n", str(n), "--kind", kind], capsys)
         assert (code, err) == (0, "")
         digest.update(out.encode())
-    assert digest.hexdigest() == "1317ff2f71fb5837272337588a96d19e"
+    assert digest.hexdigest() == "dd5535e5d8dbefa8edbc126426cd9070"
 
 
 @pytest.mark.parametrize("argv, code, err", [
