@@ -14,11 +14,22 @@ class UsageError(SpindleError):
     exit_code = 2
 
 
+def count_text(n):
+    """A work count as the messages show it: in decimal, or as about
+    10^k, k = bit length x log10(2), when it has more digits than Python
+    converts to text."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{n.bit_length() * 30103 // 100000}"
+
+
 class ResourceBudgetError(SpindleError):
     """A computation would exceed one of the work limits of ``budget``.
 
     ``what`` names the layer; ``needed`` is the work it needs or, for a
-    walk cut short, the work done so far.
+    walk cut short, the work done so far, as a count or as text that shows
+    its counts with ``count_text``.
     """
 
     exit_code = 3
@@ -27,7 +38,8 @@ class ResourceBudgetError(SpindleError):
         self.what = what
         self.needed = needed
         self.cap = cap
-        super().__init__(f"{what}: {needed} exceeds budget {cap}")
+        super().__init__(
+            f"{what}: {count_text(needed)} exceeds budget {count_text(cap)}")
 
 
 class ExactDivisionError(SpindleError, ArithmeticError):

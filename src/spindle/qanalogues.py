@@ -11,7 +11,7 @@ from operator import add
 
 from . import budget
 from . import characters as ch
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, count_text
 from .qpoly import GradedSeries, QPolynomial, cyclo_product
 
 
@@ -52,7 +52,7 @@ def _kostant_cells(rs, top, points=0):
     """
     cells = prod(t + 1 for t in top)
     budget.charge("weyl", "Kostant partition table", points + cells,
-                  f"{points} points + {cells} cells")
+                  f"{points} points + {count_text(cells)} cells")
     counts = _box_table(rs, top, 0)[0]
     width = counts[-1].bit_length()
     words = -(-width * (sum(top) + 1) // 64)

@@ -5,11 +5,9 @@ type-A Dynkin polynomial.
 
 from __future__ import annotations
 
-from math import comb
-
 from . import budget
 from .dynkin import dynkin_product
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, count_text
 from .qpoly import QPolynomial, gaussian_binomial
 from .rootsystem import build_root_system
 
@@ -22,8 +20,15 @@ def box_partition_poincare(n, m):
     by the one before it (the first by n), so depth m needs no recursion."""
     if n < 1 or m < 1:
         raise ValueError("box_partition_poincare needs n, m >= 1")
-    total = comb(m + n, m)
-    budget.charge("enum", "box partition enumeration", total)
+    # C(m + n, m) over the shorter side of the box; its partial values
+    # C(k + i, i) grow with i, so the first one over the limit refuses
+    total, k, cap = 1, max(m, n), budget.limit("enum")
+    for i in range(1, min(m, n) + 1):
+        total = total * (k + i) // i
+        if total > cap:
+            break
+    budget.charge("enum", "box partition enumeration", total,
+                  f"C({count_text(m + n)}, {count_text(m)})")
     counts = [0] * (n * m + 1)
     parts, size = [], 0
     while True:

@@ -15,18 +15,20 @@ def cache_env(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_disabled_without_env(monkeypatch):
+def test_disabled_without_env(tmp_path, monkeypatch):
     monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
-    key = cache.cache_key("dynkin", "A", 2, (1, 1))
-    cache.store(key, {"x": 1})
-    assert cache.load(key) is None
+    monkeypatch.chdir(tmp_path)
+    for value in (QPolynomial([1]), QPolynomial([2])):
+        assert cache.cached(QPolynomial, "dynkin", "A", 2, (1, 1),
+                            lambda: value) == value
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_round_trip(cache_env):
     key = cache.cache_key("dynkin", "G", 2, (1, 0))
-    assert cache.load(key) is None
-    cache.store(key, {"coefficients": ["1", "2"], "variable": "q"})
-    assert cache.load(key) == {"coefficients": ["1", "2"], "variable": "q"}
+    assert cache.load(QPolynomial, key, cache_env) is None
+    cache.store(key, {"coefficients": ["1", "2"], "variable": "q"}, cache_env)
+    assert cache.load(QPolynomial, key, cache_env) == QPolynomial([1, 2])
 
 
 def test_key_depends_on_inputs():
@@ -47,9 +49,10 @@ def test_key_depends_on_schema_version(monkeypatch):
 
 def test_double_store_idempotent(cache_env):
     key = cache.cache_key("dynkin", "A", 1, (2,))
-    cache.store(key, [1, 2, 3])
-    cache.store(key, [1, 2, 3])
-    assert cache.load(key) == [1, 2, 3]
+    char = WeightCharacter({(1,): 2, (-1,): 3})
+    cache.store(key, char.to_json(), cache_env)
+    cache.store(key, char.to_json(), cache_env)
+    assert cache.load(WeightCharacter, key, cache_env).entries == char.entries
     # no leftover temp files
     assert all(not f.endswith(".tmp") for f in os.listdir(cache_env))
 
@@ -57,11 +60,11 @@ def test_double_store_idempotent(cache_env):
 def test_corrupt_entry_recovers(cache_env, capsys):
     key = cache.cache_key("dynkin", "A", 1, (3,))
     poly = QPolynomial([1, 1, 1, 1])
-    cache.store(key, poly.to_json())
+    cache.store(key, poly.to_json(), cache_env)
     (path,) = cache_env.iterdir()
     for bad in ("{ not json", json.dumps(poly.to_json())):  # a bare value too
         path.write_text(bad)
-        assert cache.load(key) is None
+        assert cache.load(QPolynomial, key, cache_env) is None
         err = capsys.readouterr().err
         assert "corrupt cache entry" in err and err.count("\n") == 1
         assert not path.exists()
@@ -94,16 +97,17 @@ def test_keys_that_share_a_file_each_get_their_own_value(
 def test_entry_that_records_another_key_is_a_silent_miss(cache_env, capsys):
     mine = cache.cache_key("dynkin", "A", 1, (4,))
     other = cache.cache_key("dynkin", "A", 1, (5,))
-    cache.store(other, {"coefficients": ["1"]})
+    one, two = QPolynomial([1]), QPolynomial([2])
+    cache.store(other, one.to_json(), cache_env)
     (stored,) = cache_env.iterdir()
     copied = cache_env / (cache._digest(mine) + ".json")
     copied.write_bytes(stored.read_bytes())
-    assert cache.load(mine) is None
+    assert cache.load(QPolynomial, mine, cache_env) is None
     assert capsys.readouterr().err == ""
     assert copied.exists()
-    cache.store(mine, {"coefficients": ["2"]})
-    assert cache.load(mine) == {"coefficients": ["2"]}
-    assert cache.load(other) == {"coefficients": ["1"]}
+    cache.store(mine, two.to_json(), cache_env)
+    assert cache.load(QPolynomial, mine, cache_env) == two
+    assert cache.load(QPolynomial, other, cache_env) == one
     assert json.loads(copied.read_text())["key"] == mine
 
 
@@ -160,6 +164,55 @@ def test_wrong_shape_entry_is_dropped_and_recomputed(
     assert entry.read_text() == good
 
 
+@pytest.mark.parametrize("sub", ["character", "dynkin", "f-lambda"])
+@pytest.mark.parametrize("redump", [
+    lambda entry: json.dumps(entry, sort_keys=True, separators=(",", ":")),
+    lambda entry: json.dumps({"value": entry["value"], "key": entry["key"]}),
+], ids=["compact", "value-first"])
+def test_a_valid_value_in_other_formatting_is_dropped_and_rewritten(
+        sub, redump, tmp_path, capsys, monkeypatch):
+    # an entry is valid when its text is what store writes for its value
+    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+    argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
+            "--rank", "2", "--weight", "1,1"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    entry = next(tmp_path.iterdir())
+    good = entry.read_text()
+    entry.write_text(redump(json.loads(good)))
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want
+    assert "wrong shape" in captured.err and captured.err.count("\n") == 1
+    assert entry.read_text() == good
+
+
+def _replace_on_a_full_disk(src, dst):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("block", ["directory", "full disk"])
+def test_an_entry_that_cannot_be_written_warns_and_prints(
+        block, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+    argv = ["--cache-dir", str(tmp_path), "compute", "dynkin", "--type", "A",
+            "--rank", "1", "--weight", "2"]
+    entry = tmp_path / "21041a1d.json"
+    if block == "directory":  # the entry's name is taken by a directory
+        entry.mkdir()
+    else:
+        monkeypatch.setattr(cache.os, "replace", _replace_on_a_full_disk)
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1 + q + q^2\n"
+    assert captured.err.startswith(
+        f"warning: unusable cache directory {tmp_path}: ")
+    assert captured.err.count("\n") == 1
+    # the tmp file is removed
+    assert [p.name for p in tmp_path.iterdir()] == (
+        ["21041a1d.json"] if block == "directory" else [])
+
+
 def test_cached_without_a_directory_hashes_nothing(monkeypatch):
     monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
 
@@ -197,7 +250,7 @@ def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
 ])
 def test_store_writes_the_sorted_json_dump(cache_env, value):
     key = cache.cache_key("op", "A", 1, (1,))
-    cache.store(key, value)
+    cache.store(key, value, cache_env)
     (path,) = cache_env.iterdir()
     assert path.read_text() == json.dumps({"key": key, "value": value},
                                           sort_keys=True)
@@ -220,7 +273,7 @@ def test_character_cache_miss_and_hit_print_the_same(tmp_path, capsys,
 
 def test_null_value_is_dropped_with_a_warning(cache_env, capsys):
     key = cache.cache_key("dynkin", "A", 1, (1,))
-    cache.store(key, None)
+    cache.store(key, None, cache_env)
     (path,) = cache_env.iterdir()
     assert cache.cached(QPolynomial, "dynkin", "A", 1, (1,),
                         lambda: QPolynomial([1, 1])) == QPolynomial([1, 1])

@@ -279,6 +279,40 @@ def test_dynkin_length_is_charged_to_the_dim_budget(capsys, tmp_path,
 
 
 
+NINES = "9" * 4300  # its successor has more digits than str() converts
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["character", "--type", "E", "--rank", "8",
+      "--weight", "9" * 100 + ",0,0,0,0,0,0,0"],
+     "error: character dimension: about 10^7720 exceeds budget 1000000\n"),
+    (["dynkin", "--type", "A", "--rank", "1", "--weight", NINES],
+     "error: Dynkin polynomial length: about 10^4300 exceeds budget "
+     "1000000\n"),
+    (["lusztig", "--type", "A", "--rank", "2", "--weight", f"{NINES},{NINES}",
+      "--mu", "0,0"],
+     "error: Kostant partition table: 1 points + about 10^8600 cells "
+     "exceeds budget 10000000\n"),
+], ids=["character", "dynkin", "lusztig"])
+def test_a_count_too_long_to_print_is_shown_by_its_size(capsys, argv, err):
+    start = time.perf_counter()
+    assert run(["compute", *argv], capsys) == (3, "", err)
+    assert time.perf_counter() - start < 1
+
+
+def test_truncsym_is_refused_before_the_binomial_is_finished(capsys):
+    # C(2*10^6, 10^6) in full takes half a minute; its first partial
+    # value over the limit is reached in 20 steps
+    start = time.perf_counter()
+    assert run(["compute", "truncsym", "--n", "1000000", "--m", "1000000"],
+               capsys) == (3, "", "error: box partition enumeration: "
+                                  "C(2000000, 1000000) exceeds budget 1000000\n")
+    assert time.perf_counter() - start < 1
+    assert run(["compute", "truncsym", "--n", "1", "--m", "1000000"],
+               capsys) == (3, "", "error: box partition enumeration: "
+                                  "C(1000001, 1000000) exceeds budget 1000000\n")
+
+
 @pytest.mark.parametrize("sub", ["character", "f-lambda"])
 def test_a_cache_hit_meets_the_dim_budget(capsys, tmp_path, monkeypatch,
                                           sub):
