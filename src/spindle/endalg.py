@@ -31,7 +31,8 @@ from math import comb
 from . import budget
 from . import exactla as la
 from . import modulerep as mr
-from .errors import DomainError, InternalConsistencyError, UsageError
+from .errors import (DomainError, InternalConsistencyError,
+                     ResourceBudgetError, UsageError, count_text)
 from .qpoly import QPolynomial
 from .rootsystem import build_root_system
 
@@ -52,23 +53,32 @@ def _parse_kind(kind):
 def type_a_module(n, kind):
     """S^m or Lambda^k of the defining rep of sl_{n+1} as the module of
     A_n with highest weight m w_1 or w_k (0 for k = n+1).  Its dimension,
-    then n, is charged to the ``matrix`` limit, which also bounds the build."""
+    then n, is charged to the ``matrix`` limit, which also bounds the build.
+
+    The dimension is C(a, b).  With s = min(b, a - b) the shorter side,
+    a >= 2s, so C(a, b) >= 2^s: once s reaches the bit length of the
+    limit, C(a, b) is over it and is refused as C(a, b) uncomputed; below
+    that it has fewer factors than that bit length and is computed."""
     if n < 1:
         raise UsageError("n must be >= 1")
     flavor, power = _parse_kind(kind)
-    if flavor == "S":
-        dim = comb(n + power, power)
-        lam = (power,) + (0,) * (n - 1)
-    else:
-        if power > n + 1:
-            raise UsageError(f"exterior power {power} exceeds {n + 1}")
-        dim = comb(n + 1, power)
-        lam = tuple(int(i == power - 1) for i in range(n))
-    budget.charge("matrix", "matrix model dimension", dim)
+    if flavor == "E" and power > n + 1:
+        raise UsageError(f"exterior power {power} exceeds {n + 1}")
+    a = n + power if flavor == "S" else n + 1
+    cap = budget.limit("matrix")
+    if min(power, a - power) >= cap.bit_length():
+        raise ResourceBudgetError("matrix model dimension",
+                                  f"C({count_text(a)}, {count_text(power)})",
+                                  cap)
+    budget.charge("matrix", "matrix model dimension", comb(a, power))
     # A faithful module of sl_{n+1} has dimension > n, so only the trivial
     # Lambda^{n+1} can pass the first check with n over the budget.
     budget.charge("matrix", "matrix model rank", n)
-    with budget.limits(dim=budget.limit("matrix")):
+    if flavor == "S":
+        lam = (power,) + (0,) * (n - 1)
+    else:
+        lam = tuple(int(i == power - 1) for i in range(n))
+    with budget.limits(dim=cap):
         return mr.HighestWeightModule(build_root_system("A", n), lam)
 
 

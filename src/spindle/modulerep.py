@@ -25,7 +25,7 @@ from math import gcd, lcm
 from . import budget
 from . import exactla as la
 from .dynkin import dynkin_product
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, count_text
 from .qpoly import QPolynomial
 
 
@@ -72,15 +72,23 @@ class HighestWeightModule:
     lam are built: the raising operators are then complete on them, the
     lowering operators are not.  Each level must hold as many vectors as
     the matching coefficient of the Dynkin polynomial, and their number
-    is charged to the ``dim`` limit before anything is built.
+    is charged to the ``dim`` limit before anything is built.  Only the
+    coefficients of the levels built are listed: a whole module is
+    charged its Weyl dimension first, and a part of one its number of
+    levels, each of which holds a vector.
     """
 
     def __init__(self, rs, lam, depth=None):
         lam = tuple(lam)
-        # vectors per level, top down; a full build ends on an empty level
-        sizes = dynkin_product(rs, lam).coeffs + (0,)
-        sizes = sizes[:None if depth is None else depth + 1]
-        budget.charge("dim", "module dimension", sum(sizes))
+        # vectors per level, top down; a whole module ends on an empty level
+        if depth is None or depth > rs.doubled_height(lam):
+            budget.charge("dim", "module dimension", rs.weyl_dimension(lam))
+            sizes = dynkin_product(rs, lam).coeffs + (0,)
+        else:
+            budget.charge("dim", "module dimension", depth + 1,
+                          f"{count_text(depth + 1)} levels")
+            sizes = dynkin_product(rs, lam, depth + 1).coeffs
+            budget.charge("dim", "module dimension", sum(sizes))
         self.rs = rs
         self.lam = lam
         self.weights = [lam]

@@ -230,6 +230,20 @@ def cyclo_product(numer_exps, denom_exps):
     return QPolynomial(c)
 
 
+def cyclo_series(numer_exps, denom_exps, terms):
+    """The first ``terms`` coefficients of prod_i (1 - q^{a_i}) /
+    prod_j (1 - q^{b_j}) as a power series, for positive exponents: the
+    passes of ``cyclo_product`` on a list truncated to ``terms``, so a
+    factor of exponent ``terms`` or more costs nothing."""
+    keep_n, keep_d = _cancel_common(numer_exps, denom_exps)
+    c = [1] + [0] * (terms - 1)
+    for b in keep_d:
+        _over_one_minus(c, b)
+    for a in keep_n:
+        _times_one_minus(c, a)
+    return c
+
+
 def _cancel_common(a, b):
     """The sorted exponent multisets a and b, less their common part;
     raises ValueError on an exponent below 1, for which 1 - q^e is no
@@ -308,12 +322,6 @@ class GradedSeries:
         obj = self.numerator.to_json()
         obj["denominator_exponents"] = list(self.denominator_exponents)
         return obj
-
-    @staticmethod
-    def from_json(obj):
-        return GradedSeries(
-            QPolynomial.from_json(obj), obj["denominator_exponents"]
-        )
 
 
 def series_equal(s1, s2):
@@ -395,24 +403,21 @@ def factored_blocks(p):
     blocks = []
     while ms:
         d = max(ms)
-        # A geometric block of length k and step s with sk = d*t ... we only
-        # try blocks whose cyclotomic support is exactly the divisors of s*k
-        # not dividing s, scanning s ascending so the longest block wins.
-        chosen = None
-        for s in sorted(x for x in range(1, d) if d % x == 0):
-            k = d // s
-            need = [e for e in _divisors(s * k) if s % e != 0]
-            if all(ms.get(e, 0) >= 1 for e in need):
-                chosen = (k, s, need)
+        # The block of length k and step s, sk = d, is the product of the
+        # Phi_e over the divisors e of d not dividing s; steps are tried
+        # ascending, so the longest block wins.
+        divs = _divisors(d)
+        for s in divs[:-1]:
+            need = [e for e in divs if s % e]
+            if all(e in ms for e in need):
                 break
-        if chosen is None:
+        else:
             return None
-        k, s, need = chosen
         for e in need:
             ms[e] -= 1
             if ms[e] == 0:
                 del ms[e]
-        blocks.append((k, s))
+        blocks.append((d // s, s))
     blocks.sort(key=lambda ks: ((ks[0] - 1) * ks[1], ks[1]))
     return blocks
 

@@ -20,8 +20,6 @@ from . import budget
 from . import exactla as la
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
 
-Weight = tuple
-
 # Bourbaki numbering, for reference in CLI help and docs:
 #   A_n: path 1-2-...-n
 #   B_n: path, node n short
@@ -113,26 +111,31 @@ def _symmetrizer(cartan):
 
 
 def _closure(cartan, sym):
-    """Positive roots, their weight coordinates and their coroots, each
-    sorted by (height, root), from one upward reflection closure of the
-    simple roots.
+    """Positive roots, their weight coordinates, their coroots and the
+    steps that reached them, each sorted by (height, root), from one upward
+    reflection closure of the simple roots.
 
     A root gamma with weights w steps to s_j gamma = gamma - w_j alpha_j,
     with weights w - w_j (row j of ``cartan``), wherever w_j < 0.  A
     reflection keeps the length, so each root carries the entry e of
     ``sym`` for its length class, and its coroot steps along with it:
-    s_j gamma^vee = gamma^vee + (-w_j e_j / e) alpha_j^vee, as
-    <alpha_j, gamma^vee> = w_j e_j / e.  Each increment must be an
-    integer, so a wrong ``sym`` raises InternalConsistencyError.
+    s_j gamma^vee = gamma^vee + k alpha_j^vee with k = -w_j e_j / e, as
+    <alpha_j, gamma^vee> = w_j e_j / e.  Each k must be an integer, so a
+    wrong ``sym`` raises InternalConsistencyError.
+
+    The steps hold one (t, p, j, k) per root t, in the sorted order: root t
+    was first reached from root p by s_j, so coroot t is coroot p plus
+    k alpha_j^vee.  A parent is lower than its child, so it sorts first.
+    A simple root alpha_j steps from itself with k = 1, its coroot from 0.
     """
     l = len(cartan)
     found = {}
     for i in range(l):
         unit = tuple(int(k == i) for k in range(l))
-        found[unit] = (cartan[i], sym[i], unit)
+        found[unit] = (cartan[i], sym[i], unit, (unit, i, 1))
     order = list(found)
     for r in order:  # grows while it is read
-        w, e, v = found[r]
+        w, e, v, _ = found[r]
         for j, c in enumerate(w):
             if c < 0:
                 s = r[:j] + (r[j] - c,) + r[j + 1:]
@@ -143,38 +146,15 @@ def _closure(cartan, sym):
                             f"coroot of {s} is not integral")
                     found[s] = (
                         tuple([x - c * y for x, y in zip(w, cartan[j])]), e,
-                        v[:j] + (v[j] + k,) + v[j + 1:],
+                        v[:j] + (v[j] + k,) + v[j + 1:], (r, j, k),
                     )
                     order.append(s)
     roots = tuple(sorted(found, key=lambda r: (sum(r), r)))
+    index = {r: t for t, r in enumerate(roots)}
+    steps = tuple((t, index[p], j, k) for t, (p, j, k) in enumerate(
+        found[r][3] for r in roots))
     return (roots, tuple(found[r][0] for r in roots),
-            tuple(found[r][2] for r in roots))
-
-
-def _coroot_chain(coroots):
-    """Each non-simple positive coroot as an earlier coroot plus a simple
-    one: ((t, p, q), ...) in order of coroot height, where t, p and q index
-    ``coroots`` and coroot t is coroot p plus the simple coroot q.  Also
-    returns the index of each simple coroot in ``coroots``.
-
-    The order is by coroot height, not by the order of ``coroots``: in the
-    non-simply-laced types a root's coroot can be lower than the coroot of
-    a lower root.
-    """
-    rank = len(coroots[0])
-    index = {c: t for t, c in enumerate(coroots)}
-    simple = tuple(index[tuple(int(k == j) for k in range(rank))]
-                   for j in range(rank))
-    chain = []
-    for c in sorted(coroots, key=lambda c: (sum(c), c))[rank:]:
-        for j, n in enumerate(c):
-            p = index.get(c[:j] + (n - 1,) + c[j + 1:]) if n else None
-            if p is not None:
-                break
-        else:
-            raise InternalConsistencyError(f"coroot {c} has no parent")
-        chain.append((index[c], p, simple[j]))
-    return tuple(chain), simple
+            tuple(found[r][2] for r in roots), steps)
 
 
 def _mask(coords):
@@ -215,14 +195,12 @@ class RootSystem:
         ) + (tuple(range(rank)),)
         self.symmetrizer = _symmetrizer(self.cartan_matrix)
         (self.positive_roots, self.positive_root_weights,
-         self.positive_coroots) = _closure(
+         self.positive_coroots, self._closure_steps) = _closure(
             self.cartan_matrix, self.symmetrizer)
         self.root_heights = tuple(map(sum, self.positive_roots))
         self.coroot_heights = tuple(map(sum, self.positive_coroots))
         # the nodes each positive coroot is supported on, as a bit mask
         self._coroot_supports = tuple(map(_mask, self.positive_coroots))
-        self._coroot_chain, self._simple_coroots = _coroot_chain(
-            self.positive_coroots)
         self._weyl_denominator = prod(self.coroot_heights)
         self.degrees = _degrees(self.coroot_heights)
         self.exponents = tuple(d - 1 for d in self.degrees)
@@ -518,13 +496,12 @@ class RootSystem:
 
     def rho_pairings(self, lam):
         """<lam+rho, gamma^vee> for each positive coroot gamma^vee, in the
-        order of ``positive_coroots``.  The simple coroots give lam_j + 1,
-        and each other pairing is one add along ``_coroot_chain``."""
+        order of ``positive_coroots``.  <lam+rho, alpha_j^vee> = lam_j + 1,
+        so each pairing is one step of the closure: where coroot t is coroot
+        p plus k alpha_j^vee, pairing t is pairing p plus k (lam_j + 1)."""
         vals = [0] * len(self.positive_coroots)
-        for t, l in zip(self._simple_coroots, lam):
-            vals[t] = l + 1
-        for t, p, q in self._coroot_chain:
-            vals[t] = vals[p] + vals[q]
+        for t, p, j, k in self._closure_steps:
+            vals[t] = vals[p] + k * (lam[j] + 1)
         return vals
 
     def weyl_dimension(self, lam):

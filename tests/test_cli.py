@@ -313,6 +313,64 @@ def test_truncsym_is_refused_before_the_binomial_is_finished(capsys):
                                   "C(1000001, 1000000) exceeds budget 1000000\n")
 
 
+HUGE = str(10**12)
+HUGE_E8 = f"{HUGE},0,0,0,0,0,0,0"
+
+
+def _huge_a1(sub, *rest):
+    return [sub, "--type", "A", "--rank", "1", "--weight", HUGE, *rest]
+
+
+# One compute call per row at 10^12, with the exit code it must end in.
+HUGE_INPUTS = [
+    (_huge_a1("character"), 3),
+    (_huge_a1("dynkin"), 3),
+    (_huge_a1("jump"), 3),
+    (_huge_a1("lusztig", "--mu", "0", "--method", "weyl"), 3),
+    (_huge_a1("lusztig", "--mu", HUGE, "--method", "weyl"), 0),
+    (_huge_a1("lusztig", "--mu", "0", "--method", "module"), 3),
+    (_huge_a1("lusztig", "--mu", HUGE, "--method", "module"), 0),
+    (["lusztig", "--type", "E", "--rank", "8", "--weight", HUGE_E8,
+      "--mu", HUGE_E8, "--method", "module"], 0),
+    (["lusztig", "--type", "E", "--rank", "8", "--weight", HUGE_E8,
+      "--mu", "0,0,0,0,0,0,0,0", "--method", "module"], 3),
+    (_huge_a1("t-poly"), 0),
+    (_huge_a1("f-lambda"), 3),
+    (_huge_a1("poincare-cg"), 3),
+    (_huge_a1("poincare-ct"), 3),
+    (_huge_a1("tensor-square"), 3),
+    (["end-alg-a", "--n", HUGE, "--kind", "S2"], 3),
+    (["end-alg-a", "--n", "2", "--kind", "S" + HUGE], 3),
+    (["end-alg-a", "--n", "300000", "--kind", "S300000"], 3),
+    (["truncsym", "--n", HUGE, "--m", HUGE], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", HUGE_INPUTS, ids=[
+    " ".join(x.replace(HUGE, "1e12") for x in argv if x[:2] != "--")
+    for argv, _ in HUGE_INPUTS])
+def test_huge_inputs_end_in_their_exit_code_at_once(capsys, argv, code):
+    start = time.perf_counter()
+    got, out, err = run(["compute", *argv], capsys)
+    assert time.perf_counter() - start < 1
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (out, err) == ("1\n", "")
+
+
+def test_huge_module_builds_are_refused_by_their_level_count(capsys):
+    # the A1 module down to mu = 0 has one vector on each of its levels
+    assert run(["compute", *HUGE_INPUTS[5][0]], capsys) == (
+        3, "", "error: module dimension: 500000000001 levels exceeds "
+               "budget 1000000\n")
+    assert run(["compute", "end-alg-a", "--n", "300000", "--kind", "S300000"],
+               capsys) == (3, "", "error: matrix model dimension: "
+                                  "C(600000, 300000) exceeds budget 60\n")
+
+
 @pytest.mark.parametrize("sub", ["character", "f-lambda"])
 def test_a_cache_hit_meets_the_dim_budget(capsys, tmp_path, monkeypatch,
                                           sub):

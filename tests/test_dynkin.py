@@ -23,6 +23,17 @@ def test_dynkin_product_values():
     assert got == want
 
 
+@pytest.mark.parametrize("rs, lam", [
+    (A2, (2, 2)), (B2, (1, 3)), (C3, (0, 2, 1)), (G2, (2, 1)),
+    (build_root_system("E", 8), (0,) * 7 + (1,)),
+])
+def test_dynkin_product_with_terms_is_the_leading_coefficients(rs, lam):
+    full = dy.dynkin_product(rs, lam).coeffs
+    for terms in (1, 2, len(full) // 2, len(full), len(full) + 3):
+        padded = full[:terms] + (0,) * (terms - len(full))
+        assert dy.dynkin_product(rs, lam, terms) == QPolynomial(padded)
+
+
 def test_dynkin_product_rejects_non_dominant():
     with pytest.raises(DomainError):
         dy.dynkin_product(A2, (1, -1))

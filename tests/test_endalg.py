@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 from itertools import combinations, product
 
@@ -240,6 +241,30 @@ def test_end_alg_a_text_output_is_pinned(capsys):
 ])
 def test_end_alg_a_error_lines(capsys, argv, code, err):
     assert _run(argv, capsys) == (code, "", err)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 10, 60, 1000])
+def test_dimension_is_refused_exactly_when_the_binomial_exceeds_the_limit(
+        monkeypatch, cap):
+    # C(a, b) >= 2^min(b, a - b): from that bit length on it is refused
+    # uncomputed and shown as C(a, b), below it computed and shown in full
+    monkeypatch.setattr(mr, "HighestWeightModule", lambda rs, lam: lam)
+    for n, kind in product(range(1, 13), ["S1", "S2", "S5", "S12", "E1",
+                                          "E2", "E4", "E7", "E13"]):
+        power = int(kind[1:])
+        if kind[0] == "E" and power > n + 1:
+            continue
+        a = n + power if kind[0] == "S" else n + 1
+        dim = math.comb(a, power)
+        with budget.limits(matrix=cap):
+            if dim <= cap and n <= cap:
+                ea.type_a_module(n, kind)
+                continue
+            with pytest.raises(ResourceBudgetError) as info:
+                ea.type_a_module(n, kind)
+        if dim > cap:
+            short = min(power, a - power) >= cap.bit_length()
+            assert info.value.needed == (f"C({a}, {power})" if short else dim)
 
 
 def _record_builds(monkeypatch):

@@ -176,6 +176,19 @@ def test_truncated_build_is_the_top_of_the_full_build(rs, lam):
                                                  want.items() if row}
 
 
+def test_a_part_of_a_huge_module_lists_only_the_levels_it_builds():
+    # 2 * 10^12 + 1 levels in all; each level holds a vector, so a part is
+    # charged its level count before any coefficient is listed
+    lam = (10**12,)
+    assert mr.HighestWeightModule(A1, lam, depth=10).dimension == 11
+    with pytest.raises(ResourceBudgetError, match="^module dimension: "
+                       "11 levels exceeds budget 10$"), budget.limits(dim=10):
+        mr.HighestWeightModule(A1, lam, depth=10)
+    with pytest.raises(ResourceBudgetError,
+                       match="^module dimension: 1000000000001 exceeds"):
+        mr.HighestWeightModule(A1, lam)
+
+
 @pytest.mark.parametrize("sizes", [(1, 2, 1), (1, 1)])
 def test_each_level_is_checked_against_the_dynkin_polynomial(
         monkeypatch, sizes):

@@ -449,6 +449,26 @@ def test_rho_pairings_are_the_coroot_dot_products(key):
             for cr in rs.positive_coroots]
 
 
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_closure_steps_reach_each_coroot_from_an_earlier_one(key):
+    # root t came from root p by s_j: coroot t is coroot p + k alpha_j^vee,
+    # and a simple root alpha_j steps from itself, its coroot from 0
+    rs = build_root_system(*key)
+    steps = _closure(rs.cartan_matrix, rs.symmetrizer)[3]
+    assert [t for t, _, _, _ in steps] == list(range(len(steps)))
+    for t, p, j, k in steps:
+        unit = tuple(int(i == j) for i in range(rs.rank))
+        if p == t:
+            assert (rs.positive_roots[t], k) == (unit, 1)
+            continue
+        assert p < t and rs.root_heights[p] < rs.root_heights[t]
+        assert rs.positive_coroots[t] == tuple(
+            c + k * u for c, u in zip(rs.positive_coroots[p], unit))
+        w_j = rs.positive_root_weights[p][j]
+        assert rs.positive_roots[t] == tuple(
+            r - w_j * u for r, u in zip(rs.positive_roots[p], unit))
+
+
 def _reference_root_orbits(rs, support):
     """W_J-orbits of the positive roots by closure under s_j, j in J:
     {index of the J-dominant member: c}, c = |O| for an orbit inside Phi_J
