@@ -3,14 +3,16 @@ serve cached results.
 
 Each compute subcommand is one row of ``COMPUTE``: the options it reads,
 its --method values and the function that returns its result, which
-``_emit`` prints.  An error prints one ``error:`` line and the call exits
-with the code its class carries (``errors``); a failed check of a
-verification suite exits 1.
+``_emit`` turns into the lines ``main`` writes.  An error prints one
+``error:`` line and the call exits with the code its class carries
+(``errors``); a failed check of a verification suite, or output that
+cannot be written, exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import budget, cache
@@ -42,9 +44,9 @@ def _parse_weight(text, rank):
     return coords
 
 
-def _emit(value, fmt, out):
-    """Print a QPolynomial, a GradedSeries or a (header, rows) pair, whose
-    rows are tuples of scalars, as text, json or csv.  A row value json
+def _emit(value, fmt):
+    """The lines of a QPolynomial, a GradedSeries or a (header, rows) pair,
+    whose rows are tuples of scalars, as text, json or csv.  A row value json
     cannot encode (a QPolynomial) prints as its str, as in text and csv."""
     table = isinstance(value, tuple)
     if fmt == "json":
@@ -52,7 +54,7 @@ def _emit(value, fmt, out):
 
         obj = ([dict(zip(value[0], r)) for r in value[1]] if table
                else value.to_json())
-        out.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
+        yield json.dumps(obj, sort_keys=True, default=str) + "\n"
     elif table:
         lines = [value[0], *value[1]]
         sep, widths = ",", [0] * len(value[0])
@@ -61,8 +63,7 @@ def _emit(value, fmt, out):
             widths = [max(len(str(x)) for x in column)
                       for column in zip(*lines)]
         for r in lines:
-            out.write(sep.join(str(x).ljust(w) for x, w in zip(r, widths))
-                      + "\n")
+            yield sep.join(str(x).ljust(w) for x, w in zip(r, widths)) + "\n"
     else:
         series = isinstance(value, GradedSeries)
         poly = value.numerator if series else value
@@ -71,15 +72,15 @@ def _emit(value, fmt, out):
             if series:
                 line = f"({line}) / " + "".join(
                     f"(1 - q^{d})" for d in value.denominator_exponents)
-            out.write(line + "\n")
+            yield line + "\n"
             return
-        out.write("exponent,coefficient\n")
+        yield "exponent,coefficient\n"
         for e, c in enumerate(poly.coeffs):
-            out.write(f"{e},{c}\n")
+            yield f"{e},{c}\n"
         if series:
-            out.write("# denominator exponents: "
-                      + ",".join(str(d) for d in value.denominator_exponents)
-                      + "\n")
+            yield ("# denominator exponents: "
+                   + ",".join(str(d) for d in value.denominator_exponents)
+                   + "\n")
 
 
 def _weight_str(w):
@@ -222,9 +223,9 @@ def _require_positive(args, names):
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def cmd_compute(args, out):
+def cmd_compute(args):
     """Check the options against the subcommand's row of COMPUTE, then run
-    it under the limits they set and print its result."""
+    it under the limits they set: (exit code, lines of its result)."""
     sub = args.subcommand
     reads, methods, run = COMPUTE[sub]
     if methods:
@@ -259,19 +260,20 @@ def cmd_compute(args, out):
             # parsed before the build, whose cost grows with the rank, so
             # that a weight of the wrong length is refused at once
             args.weight = _parse_weight(args.weight, args.rank)
-            if args.mu:
+            if args.mu is not None:
                 args.mu = _parse_weight(args.mu, args.rank)
         rs = build_root_system(args.type, args.rank) if "type" in reads else None
-        _emit(run(args, rs), args.format, out)
-    return 0
+        return 0, _emit(run(args, rs), args.format)
 
 
-def cmd_verify(args, out):
+def cmd_verify(args):
+    """Run the suite: (exit code, lines of its report)."""
     if args.cache_dir is not None:
         raise UsageError("verify does not take --cache-dir")
     _require_positive(args, ("max_rank", "height_bound"))
     results = vf.run_suite(args.suite, max_rank=args.max_rank,
                            height_bound=args.height_bound)
+    lines = []
     failures = 0
     for suite, check in results:
         status = "PASS" if check.ok else "FAIL"
@@ -280,11 +282,9 @@ def cmd_verify(args, out):
             failures += 1
             if check.detail:
                 line += f" :: {check.detail}"
-        out.write(line + "\n")
-    out.write(
-        f"{len(results) - failures}/{len(results)} checks passed\n"
-    )
-    return 0 if failures == 0 else 1
+        lines.append(line + "\n")
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed\n")
+    return (0 if failures == 0 else 1), lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -358,14 +358,25 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
     try:
         if args.command == "compute":
-            return cmd_compute(args, out)
-        return cmd_verify(args, out)
+            code, lines = cmd_compute(args)
+        else:
+            code, lines = cmd_verify(args)
     except SpindleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    # an OSError of the computation is not caught, only one of the output
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # what is left in the buffer of a closed pipe or a full disk would
+        # fail again at the interpreter's exit flush
+        sys.stdout = open(os.devnull, "w")
+        return 1
+    return code
 
 
 if __name__ == "__main__":

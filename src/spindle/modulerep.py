@@ -61,6 +61,9 @@ def _lowering(den, img, pivots):
     return den * scale // g, {gb: x // g for gb, x in num.items()}
 
 
+_FIRST_PREFIX = 64
+
+
 class HighestWeightModule:
     """V_lam with exact matrices for the simple raising and lowering
     operators; basis vectors carry definite weights.  Column b of
@@ -75,7 +78,9 @@ class HighestWeightModule:
     is charged to the ``dim`` limit before anything is built.  Only the
     coefficients of the levels built are listed: a whole module is
     charged its Weyl dimension first, and a part of one its number of
-    levels, each of which holds a vector.
+    levels, each of which holds a vector.  A part is then listed in
+    doubling prefixes from ``_FIRST_PREFIX`` levels, each charged its sum,
+    so that a refusal costs at most twice the prefix that shows it.
     """
 
     def __init__(self, rs, lam, depth=None):
@@ -87,7 +92,14 @@ class HighestWeightModule:
         else:
             budget.charge("dim", "module dimension", depth + 1,
                           f"{count_text(depth + 1)} levels")
-            sizes = dynkin_product(rs, lam, depth + 1).coeffs
+            terms = min(_FIRST_PREFIX, depth + 1)
+            sizes = dynkin_product(rs, lam, terms).coeffs
+            while terms <= depth:
+                size = sum(sizes)
+                budget.charge("dim", "module dimension", size,
+                              f"{count_text(size)} in the first {terms} levels")
+                terms = min(2 * terms, depth + 1)
+                sizes = dynkin_product(rs, lam, terms).coeffs
             budget.charge("dim", "module dimension", sum(sizes))
         self.rs = rs
         self.lam = lam

@@ -1,7 +1,9 @@
-"""Simple root systems of types A-G: Cartan data, positive roots by one
-reflection closure, the degrees of W and of each stabilizer W_J read off
-the coroot heights, and one Weyl walk (an orbit tree, pruned to the
-alternation set given a gap) with one signed dominant descent.
+"""Simple root systems of types A-G: the Cartan matrix and the
+symmetrizer read off one table of Dynkin diagrams and node lengths,
+positive roots by one reflection closure, the degrees of W and of each
+stabilizer W_J read off the coroot heights, and one Weyl walk (an orbit
+tree, pruned to the alternation set given a gap) with one signed
+dominant descent.
 
 Conventions (fixed throughout the package):
   * Bourbaki node numbering for every type.
@@ -14,100 +16,67 @@ Conventions (fixed throughout the package):
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import gcd, prod
+from math import prod
 
 from . import budget
 from . import exactla as la
 from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
 
-# Bourbaki numbering, for reference in CLI help and docs:
-#   A_n: path 1-2-...-n
-#   B_n: path, node n short
-#   C_n: path, node n long
-#   D_n: path 1..n-2, nodes n-1 and n both attached to n-2
-#   E_n: path 1-3-4-5-...-n, node 2 attached to node 4
-#   F_4: path 1-2-3-4, nodes 3,4 short
-#   G_2: node 1 short, node 2 long
+
+def _path(n):
+    """The edges of the path 0-1-...-(n-1)."""
+    return [(i, i + 1) for i in range(n - 1)]
 
 
-def _cartan_matrix(letter, rank):
-    """Bourbaki Cartan matrix; entry [i][j] = <alpha_i, alpha_j^vee>."""
-    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+_TYPES = {
+    "A": (1, None, lambda n: (_path(n), (1,) * n)),
+    "B": (2, None, lambda n: (_path(n), (2,) * (n - 1) + (1,))),
+    "C": (2, None, lambda n: (_path(n), (1,) * (n - 1) + (2,))),
+    "D": (3, None, lambda n: (_path(n - 1) + [(n - 3, n - 1)], (1,) * n)),
+    "E": (6, 8, lambda n: ([(0, 2), (1, 3)] + _path(n)[2:], (1,) * n)),
+    "F": (4, 4, lambda n: (_path(4), (2, 2, 1, 1))),
+    "G": (2, 2, lambda n: (_path(2), (1, 3))),
+}
+"""The simple types, one row per letter: its least and greatest rank (None
+when unbounded) and, of the rank n, its Dynkin diagram (edges, lengths).
+Nodes are numbered from 0 in Bourbaki order; lengths are coprime e_i
+proportional to (alpha_i, alpha_i).
 
-    def bond(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
+  A_n: path 1-2-...-n
+  B_n: path, node n short
+  C_n: path, node n long
+  D_n: path 1..n-2, nodes n-1 and n both attached to n-2
+  E_n: path 1-3-4-5-...-n, node 2 attached to node 4
+  F_4: path 1-2-3-4, nodes 3,4 short
+  G_2: node 1 short, node 2 long
+"""
 
-    if letter == "A":
-        if rank < 1:
-            raise UsageError("type A needs rank >= 1")
-        for i in range(rank - 1):
-            bond(i, i + 1)
-    elif letter == "B":
-        if rank < 2:
-            raise UsageError("type B needs rank >= 2")
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 2, rank - 1, -2, -1)  # alpha_n short
-    elif letter == "C":
-        if rank < 2:
-            raise UsageError("type C needs rank >= 2")
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        bond(rank - 2, rank - 1, -1, -2)  # alpha_n long
-    elif letter == "D":
-        if rank < 3:
-            raise UsageError("type D needs rank >= 3")
-        for i in range(rank - 3):
-            bond(i, i + 1)
-        bond(rank - 3, rank - 2)
-        bond(rank - 3, rank - 1)
-    elif letter == "E":
-        if rank not in (6, 7, 8):
-            raise UsageError("type E needs rank 6, 7 or 8")
-        chain = [0] + list(range(2, rank))  # nodes 1,3,4,...,n
-        for u, v in zip(chain, chain[1:]):
-            bond(u, v)
-        bond(1, 3)  # node 2 attached to node 4
-    elif letter == "F":
-        if rank != 4:
-            raise UsageError("type F needs rank 4")
-        bond(0, 1)
-        bond(1, 2, -2, -1)  # alpha_3, alpha_4 short
-        bond(2, 3)
-    elif letter == "G":
-        if rank != 2:
-            raise UsageError("type G needs rank 2")
-        bond(0, 1, -1, -3)  # alpha_1 short
-    else:
+
+def _diagram(letter, rank):
+    """(edges, lengths) of the type's Dynkin diagram, from ``_TYPES``."""
+    if letter not in _TYPES:
         raise UsageError(f"unknown type letter {letter!r}")
-    return tuple(tuple(row) for row in a)
+    low, high, diagram = _TYPES[letter]
+    if high is None and rank < low:
+        raise UsageError(f"type {letter} needs rank >= {low}")
+    if high is not None and not low <= rank <= high:
+        ranks = [str(r) for r in range(low, high + 1)]
+        raise UsageError(f"type {letter} needs rank " + " or ".join(
+            filter(None, (", ".join(ranks[:-1]), ranks[-1]))))
+    return diagram(rank)
 
 
-def _symmetrizer(cartan):
-    """Coprime integers e_i proportional to (alpha_i, alpha_i)/2.
-
-    Solves e_j a_ij = e_i a_ji (both proportional to (alpha_i, alpha_j)) by
-    integer propagation along the Dynkin diagram, scaling e up as needed.
-    """
-    l = len(cartan)
-    e = [0] * l
-    for start in range(l):
-        if e[start]:
-            continue
-        e[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(l):
-                if i != j and cartan[i][j] != 0 and not e[j]:
-                    num, den = e[i] * cartan[j][i], cartan[i][j]
-                    k = abs(den) // gcd(num, den)
-                    e = [x * k for x in e]
-                    e[j] = num * k // den
-                    stack.append(j)
-    g = gcd(*e)
-    return tuple(x // g for x in e)
+def _cartan_matrix(edges, lengths):
+    """The Cartan matrix of a diagram with node lengths e; entry [i][j] =
+    <alpha_i, alpha_j^vee> = 2(alpha_i, alpha_j)/(alpha_j, alpha_j): 2 on
+    the diagonal and -max(1, e_i / e_j) on each edge {i, j}, that is
+    -e_i/e_j from the longer node and -1 from the shorter."""
+    a = [[2 * (i == j) for j in range(len(lengths))]
+         for i in range(len(lengths))]
+    for i, j in edges:
+        a[i][j] = -max(1, lengths[i] // lengths[j])
+        a[j][i] = -max(1, lengths[j] // lengths[i])
+    return tuple(map(tuple, a))
 
 
 def _closure(cartan, sym):
@@ -181,7 +150,8 @@ class RootSystem:
     def __init__(self, type_letter, rank):
         self.type_letter = type_letter
         self.rank = rank
-        self.cartan_matrix = _cartan_matrix(type_letter, rank)
+        edges, self.symmetrizer = _diagram(type_letter, rank)
+        self.cartan_matrix = _cartan_matrix(edges, self.symmetrizer)
         self._bonds = tuple(
             tuple((k, a) for k, a in enumerate(row) if a and k != j)
             for j, row in enumerate(self.cartan_matrix)
@@ -193,7 +163,6 @@ class RootSystem:
             tuple(range(f)) + tuple(k for k, _ in self._bonds[f] if k > f)
             for f in range(rank)
         ) + (tuple(range(rank)),)
-        self.symmetrizer = _symmetrizer(self.cartan_matrix)
         (self.positive_roots, self.positive_root_weights,
          self.positive_coroots, self._closure_steps) = _closure(
             self.cartan_matrix, self.symmetrizer)

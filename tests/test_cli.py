@@ -1,4 +1,7 @@
+import errno
+import fcntl
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -210,6 +213,14 @@ def test_exit_code_usage_error(capsys):
     code, _, err = run(
         ["compute", "truncsym", "--n", "2"], capsys)
     assert code == 2
+    # an empty --mu is parsed, not taken for a missing one
+    for sub in ("lusztig", "jump"):
+        code, out, err = run(
+            ["compute", sub, "--type", "A", "--rank", "2", "--weight", "1,1",
+             "--mu", ""], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: weight must be comma-separated integers, "
+                       "got ''\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +354,10 @@ HUGE_INPUTS = [
     (["end-alg-a", "--n", "2", "--kind", "S" + HUGE], 3),
     (["end-alg-a", "--n", "300000", "--kind", "S300000"], 3),
     (["truncsym", "--n", HUGE, "--m", HUGE], 3),
+    # 870001 levels, under the limit; their first 64 hold more vectors
+    (["lusztig", "--type", "E", "--rank", "8", "--weight",
+      f"0,0,0,0,0,0,0,{HUGE}", "--mu", "0,0,0,0,0,0,0,999999970000",
+      "--method", "module"], 3),
 ]
 
 
@@ -718,6 +733,60 @@ def test_verify_all_output_is_pinned():
     assert hashlib.md5(proc.stdout.encode()).hexdigest() == (
         "311ff35790ea5d3f3b7c948190a20657")
 
+
+
+def test_a_closed_pipe_ends_in_one_error_line():
+    # a pipe of one page holds less than the output of verify all, so the
+    # call is still writing when the reader closes it after one line
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("PYTHON") and k != "SPINDLE_CACHE_DIR"}
+    env["PYTHONPATH"] = str(SRC)
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spindle.cli", "verify", "all"],
+        env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    os.close(write_end)
+    with open(read_end) as pipe:
+        assert pipe.readline().startswith("PASS [")
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_output_that_cannot_be_written_is_one_error_line(capsys, monkeypatch,
+                                                        failing):
+    # a buffered write fails only at the flush, which is caught as well
+    class Full(io.StringIO):
+        def write(self, text):
+            if failing == "write":
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = cli.main(["compute", "dynkin", "--type", "A", "--rank", "1",
+                     "--weight", "1"])
+    # the rest of the output goes nowhere, not to the interpreter's exit
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("error: cannot write output: [Errno 28] No space left on "
+                   "device\n")
+
+
+def test_an_oserror_of_the_computation_is_not_taken_for_the_output(
+        capsys, monkeypatch):
+    def broken(args, rs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setitem(cli.COMPUTE, "truncsym", (("n", "m"), (), broken))
+    with pytest.raises(OSError, match="Input/output error"):
+        cli.main(["compute", "truncsym", "--n", "2", "--m", "2"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_tensor_mf_fails_a_table_row_that_is_not_wmf(capsys, monkeypatch):

@@ -189,6 +189,32 @@ def test_a_part_of_a_huge_module_lists_only_the_levels_it_builds():
         mr.HighestWeightModule(A1, lam)
 
 
+def test_a_long_part_is_listed_and_charged_in_doubling_prefixes(monkeypatch):
+    # A2 (40, 40) down to 0 has 161 levels: 20964 vectors in the first 64,
+    # 65504 in the first 128 and 68921 in all
+    terms = []
+    listed = dy.dynkin_product
+
+    def counted(rs, lam, n):
+        terms.append(n)
+        return listed(rs, lam, n)
+
+    monkeypatch.setattr(mr, "dynkin_product", counted)
+    lam = (40, 40)
+    for cap, message, listings in [
+        (20963, "20964 in the first 64 levels", [64]),
+        (20964, "65504 in the first 128 levels", [64, 128]),
+        (65504, "68921", [64, 128, 161]),
+    ]:
+        terms.clear()
+        with pytest.raises(ResourceBudgetError) as exc, \
+                budget.limits(dim=cap):
+            mr.HighestWeightModule(A2, lam, depth=160)
+        assert str(exc.value) == (
+            f"module dimension: {message} exceeds budget {cap}")
+        assert terms == listings
+
+
 @pytest.mark.parametrize("sizes", [(1, 2, 1), (1, 1)])
 def test_each_level_is_checked_against_the_dynkin_polynomial(
         monkeypatch, sizes):

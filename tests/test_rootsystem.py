@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import string
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from spindle.rootsystem import (
     RootSystem,
     _closure,
     _degrees,
-    _symmetrizer,
     build_root_system,
 )
 
@@ -51,16 +51,45 @@ def test_classical_tables(key):
 
 
 def test_invalid_inputs():
-    with pytest.raises(UsageError):
-        build_root_system("Z", 2)
-    with pytest.raises(UsageError):
-        build_root_system("E", 5)
-    with pytest.raises(UsageError):
-        build_root_system("G", 3)
-    with pytest.raises(UsageError):
-        build_root_system("A", 0)
-    with pytest.raises(UsageError):
-        build_root_system("A", "2")
+    # build_root_system checks the rank is a positive integer; RootSystem
+    # checks it against the type's row, so A0 reaches that check only there
+    for make, args, message in [
+        (build_root_system, ("Z", 2), "unknown type letter 'Z'"),
+        (build_root_system, ("H", 3), "unknown type letter 'H'"),
+        (build_root_system, ("A", 0), "rank must be a positive integer, got 0"),
+        (build_root_system, ("A", "2"),
+         "rank must be a positive integer, got '2'"),
+        (RootSystem, ("A", 0), "type A needs rank >= 1"),
+        (build_root_system, ("B", 1), "type B needs rank >= 2"),
+        (build_root_system, ("C", 1), "type C needs rank >= 2"),
+        (build_root_system, ("D", 2), "type D needs rank >= 3"),
+        (build_root_system, ("E", 5), "type E needs rank 6, 7 or 8"),
+        (build_root_system, ("E", 9), "type E needs rank 6, 7 or 8"),
+        (build_root_system, ("F", 3), "type F needs rank 4"),
+        (build_root_system, ("F", 5), "type F needs rank 4"),
+        (build_root_system, ("G", 1), "type G needs rank 2"),
+        (build_root_system, ("G", 3), "type G needs rank 2"),
+    ]:
+        with pytest.raises(UsageError) as exc:
+            make(*args)
+        assert str(exc.value) == message
+
+
+def test_accepted_types_are_the_simple_types_verify_runs():
+    # the rank rule of the type table and that of verify._simple_types
+    from spindle import verify as vf
+
+    accepted = []
+    for letter in string.ascii_uppercase:
+        for rank in range(1, 9):
+            try:
+                build_root_system(letter, rank)
+            except UsageError:
+                continue
+            accepted.append((letter, rank))
+    listed = vf._simple_types(8)
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == accepted
 
 
 def test_cartan_bourbaki_g2():
@@ -68,6 +97,17 @@ def test_cartan_bourbaki_g2():
     # alpha_1 short: <alpha_2, alpha_1^vee> = -3
     assert g2.cartan_matrix == ((2, -1), (-3, 2))
     assert max(g2.positive_roots, key=sum) == (3, 2)
+    # the bonds whose direction B_n and C_n alone do not show: the same
+    # |Phi+|, degrees and highest-root height either way
+    # alpha_3 short: <alpha_2, alpha_3^vee> = -2
+    assert build_root_system("B", 3).cartan_matrix == (
+        (2, -1, 0), (-1, 2, -2), (0, -1, 2))
+    # alpha_3 long: <alpha_3, alpha_2^vee> = -2
+    assert build_root_system("C", 3).cartan_matrix == (
+        (2, -1, 0), (-1, 2, -1), (0, -2, 2))
+    # alpha_3, alpha_4 short
+    assert build_root_system("F", 4).cartan_matrix == (
+        (2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
 
 
 def test_coordinate_roundtrip():
@@ -409,7 +449,7 @@ def test_inverse_cartan_is_built_on_first_root_lattice_read(monkeypatch):
 ])
 def test_closure_refuses_a_wrong_symmetrizer(letter, rank, sym):
     cartan = build_root_system(letter, rank).cartan_matrix
-    assert _symmetrizer(cartan) != sym
+    assert build_root_system(letter, rank).symmetrizer != sym
     with pytest.raises(InternalConsistencyError, match="not integral"):
         _closure(cartan, sym)
 
@@ -592,7 +632,7 @@ def _component_parabolic_degrees(rs, lam):
         comp.sort()
         sub = tuple(tuple(rs.cartan_matrix[u][v] for v in comp) for u in comp)
         if sub not in _COMPONENT_DEGREES:
-            coroots = _closure(sub, _symmetrizer(sub))[2]
+            coroots = _closure(sub, tuple(rs.symmetrizer[u] for u in comp))[2]
             _COMPONENT_DEGREES[sub] = _degrees([sum(c) for c in coroots])
         degs.extend(_COMPONENT_DEGREES[sub])
     return sorted(degs + [1] * (rs.rank - len(degs)))
