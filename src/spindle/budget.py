@@ -1,15 +1,15 @@
-"""Work limits, one per layer, in one context variable: ``weyl`` (walk
-points plus Kostant table cells or packed words, per q-multiplicity),
-``dim`` (one character or module), ``matrix`` (one type-A matrix model)
-and ``enum`` (one box count).  Each layer compares the work of one call
-with its limit here, so a caller sets them once around a computation."""
+"""Work limits in one context variable: ``weyl`` (walk points plus
+Kostant table cells or packed words, per q-multiplicity), ``dim`` (one
+character, module or box count) and ``matrix`` (one type-A matrix
+model).  Each layer compares the work of one call with its limit here,
+so a caller sets them once around a computation."""
 
 from contextlib import contextmanager
 from contextvars import ContextVar
 
 from .errors import ResourceBudgetError
 
-DEFAULTS = {"weyl": 10**7, "dim": 10**6, "matrix": 60, "enum": 10**6}
+DEFAULTS = {"weyl": 10**7, "dim": 10**6, "matrix": 60}
 _limits = ContextVar("spindle_limits", default=DEFAULTS)
 
 

@@ -13,6 +13,7 @@ from functools import cache
 from . import budget
 from .errors import DomainError, InternalConsistencyError
 from .qpoly import QPolynomial
+from .rootsystem import checked_weight
 
 
 class WeightCharacter:
@@ -74,9 +75,7 @@ def dominant_multiplicities(rs, lam):
     every call, before the memo (``_freudenthal``, per (rs, lam)) is
     read, so that a memo hit meets the same limit as the first call.
     """
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise DomainError(f"{lam} is not dominant")
+    lam = checked_weight(lam, rs.rank)
     budget.charge("dim", "character dimension", rs.weyl_dimension(lam))
     return _freudenthal(rs, lam)
 
@@ -137,7 +136,7 @@ def _freudenthal(rs, lam):
 
 def irreducible_character(rs, lam):
     """Full W-invariant character of V_lam."""
-    lam = tuple(lam)
+    lam = checked_weight(lam, rs.rank)
     dom = dominant_multiplicities(rs, lam)
     entries = {}
     for mu, m in dom.items():
@@ -168,8 +167,8 @@ def minuscule_by_pairing(rs, lam):
 def is_minuscule(rs, lam):
     """Minuscule test; evaluates both the pairing criterion and the
     single-orbit criterion and insists they agree."""
+    lam = checked_weight(lam, rs.rank)
     by_pairing = minuscule_by_pairing(rs, lam)
-    lam = tuple(lam)
     single_orbit = dominant_weights(rs, lam) == [lam]
     if by_pairing != single_orbit:
         raise InternalConsistencyError(
@@ -184,12 +183,10 @@ def is_small(rs, lam):
 
     A dominant mu is a weight iff lam - mu lies in Q+ (Humphreys, 21.3),
     and the dominant doubled roots are 2 alpha, alpha a dominant root."""
-    lam = tuple(lam)
+    lam = checked_weight(lam, rs.rank)
     coords = rs.root_lattice_coords(lam)
     if coords is None:
         raise DomainError(f"smallness is defined for weights in Q; {lam} is not")
-    if not rs.is_dominant(lam):
-        raise DomainError(f"{lam} is not dominant")
     return all(min(c - 2 * n for c, n in zip(coords, r)) < 0 for r, w in
                zip(rs.positive_roots, rs.positive_root_weights) if min(w) >= 0)
 
@@ -202,7 +199,7 @@ def decompose_tensor_square(rs, lam):
     per weight; only the character of V_lam is computed, so the ``dim``
     limit bounds the dimension of V_lam.
     """
-    lam = tuple(lam)
+    lam = checked_weight(lam, rs.rank)
     coeffs = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
         for x in rs.weyl_orbit(mu):
@@ -230,7 +227,7 @@ def floor_profile(rs, lam):
     Sums m_lam(mu) times the orbit-height histogram of each dominant mu,
     so no orbit point is visited twice across calls.
     """
-    lam = tuple(lam)
+    lam = checked_weight(lam, rs.rank)
     dom = dominant_multiplicities(rs, lam)
     # floor(x) = (x + lam*, rho^vee); doubled floors are integers and the
     # halving is checked once per orbit height.

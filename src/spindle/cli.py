@@ -25,7 +25,7 @@ from . import truncsym as ts
 from . import verify as vf
 from .errors import SpindleError, UsageError
 from .qpoly import GradedSeries, QPolynomial, factored_str
-from .rootsystem import build_root_system
+from .rootsystem import build_root_system, checked_weight
 
 FULL_WEYL_BUDGET = 10**10
 
@@ -35,13 +35,7 @@ def _parse_weight(text, rank):
         coords = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"weight must be comma-separated integers, got {text!r}")
-    if len(coords) != rank:
-        raise UsageError(
-            f"weight has {len(coords)} coordinates, rank is {rank}"
-        )
-    if any(c < 0 for c in coords):
-        raise UsageError("weight coordinates must be nonnegative")
-    return coords
+    return checked_weight(coords, rank)
 
 
 def _emit(value, fmt):
@@ -162,7 +156,7 @@ def _truncsym(args, rs):
 
 
 _WEIGHT = ("type", "rank", "weight")
-_CLOSED = ("auto", "weyl", "closed")
+_CLOSED = qa.METHODS
 
 # The limit options each --method value reads besides those of its row:
 # the Weyl limit for a route that may run the Weyl sum, none for the
@@ -201,7 +195,7 @@ COMPUTE = {
                     qa.poincare_ct(rs, args.weight)),
     "tensor-square": (_WEIGHT + ("dim_budget",), (), _tensor_square),
     "end-alg-a": (("n", "kind", "matrix_budget"), (), _end_alg_a),
-    "truncsym": (("n", "m"), (), _truncsym),
+    "truncsym": (("n", "m", "dim_budget"), (), _truncsym),
 }
 
 # Defaults of the options that have one; every option parses to None when

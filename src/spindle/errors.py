@@ -9,7 +9,9 @@ class SpindleError(Exception):
 
 
 class UsageError(SpindleError):
-    """Invalid user input (bad type/rank pair, malformed weight, ...)."""
+    """Invalid user input: a bad type/rank pair or option, an unknown
+    method, or a weight whose length is not the rank, which every
+    exported function checks with ``rootsystem.checked_weight``."""
 
     exit_code = 2
 
@@ -49,8 +51,8 @@ class ExactDivisionError(SpindleError, ArithmeticError):
 
 
 class DomainError(SpindleError):
-    """Operation applied outside its mathematical domain (e.g. weight not
-    in the root lattice)."""
+    """Operation applied outside its mathematical domain (e.g. a negative
+    coordinate of a dominant weight, a weight not in the root lattice)."""
 
     exit_code = 2
 

@@ -27,6 +27,7 @@ from . import exactla as la
 from .dynkin import dynkin_product
 from .errors import DomainError, InternalConsistencyError, count_text
 from .qpoly import QPolynomial
+from .rootsystem import checked_weight
 
 
 def _images(e_cols, f_col, b, i, wb):
@@ -182,12 +183,8 @@ def filtration_q_multiplicity(rs, lam, mu):
     entries do not grow with k.  Since e^k V_lam(mu) lies above mu, the
     module is built only down to mu.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    for w in (lam, mu):
-        if not rs.is_dominant(w):
-            raise DomainError(f"{w} is not dominant")
-    gap = rs.root_lattice_coords(tuple(l - m for l, m in zip(lam, mu)))
-    if gap is None or min(gap) < 0:
+    lam, mu = (checked_weight(w, rs.rank) for w in (lam, mu))
+    if (gap := rs.gap(lam, mu)) is None:
         return QPolynomial.zero()
     module = HighestWeightModule(rs, lam, depth=sum(gap))
     # the transpose of e, summed from the raising columns
@@ -208,7 +205,7 @@ def jump_polynomial(rs, lam):
 
     Defined for lam in the root lattice.
     """
-    lam = tuple(lam)
+    lam = checked_weight(lam, rs.rank)
     if not rs.in_root_lattice(lam):
         raise DomainError(f"jump polynomial needs {lam} in the root lattice")
     return filtration_q_multiplicity(rs, lam, (0,) * rs.rank)

@@ -11,8 +11,14 @@ from operator import add
 
 from . import budget
 from . import characters as ch
-from .errors import DomainError, InternalConsistencyError, count_text
+from .errors import (
+    DomainError, InternalConsistencyError, UsageError, count_text)
 from .qpoly import GradedSeries, QPolynomial, cyclo_product
+from .rootsystem import checked_weight
+
+# the routes of a jump polynomial: the closed q-power form on a wmf weight
+# and the alternating sum elsewhere, the sum alone, the closed form alone
+METHODS = ("auto", "weyl", "closed")
 
 
 def _box_table(rs, top, width):
@@ -71,7 +77,7 @@ def _kostant_cells(rs, top, points=0):
 
 def kostant_partition_q(rs, nu):
     """P_q(nu) for nu in simple-root coordinates."""
-    nu = tuple(nu)
+    nu = checked_weight(nu, rs.rank, dominant=False)
     if any(x < 0 for x in nu):
         return QPolynomial.zero()
     return QPolynomial(_kostant_cells(rs, nu)(nu))
@@ -87,11 +93,9 @@ def lusztig_q_multiplicity(rs, lam, mu):
     properties: nonnegative coefficients, support iff mu is a weight of
     V_lam, degree (lam-mu, rho^vee).
     """
-    lam = tuple(lam)
-    mu = tuple(mu)
-    gap = rs.root_lattice_coords(tuple(l - m for l, m in zip(lam, mu)))
+    lam, mu = (checked_weight(w, rs.rank) for w in (lam, mu))
     acc = QPolynomial.zero()
-    if gap is not None and min(gap) >= 0:
+    if (gap := rs.gap(lam, mu)) is not None:
         points = rs.alternation_walk(tuple(l + 1 for l in lam), gap)
         cell = _kostant_cells(rs, gap, len(points))
         coeffs = [0] * (sum(gap) + 1)
@@ -101,21 +105,17 @@ def lusztig_q_multiplicity(rs, lam, mu):
         acc = QPolynomial(coeffs)
     if any(c < 0 for c in acc.coeffs):
         raise InternalConsistencyError(
-            f"negative coefficient in q-multiplicity for {lam}, {mu}"
-        )
-    if not acc.is_zero():
-        doubled = rs.doubled_height(tuple(l - m for l, m in zip(lam, mu)))
-        if 2 * acc.degree != doubled:
-            raise InternalConsistencyError(
-                f"q-multiplicity degree {acc.degree} != height {doubled}/2"
-            )
+            f"negative coefficient in q-multiplicity for {lam}, {mu}")
+    if not acc.is_zero() and acc.degree != sum(gap):
+        raise InternalConsistencyError(
+            f"q-multiplicity degree {acc.degree} != height {sum(gap)}")
     return acc
 
 
 def t_poly(rs, lam):
     """Length generating polynomial of the stabilizer W_lam:
     prod_i (1 - q^{d_i(W_lam)}) / (1 - q)."""
-    degs = rs.parabolic_degrees(tuple(lam))
+    degs = rs.parabolic_degrees(checked_weight(lam, rs.rank))
     return cyclo_product(degs, [1] * rs.rank)
 
 
@@ -135,17 +135,20 @@ def kostant_t0_factorization(rs):
 
 def generalized_exponents(rs, lam):
     """Sorted exponent multiset of the zero-weight q-multiplicity."""
-    lam = tuple(lam)
+    lam = checked_weight(lam, rs.rank)
     if not rs.in_root_lattice(lam):
         raise DomainError(
-            f"{lam} is outside the root lattice; no covariants exist"
-        )
+            f"{lam} is outside the root lattice; no covariants exist")
     m0 = lusztig_q_multiplicity(rs, lam, (0,) * rs.rank)
     return m0.exponents_with_multiplicity()
 
 
-def _q_mult_fn(rs, lam, wmf, method):
+def _q_mult_fn(rs, lam, method):
     """Choose between the alternating sum and the wmf q-power shortcut."""
+    if method not in METHODS:
+        raise UsageError(f"method {method!r} is not one of "
+                         f"{', '.join(METHODS)}")
+    wmf = ch.is_wmf(rs, lam)
     if method == "weyl" or (method == "auto" and not wmf):
         return lambda nu: lusztig_q_multiplicity(rs, lam, nu)
     if not wmf:
@@ -154,12 +157,10 @@ def _q_mult_fn(rs, lam, wmf, method):
             f"weight; {lam} is not"
         )
 
-    def power(nu):
-        doubled = rs.doubled_height(tuple(l - n for l, n in zip(lam, nu)))
-        if doubled % 2:
-            raise InternalConsistencyError(
-                f"half-integral height {doubled}/2 of {lam} - {nu}")
-        return QPolynomial.monomial(doubled // 2)
+    def power(nu):  # q^(lam - nu, rho^vee), the sum of the gap
+        if (gap := rs.gap(lam, nu)) is None:
+            raise InternalConsistencyError(f"{nu} is not below {lam}")
+        return QPolynomial.monomial(sum(gap))
 
     return power
 
@@ -178,13 +179,12 @@ def jump_tensor(rs, lam, mu, method="auto"):
     """Jump polynomial of V_lam (x) V_mu^*: the t_0/t_nu-weighted sum of
     products of q-multiplicities over the shared dominant weights.  For
     mu = lam each q-multiplicity is evaluated once and squared."""
-    lam = tuple(lam)
-    mu = tuple(mu)
-    f_lam = _q_mult_fn(rs, lam, ch.is_wmf(rs, lam), method)
+    lam, mu = (checked_weight(w, rs.rank) for w in (lam, mu))
+    f_lam = _q_mult_fn(rs, lam, method)
     if mu == lam:
         f_mu = mu_support = None
     else:
-        f_mu = _q_mult_fn(rs, mu, ch.is_wmf(rs, mu), method)
+        f_mu = _q_mult_fn(rs, mu, method)
         mu_support = set(ch.dominant_weights(rs, mu))
 
     def term(nu):
@@ -204,7 +204,7 @@ def f_lambda(rs, lam, method="auto"):
     sum alone and "closed" the closed form alone, which raises DomainError
     off wmf.  Degree and value-at-1 laws are asserted.
     """
-    lam = tuple(lam)
+    lam = checked_weight(lam, rs.rank)
     result = jump_tensor(rs, lam, lam, method=method)
     if method == "auto" and ch.is_wmf(rs, lam):
         if jump_tensor(rs, lam, lam, method="weyl") != result:
@@ -236,5 +236,5 @@ def poincare_ct(rs, lam):
     """Graded series of the Cartan counterpart: numerator is the plain sum
     of t_0/t_nu over the dominant weights of V_lam."""
     return GradedSeries(_sum(parabolic_quotient(rs, nu)
-                             for nu in ch.dominant_weights(rs, tuple(lam))),
+                             for nu in ch.dominant_weights(rs, lam)),
                         rs.degrees)

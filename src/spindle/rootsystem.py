@@ -9,7 +9,8 @@ Conventions (fixed throughout the package):
   * Bourbaki node numbering for every type.
   * cartan[i][j] = <alpha_i, alpha_j^vee>, so row i of the Cartan matrix is
     alpha_i written in the fundamental-weight basis.
-  * Weights are tuples of integers in the fundamental-weight basis;
+  * Weights are tuples of integers in the fundamental-weight basis,
+    checked once by ``checked_weight``, and the methods take them checked;
     roots are tuples of integers in the simple-root basis.
 """
 
@@ -20,7 +21,19 @@ from math import prod
 
 from . import budget
 from . import exactla as la
-from .errors import InternalConsistencyError, ResourceBudgetError, UsageError
+from .errors import (
+    DomainError, InternalConsistencyError, ResourceBudgetError, UsageError)
+
+
+def checked_weight(lam, rank, dominant=True):
+    """``lam`` as a tuple of ``rank`` integers; UsageError on a wrong
+    length, DomainError on a negative coordinate if ``dominant``."""
+    lam = tuple(lam)
+    if len(lam) != rank:
+        raise UsageError(f"weight has {len(lam)} coordinates, rank is {rank}")
+    if dominant and min(lam) < 0:
+        raise DomainError(f"{lam} is not dominant")
+    return lam
 
 
 def _path(n):
@@ -224,6 +237,11 @@ class RootSystem:
 
     def in_root_lattice(self, weight):
         return self.root_lattice_coords(weight) is not None
+
+    def gap(self, lam, mu):
+        """Simple-root coordinates of lam - mu if it is in Q+, else None."""
+        gap = self.root_lattice_coords([l - m for l, m in zip(lam, mu)])
+        return None if gap is None or min(gap) < 0 else gap
 
     # -- pairings and heights --------------------------------------------------
 

@@ -20,14 +20,15 @@ def box_partition_poincare(n, m):
     by the one before it (the first by n), so depth m needs no recursion."""
     if n < 1 or m < 1:
         raise ValueError("box_partition_poincare needs n, m >= 1")
-    # C(m + n, m) over the shorter side of the box; its partial values
-    # C(k + i, i) grow with i, so the first one over the limit refuses
-    total, k, cap = 1, max(m, n), budget.limit("enum")
+    # C(m + n, m) over the shorter side of the box, the dimension of
+    # V(m varpi_1) of A_n; its partial values C(k + i, i) grow with i, so
+    # the first one over the limit refuses
+    total, k, cap = 1, max(m, n), budget.limit("dim")
     for i in range(1, min(m, n) + 1):
         total = total * (k + i) // i
         if total > cap:
             break
-    budget.charge("enum", "box partition enumeration", total,
+    budget.charge("dim", "box partition enumeration", total,
                   f"C({count_text(m + n)}, {count_text(m)})")
     counts = [0] * (n * m + 1)
     parts, size = [], 0

@@ -239,6 +239,19 @@ def test_weight_length_is_checked_before_the_root_system_is_built(
     assert err == "error: weight has 1 coordinates, rank is 200\n"
 
 
+@pytest.mark.parametrize("option", ["--weight", "--mu"])
+def test_a_negative_coordinate_is_refused_before_the_root_system_is_built(
+        capsys, monkeypatch, option):
+    def build(*args):
+        raise AssertionError(f"root system {args} built")
+    monkeypatch.setattr(cli, "build_root_system", build)
+    weights = {"--weight": "1,1", "--mu": "0,0", option: "2,-1"}
+    code, out, err = run(["compute", "lusztig", "--type", "A", "--rank", "2"]
+                         + [f"{k}={v}" for k, v in weights.items()], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: (2, -1) is not dominant\n"
+
+
 @pytest.mark.parametrize("sub", ["jump", "f-lambda", "poincare-cg"])
 def test_closed_method_rejects_non_wmf_weight(sub, capsys):
     code, out, err = run(
@@ -483,6 +496,14 @@ def test_lusztig_module_method_reads_the_dim_budget(capsys):
     assert run(argv + ["--dim-budget", "5"], capsys) == (
         3, "", "error: module dimension: 16 exceeds budget 5\n")
     assert run(argv + ["--dim-budget", "16"], capsys) == run(argv, capsys)
+
+
+def test_truncsym_reads_the_dim_budget(capsys):
+    # the C(n + m, m) box partitions are a basis of V(m omega1) of A_n
+    argv = ["compute", "truncsym", "--n", "2", "--m", "3"]
+    assert run(argv + ["--dim-budget", "9"], capsys) == (
+        3, "", "error: box partition enumeration: C(5, 3) exceeds budget 9\n")
+    assert run(argv + ["--dim-budget", "10"], capsys) == run(argv, capsys)
 
 
 def test_each_subcommand_that_reads_method_lists_its_methods():

@@ -13,9 +13,10 @@ from spindle.errors import (
     DomainError,
     InternalConsistencyError,
     ResourceBudgetError,
+    UsageError,
 )
 from spindle.qpoly import QPolynomial, cyclo_product
-from spindle.rootsystem import RootSystem, build_root_system
+from spindle.rootsystem import build_root_system
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -65,12 +66,27 @@ def test_wmf_q_power_law():
         assert got == QPolynomial.monomial(doubled // 2)
 
 
-def test_wmf_closed_form_refuses_a_half_integral_height(monkeypatch):
-    rs = RootSystem("C", 3)
-    monkeypatch.setattr(rs, "doubled_height", lambda mu: 1)
-    power = qa._q_mult_fn(rs, (0, 0, 1), True, "closed")
-    with pytest.raises(InternalConsistencyError, match="half-integral"):
-        power((0, 0, 1))
+def test_wmf_closed_form_refuses_a_weight_not_below_lam():
+    # the closed form reads the height off the gap: omega3 - omega2 of C3
+    # lies outside the root lattice, so it has none
+    power = qa._q_mult_fn(C3, (0, 0, 1), "closed")
+    assert power((1, 0, 0)) == QPolynomial.monomial(2)
+    with pytest.raises(InternalConsistencyError, match="is not below"):
+        power((0, 1, 0))
+
+
+@pytest.mark.parametrize("method", ["module", "Weyl", "close", ""])
+@pytest.mark.parametrize("lam", [(1, 0), (1, 1)])
+def test_an_unknown_jump_method_is_a_usage_error(lam, method):
+    # (1, 0) is wmf and (1, 1) is not: neither runs the closed form, and
+    # the message names the methods accepted
+    for call in (lambda: qa.jump_tensor(A2, lam, lam, method=method),
+                 lambda: qa.f_lambda(A2, lam, method=method),
+                 lambda: qa.poincare_cg(A2, lam, method=method)):
+        with pytest.raises(UsageError) as exc:
+            call()
+        assert str(exc.value) == (
+            f"method {method!r} is not one of auto, weyl, closed")
 
 
 def test_t_poly():

@@ -13,7 +13,9 @@ down, and no other module keeps a default of its own.  No module imports
 time: the result cache names its files with a zlib digest.  And the cache
 knows no value: ``cache`` names no compute subcommand, and its ``load``
 takes no operation to pick a shape by; the value's own codec checks an
-entry."""
+entry.  A weight is checked in ``rootsystem`` alone: no other module
+compares its length with the rank, raises on ``is_dominant`` or takes
+the root-lattice coordinates of a difference of weights."""
 
 import ast
 import re
@@ -29,6 +31,8 @@ CACHE = PACKAGE / "cache.py"
 WEYL_ROUTE_NAMES = {"alternation_walk", "_box_table", "kostant_partition_q"}
 BUDGET_PARAMETERS = {"budget", "dim_budget", "dim_bound"}
 BUDGET_DEFAULT = re.compile(r"DEFAULT_\w*BUDGET|DEFAULT_DIM_BOUND")
+WEIGHT_NAMES = {"lam", "mu", "nu", "w", "weight", "coords"}
+LATTICE_NAMES = {"root_lattice_coords", "in_root_lattice"}
 SOLVER_NAMES = {"graded_kernel", "graded_commutant", "nilpotent_centralizer",
                 "_nilradical_span", "commutant"}
 
@@ -286,3 +290,63 @@ def test_the_cache_guard_sees_each_kind_of_violation():
                    "def cached(cls, operation, compute):\n    pass",
                    '"""A cached character or dynkin polynomial."""']:
         assert not list(_cache_violations(ast.parse(source))), source
+
+
+def _weight_check_violations(tree):
+    """Where a module checks a weight itself: compares the length of a
+    weight (a name the package gives weights) with the rank, raises when
+    ``is_dominant`` fails, or takes the root-lattice coordinates of a
+    difference."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            lengths = [s for s in sides if isinstance(s, ast.Call)
+                       and _name(s.func) == "len" and s.args
+                       and _name(s.args[0]) in WEIGHT_NAMES]
+            if lengths and any(_name(n) == "rank"
+                               for s in sides for n in ast.walk(s)):
+                yield f"line {node.lineno}: compares a length with the rank"
+        elif isinstance(node, ast.If):
+            tested = {_name(n) for n in ast.walk(node.test)}
+            if "is_dominant" in tested and any(
+                    isinstance(n, ast.Raise)
+                    for s in node.body for n in ast.walk(s)):
+                yield f"line {node.lineno}: raises on is_dominant"
+        elif (isinstance(node, ast.Call) and _name(node.func) in LATTICE_NAMES
+              and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+                      for a in node.args for n in ast.walk(a))):
+            yield f"line {node.lineno}: root lattice of a difference"
+
+
+def test_weights_are_checked_in_rootsystem_alone():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "rootsystem.py":
+            tree = ast.parse(path.read_text(), str(path))
+            if uses := list(_weight_check_violations(tree)):
+                found[path.name] = uses
+    assert found == {}
+
+
+def test_the_weight_guard_sees_each_kind_of_violation():
+    for source in [
+        "if len(coords) != rank:\n    raise UsageError('length')",
+        "ok = len(lam) == rs.rank",
+        "if rs.rank < len(args.weight):\n    pass",
+        "if not rs.is_dominant(lam):\n    raise DomainError(lam)",
+        "for w in (lam, mu):\n    if not rs.is_dominant(w):\n"
+        "        raise DomainError(w)",
+        "gap = rs.root_lattice_coords(tuple(l - m for l, m in zip(lam, mu)))",
+        "ok = rs.in_root_lattice([a - b for a, b in zip(lam, nu)])",
+    ]:
+        assert list(_weight_check_violations(ast.parse(source))), source
+    for source in [
+        "lam = checked_weight(lam, rs.rank)",
+        "if len(out) != module.rs.rank:\n    raise Error(out)",
+        "rank = len(e_cols)",
+        "ok = rs.is_dominant(lam) and all(p <= 1 for p in pairs)",
+        "if not rs.is_dominant(mu):\n    continue",
+        "coords = rs.root_lattice_coords(lam)",
+        "gap = rs.gap(lam, mu)",
+    ]:
+        assert not list(_weight_check_violations(ast.parse(source))), source

@@ -23,7 +23,7 @@ def test_box_partition_total_count():
 
 
 def test_box_partition_budget():
-    with pytest.raises(ResourceBudgetError), budget.limits(enum=100):
+    with pytest.raises(ResourceBudgetError), budget.limits(dim=100):
         ts.box_partition_poincare(20, 20)
 
 
