@@ -10,8 +10,8 @@ is, character for character, the text ``_chunks`` writes for the value its
 class's ``from_json`` reads from it.  Writes are atomic (tmp file +
 os.replace).  A corrupt entry, one that fails that check and a directory
 that cannot be written draw a warning and a fresh computation.  The
-directory is the ``directory`` argument of ``cached``, else
-SPINDLE_CACHE_DIR; with neither, caching is off and no key is built.
+directory is the ``directory`` argument of ``cached``; without one,
+caching is off and no key is built.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def store(key, value, directory):
 
 def cached(cls, operation, type_letter, rank, weight, compute, extra=None,
            directory=None):
-    """compute(), a value of cls, through the cache in directory, else
-    SPINDLE_CACHE_DIR: a stored value is used when its entry checks, and a
-    fresh value is stored as value.to_json()."""
-    directory = directory or os.environ.get("SPINDLE_CACHE_DIR")
+    """compute(), a value of cls, through the cache in directory: a stored
+    value is used when its entry checks, and a fresh value is stored as
+    value.to_json()."""
     if not directory:  # json and zlib stay unimported, no codec runs
         return compute()
     key = cache_key(operation, type_letter, rank, weight, extra)

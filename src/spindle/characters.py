@@ -229,9 +229,10 @@ def floor_profile(rs, lam):
     """
     lam = checked_weight(lam, rs.rank)
     dom = dominant_multiplicities(rs, lam)
-    # floor(x) = (x + lam*, rho^vee); doubled floors are integers and the
-    # halving is checked once per orbit height.
-    base = rs.doubled_height(rs.dual_weight(lam))
+    # floor(x) = (x - w_0 lam, rho^vee) = (x + lam, rho^vee), as -w_0 fixes
+    # rho^vee; doubled floors are integers and the halving is checked once
+    # per orbit height.
+    base = rs.doubled_height(lam)
     coeffs = {}
     for mu, m in dom.items():
         for h, n in rs.orbit_heights(mu).items():

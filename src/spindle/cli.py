@@ -27,8 +27,6 @@ from .errors import SpindleError, UsageError
 from .qpoly import GradedSeries, QPolynomial, factored_str
 from .rootsystem import build_root_system, checked_weight
 
-FULL_WEYL_BUDGET = 10**10
-
 
 def _parse_weight(text, rank):
     try:
@@ -162,8 +160,8 @@ _CLOSED = qa.METHODS
 # the Weyl limit for a route that may run the Weyl sum, none for the
 # closed form, and the dimension limit for the module route.
 ROUTE_LIMITS = {
-    "auto": ("weyl_budget", "full_weyl"),
-    "weyl": ("weyl_budget", "full_weyl"),
+    "auto": ("weyl_budget",),
+    "weyl": ("weyl_budget",),
     "closed": (),
     "module": ("dim_budget",),
 }
@@ -203,7 +201,6 @@ COMPUTE = {
 COMPUTE_DEFAULTS = {
     "method": "auto",
     "weyl_budget": budget.DEFAULTS["weyl"],
-    "full_weyl": False,
     "dim_budget": budget.DEFAULTS["dim"],
     "matrix_budget": budget.DEFAULTS["matrix"],
 }
@@ -240,8 +237,7 @@ def cmd_compute(args):
     for name, value in COMPUTE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-    weyl = FULL_WEYL_BUDGET if args.full_weyl else args.weyl_budget
-    with budget.limits(weyl=weyl, dim=args.dim_budget,
+    with budget.limits(weyl=args.weyl_budget, dim=args.dim_budget,
                        matrix=args.matrix_budget):
         # every option a row reads but --mu, --method, the limits and the
         # cache is required; the weight is asked for after the others
@@ -301,8 +297,7 @@ def build_parser():
     )
     cached = [k for k, row in COMPUTE.items() if "cache_dir" in row[0]]
     parser.add_argument("--cache-dir", help=(
-        "result cache directory (also via SPINDLE_CACHE_DIR), read by "
-        f"compute {', '.join(cached)}"))
+        f"result cache directory, read by compute {', '.join(cached)}"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute one invariant")
@@ -339,8 +334,6 @@ def build_parser():
                     help=f"default {budget.DEFAULTS['dim']}")
     pc.add_argument("--matrix-budget", type=int,
                     help=f"default {budget.DEFAULTS['matrix']}")
-    pc.add_argument("--full-weyl", action="store_true", default=None,
-                    help="lift the --weyl-budget cap")
 
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=list(vf.SUITES) + ["all"])

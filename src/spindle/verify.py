@@ -183,7 +183,9 @@ def suite_lusztig_vs_jump(height_bound=6):
 
 def _table1_entries(dim_cap=10**5):
     """The distinct (rs, lam) of the wmf table up to rank 8, without its
-    dual rows, of dimension at most ``dim_cap``."""
+    dual rows, of dimension at most ``dim_cap``.  No --max-rank bounds
+    them: dynkin-cross bounds only its grid by it, so it checks these rows,
+    E7 omega_7 among them, at every --max-rank."""
     entries = {}
     for label, rs, lam, _ in _table1_rows(8):
         if not label.endswith(" dual") and rs.weyl_dimension(lam) <= dim_cap:

@@ -9,14 +9,7 @@ from spindle.characters import WeightCharacter
 from spindle.qpoly import QPolynomial
 
 
-@pytest.fixture
-def cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPINDLE_CACHE_DIR", str(tmp_path))
-    return tmp_path
-
-
 def test_disabled_without_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
     for value in (QPolynomial([1]), QPolynomial([2])):
         assert cache.cached(QPolynomial, "dynkin", "A", 2, (1, 1),
@@ -24,11 +17,11 @@ def test_disabled_without_env(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_round_trip(cache_env):
+def test_round_trip(tmp_path):
     key = cache.cache_key("dynkin", "G", 2, (1, 0))
-    assert cache.load(QPolynomial, key, cache_env) is None
-    cache.store(key, {"coefficients": ["1", "2"], "variable": "q"}, cache_env)
-    assert cache.load(QPolynomial, key, cache_env) == QPolynomial([1, 2])
+    assert cache.load(QPolynomial, key, tmp_path) is None
+    cache.store(key, {"coefficients": ["1", "2"], "variable": "q"}, tmp_path)
+    assert cache.load(QPolynomial, key, tmp_path) == QPolynomial([1, 2])
 
 
 def test_key_depends_on_inputs():
@@ -47,36 +40,37 @@ def test_key_depends_on_schema_version(monkeypatch):
     assert cache.cache_key("dynkin", "A", 2, (1, 1)) != before
 
 
-def test_double_store_idempotent(cache_env):
+def test_double_store_idempotent(tmp_path):
     key = cache.cache_key("dynkin", "A", 1, (2,))
     char = WeightCharacter({(1,): 2, (-1,): 3})
-    cache.store(key, char.to_json(), cache_env)
-    cache.store(key, char.to_json(), cache_env)
-    assert cache.load(WeightCharacter, key, cache_env).entries == char.entries
+    cache.store(key, char.to_json(), tmp_path)
+    cache.store(key, char.to_json(), tmp_path)
+    assert cache.load(WeightCharacter, key, tmp_path).entries == char.entries
     # no leftover temp files
-    assert all(not f.endswith(".tmp") for f in os.listdir(cache_env))
+    assert all(not f.endswith(".tmp") for f in os.listdir(tmp_path))
 
 
-def test_corrupt_entry_recovers(cache_env, capsys):
+def test_corrupt_entry_recovers(tmp_path, capsys):
     key = cache.cache_key("dynkin", "A", 1, (3,))
     poly = QPolynomial([1, 1, 1, 1])
-    cache.store(key, poly.to_json(), cache_env)
-    (path,) = cache_env.iterdir()
+    cache.store(key, poly.to_json(), tmp_path)
+    (path,) = tmp_path.iterdir()
     for bad in ("{ not json", json.dumps(poly.to_json())):  # a bare value too
         path.write_text(bad)
-        assert cache.load(QPolynomial, key, cache_env) is None
+        assert cache.load(QPolynomial, key, tmp_path) is None
         err = capsys.readouterr().err
         assert "corrupt cache entry" in err and err.count("\n") == 1
         assert not path.exists()
         # the cached() wrapper recomputes and repopulates
-        value = cache.cached(QPolynomial, "dynkin", "A", 1, (3,), lambda: poly)
+        value = cache.cached(QPolynomial, "dynkin", "A", 1, (3,), lambda: poly,
+                             directory=tmp_path)
         assert value == poly
         assert json.loads(path.read_text()) == {"key": key,
                                                 "value": poly.to_json()}
 
 
 def test_keys_that_share_a_file_each_get_their_own_value(
-        cache_env, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cache, "_digest", lambda key: "same")
     calls = []
 
@@ -87,31 +81,32 @@ def test_keys_that_share_a_file_each_get_their_own_value(
     one, two = QPolynomial([1]), QPolynomial([2])
     for weight, value in [((1,), one), ((2,), two), ((1,), one), ((1,), one)]:
         assert cache.cached(QPolynomial, "op", "A", 1, weight,
-                            lambda: compute(value)) == value
+                            lambda: compute(value),
+                            directory=tmp_path) == value
     # each switch of key is a miss that overwrites the one file
     assert calls == [one, two, one]
-    assert [p.name for p in cache_env.iterdir()] == ["same.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["same.json"]
     assert capsys.readouterr().err == ""
 
 
-def test_entry_that_records_another_key_is_a_silent_miss(cache_env, capsys):
+def test_entry_that_records_another_key_is_a_silent_miss(tmp_path, capsys):
     mine = cache.cache_key("dynkin", "A", 1, (4,))
     other = cache.cache_key("dynkin", "A", 1, (5,))
     one, two = QPolynomial([1]), QPolynomial([2])
-    cache.store(other, one.to_json(), cache_env)
-    (stored,) = cache_env.iterdir()
-    copied = cache_env / (cache._digest(mine) + ".json")
+    cache.store(other, one.to_json(), tmp_path)
+    (stored,) = tmp_path.iterdir()
+    copied = tmp_path / (cache._digest(mine) + ".json")
     copied.write_bytes(stored.read_bytes())
-    assert cache.load(QPolynomial, mine, cache_env) is None
+    assert cache.load(QPolynomial, mine, tmp_path) is None
     assert capsys.readouterr().err == ""
     assert copied.exists()
-    cache.store(mine, two.to_json(), cache_env)
-    assert cache.load(QPolynomial, mine, cache_env) == two
-    assert cache.load(QPolynomial, other, cache_env) == one
+    cache.store(mine, two.to_json(), tmp_path)
+    assert cache.load(QPolynomial, mine, tmp_path) == two
+    assert cache.load(QPolynomial, other, tmp_path) == one
     assert json.loads(copied.read_text())["key"] == mine
 
 
-def test_cached_skips_compute_on_hit(cache_env):
+def test_cached_skips_compute_on_hit(tmp_path):
     calls = []
 
     def compute():
@@ -119,8 +114,8 @@ def test_cached_skips_compute_on_hit(cache_env):
         return QPolynomial([7])
 
     for _ in range(2):
-        assert cache.cached(QPolynomial, "op", "A", 2, (1, 0),
-                            compute) == QPolynomial([7])
+        assert cache.cached(QPolynomial, "op", "A", 2, (1, 0), compute,
+                            directory=tmp_path) == QPolynomial([7])
     assert len(calls) == 1
 
 
@@ -146,8 +141,7 @@ A2_ADJOINT = [[[-2, 1], 1], [[-1, -1], 1], [[-1, 2], 1], [[0, 0], 2],
     ("character", [[[float("inf"), 1], 1]]),  # json writes Infinity
 ])
 def test_wrong_shape_entry_is_dropped_and_recomputed(
-        sub, bad, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+        sub, bad, tmp_path, capsys):
     argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
             "--rank", "2", "--weight", "1,1"]
     assert cli.main(argv) == 0
@@ -170,9 +164,8 @@ def test_wrong_shape_entry_is_dropped_and_recomputed(
     lambda entry: json.dumps({"value": entry["value"], "key": entry["key"]}),
 ], ids=["compact", "value-first"])
 def test_a_valid_value_in_other_formatting_is_dropped_and_rewritten(
-        sub, redump, tmp_path, capsys, monkeypatch):
+        sub, redump, tmp_path, capsys):
     # an entry is valid when its text is what store writes for its value
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
     argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
             "--rank", "2", "--weight", "1,1"]
     assert cli.main(argv) == 0
@@ -194,7 +187,6 @@ def _replace_on_a_full_disk(src, dst):
 @pytest.mark.parametrize("block", ["directory", "full disk"])
 def test_an_entry_that_cannot_be_written_warns_and_prints(
         block, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
     argv = ["--cache-dir", str(tmp_path), "compute", "dynkin", "--type", "A",
             "--rank", "1", "--weight", "2"]
     entry = tmp_path / "21041a1d.json"
@@ -213,8 +205,9 @@ def test_an_entry_that_cannot_be_written_warns_and_prints(
         ["21041a1d.json"] if block == "directory" else [])
 
 
-def test_cached_without_a_directory_hashes_nothing(monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+def test_cached_without_a_directory_hashes_nothing(tmp_path, monkeypatch):
+    # the directory argument is the one switch: the variable is not read
+    monkeypatch.setenv("SPINDLE_CACHE_DIR", str(tmp_path))
 
     def no_key(*args, **kwargs):
         raise AssertionError("cache_key called with caching off")
@@ -223,6 +216,7 @@ def test_cached_without_a_directory_hashes_nothing(monkeypatch):
     # compute() is returned as it is: no codec runs
     assert cache.cached(QPolynomial, "op", "A", 2, (1, 0),
                         lambda: {"v": 7}) == {"v": 7}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
@@ -248,17 +242,15 @@ def test_unusable_directory_warns_once_and_computes(tmp_path, capsys):
     list(range(513)),
     {"coefficients": list(range(500)), "denominator_exponents": [2, 3]},
 ])
-def test_store_writes_the_sorted_json_dump(cache_env, value):
+def test_store_writes_the_sorted_json_dump(tmp_path, value):
     key = cache.cache_key("op", "A", 1, (1,))
-    cache.store(key, value, cache_env)
-    (path,) = cache_env.iterdir()
+    cache.store(key, value, tmp_path)
+    (path,) = tmp_path.iterdir()
     assert path.read_text() == json.dumps({"key": key, "value": value},
                                           sort_keys=True)
 
 
-def test_character_cache_miss_and_hit_print_the_same(tmp_path, capsys,
-                                                     monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+def test_character_cache_miss_and_hit_print_the_same(tmp_path, capsys):
     argv = ["--cache-dir", str(tmp_path), "compute", "character", "--type",
             "E", "--rank", "7", "--weight", "1,0,0,0,0,0,1"]
     digests = []
@@ -271,12 +263,13 @@ def test_character_cache_miss_and_hit_print_the_same(tmp_path, capsys,
     assert digests == ["16b48d31ac07f32f6684928476932fdc"] * 2
 
 
-def test_null_value_is_dropped_with_a_warning(cache_env, capsys):
+def test_null_value_is_dropped_with_a_warning(tmp_path, capsys):
     key = cache.cache_key("dynkin", "A", 1, (1,))
-    cache.store(key, None, cache_env)
-    (path,) = cache_env.iterdir()
+    cache.store(key, None, tmp_path)
+    (path,) = tmp_path.iterdir()
     assert cache.cached(QPolynomial, "dynkin", "A", 1, (1,),
-                        lambda: QPolynomial([1, 1])) == QPolynomial([1, 1])
+                        lambda: QPolynomial([1, 1]),
+                        directory=tmp_path) == QPolynomial([1, 1])
     err = capsys.readouterr().err
     assert "wrong shape" in err and err.count("\n") == 1
     assert json.loads(path.read_text())["value"] == QPolynomial([1, 1]).to_json()
@@ -321,7 +314,6 @@ def test_entries_of_the_earlier_release_are_hits(tmp_path, capsys,
                                                  monkeypatch, fmt):
     from spindle import characters, dynkin, qanalogues
 
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
     want = []
     for sub in CACHED_SUBCOMMANDS:
         assert cli.main(_a2_adjoint(sub, fmt)) == 0
@@ -344,8 +336,7 @@ def test_entries_of_the_earlier_release_are_hits(tmp_path, capsys,
 
 
 def test_a_cold_call_writes_the_entries_of_the_earlier_release(
-        tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+        tmp_path, capsys):
     for sub in CACHED_SUBCOMMANDS:
         assert cli.main(_a2_adjoint(sub, "text",
                                     ("--cache-dir", str(tmp_path)))) == 0
@@ -356,7 +347,6 @@ def test_a_cold_call_writes_the_entries_of_the_earlier_release(
 
 @pytest.mark.parametrize("sub", CACHED_SUBCOMMANDS)
 def test_an_uncached_call_runs_no_codec(sub, capsys, monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
 
     def no_codec(*args, **kwargs):
         raise AssertionError("a codec ran with caching off")

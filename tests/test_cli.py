@@ -1,9 +1,12 @@
+import argparse
+import ast
 import errno
 import fcntl
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -268,7 +271,18 @@ def test_verify_has_no_full_weyl_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "kostant-t0", "--full-weyl"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == (
+        "", "error: unrecognized arguments: --full-weyl\n")
+
+
+def test_compute_has_no_full_weyl_flag(capsys):
+    # --weyl-budget is the one spelling of the Weyl limit
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "lusztig", "--type", "A", "--rank", "2",
+                  "--weight", "1,1", "--full-weyl"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: unrecognized arguments: --full-weyl\n")
 
 
 def test_exit_code_budget(capsys):
@@ -281,9 +295,8 @@ def test_exit_code_budget(capsys):
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_dynkin_length_is_charged_to_the_dim_budget(capsys, tmp_path,
-                                                    monkeypatch, cached):
+                                                    cached):
     # 2(lam, rho^vee) + 1 coefficients, refused before anything is built
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
     head = ["--cache-dir", str(tmp_path)] if cached else []
     argv = head + ["compute", "dynkin", "--type", "A", "--rank", "1",
                    "--weight", "99999999999999999999"]
@@ -400,10 +413,8 @@ def test_huge_module_builds_are_refused_by_their_level_count(capsys):
 
 
 @pytest.mark.parametrize("sub", ["character", "f-lambda"])
-def test_a_cache_hit_meets_the_dim_budget(capsys, tmp_path, monkeypatch,
-                                          sub):
+def test_a_cache_hit_meets_the_dim_budget(capsys, tmp_path, sub):
     # V(2,1) of A2 has dimension 15; a hit meets the limit a miss meets
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
     argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
             "--rank", "2", "--weight", "2,1"]
     refused = (3, "", "error: character dimension: 15 exceeds budget 1\n")
@@ -471,12 +482,14 @@ def test_lusztig_module_method_answers_at_e8_omega1_zero_weight(capsys):
      "poincare-cg does not take --method module"),
     (["lusztig", "--method", "module", "--weyl-budget", "5"],
      "lusztig does not take --weyl-budget"),
-    (["lusztig", "--method", "module", "--full-weyl"],
-     "lusztig does not take --full-weyl"),
-    # the closed form runs no Weyl sum, so it reads no Weyl limit
-    *(([sub, "--method", "closed", *flag], f"{sub} does not take {flag[0]}")
+    (["lusztig", "--method", "module", "--weyl-budget", "10000000000"],
+     "lusztig does not take --weyl-budget"),
+    # the closed form runs no Weyl sum, so it reads no Weyl limit, low or
+    # lifted
+    *(([sub, "--method", "closed", "--weyl-budget", value],
+       f"{sub} does not take --weyl-budget")
       for sub in ("f-lambda", "jump", "poincare-cg")
-      for flag in (("--weyl-budget", "5"), ("--full-weyl",))),
+      for value in ("5", "10000000000")),
     # the Weyl options of the method table are still refused elsewhere
     (["dynkin", "--weyl-budget", "5"], "dynkin does not take --weyl-budget"),
 ])
@@ -578,8 +591,7 @@ def test_e6_adjoint_lusztig_golden(capsys):
     code, _, err = run(argv + ["--weyl-budget", "100"], capsys)
     assert code == 3
     assert "Kostant partition table: 58 points + 432 cells" in err
-    code, lifted, _ = run(argv + ["--weyl-budget", "100", "--full-weyl"],
-                          capsys)
+    code, lifted, _ = run(argv + ["--weyl-budget", "10000000000"], capsys)
     assert code == 0
     assert lifted == out
 
@@ -608,8 +620,7 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_cache_round_trip(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+def test_cache_round_trip(tmp_path, capsys):
     argv = ["--cache-dir", str(tmp_path), "compute", "dynkin", "--type",
             "A", "--rank", "3", "--weight", "0,1,0", "--format", "json"]
     code, cold, _ = run(argv, capsys)
@@ -623,21 +634,25 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
 
 def test_cache_dir_flag_does_not_outlive_its_call(tmp_path, capsys,
                                                  monkeypatch):
-    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
-    code, _, _ = run(["--cache-dir", str(tmp_path), "compute", "dynkin",
-                      "--type", "A", "--rank", "2", "--weight", "1,0"], capsys)
+    # the flag is the one spelling of the cache directory: a set
+    # SPINDLE_CACHE_DIR alone writes no entry
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    monkeypatch.setenv("SPINDLE_CACHE_DIR", str(env_dir))
+    argv = ["compute", "dynkin", "--type", "A", "--rank", "2",
+            "--weight", "1,0"]
+    code, cold, _ = run(["--cache-dir", str(flag_dir)] + argv, capsys)
     assert code == 0
-    before = sorted(tmp_path.iterdir())
+    before = sorted(flag_dir.iterdir())
     assert len(before) == 1
+    assert run(argv, capsys) == (0, cold, "")
     code, _, _ = run(["compute", "character", "--type", "A", "--rank", "2",
                       "--weight", "1,0"], capsys)
     assert code == 0
-    assert sorted(tmp_path.iterdir()) == before
-    assert os.environ["SPINDLE_CACHE_DIR"] == ""
+    assert sorted(flag_dir.iterdir()) == before
+    assert not env_dir.exists()
 
 
-def test_cache_corruption_recovery(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SPINDLE_CACHE_DIR", raising=False)
+def test_cache_corruption_recovery(tmp_path, capsys):
     argv = ["--cache-dir", str(tmp_path), "compute", "dynkin", "--type",
             "A", "--rank", "3", "--weight", "0,1,0", "--format", "json"]
     _, cold, _ = run(argv, capsys)
@@ -674,7 +689,7 @@ def test_verify_rejects_option_the_suite_does_not_read(capsys):
     (["t-poly", "--type", "A", "--rank", "2", "--weight", "1,1",
       "--method", "weyl", "--dim-budget", "1"], "--dim-budget, --method"),
     (["character", "--type", "A", "--rank", "2", "--weight", "1,1",
-      "--full-weyl", "--mu", "1,0"], "--mu, --full-weyl"),
+      "--weyl-budget", "5", "--mu", "1,0"], "--mu, --weyl-budget"),
     (["root-system", "--type", "A", "--rank", "2", "--weight", "1,1"],
      "--weight"),
     (["truncsym", "--n", "2", "--m", "2", "--type", "A"], "--type"),
@@ -695,22 +710,17 @@ def test_compute_rejects_option_the_subcommand_does_not_read(
      "compute end-alg-a"),
 ])
 def test_cache_dir_is_rejected_where_it_is_not_read(
-        tmp_path, capsys, monkeypatch, argv, command):
-    # caching is off unless the flag turns it on
-    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
+        tmp_path, capsys, argv, command):
     code, out, err = run(["--cache-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {command} does not take --cache-dir\n"
     assert list(tmp_path.iterdir()) == []
-    assert os.environ["SPINDLE_CACHE_DIR"] == ""
 
 
 @pytest.mark.parametrize("sub", ["character", "dynkin", "f-lambda"])
 def test_cache_dir_is_read_by_the_cached_subcommands(
-        tmp_path, capsys, monkeypatch, sub):
-    # caching is off unless the flag turns it on
-    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
+        tmp_path, capsys, sub):
     argv = ["--cache-dir", str(tmp_path), "compute", sub, "--type", "A",
             "--rank", "2", "--weight", "1,0"]
     code, cold, _ = run(argv, capsys)
@@ -740,8 +750,7 @@ def test_verify_output_is_the_same_under_optimize(suite):
 def test_verify_all_output_is_pinned():
     # every check of every suite, line for line: a change that moves any
     # check's label or verdict changes this digest
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("PYTHON") and k != "SPINDLE_CACHE_DIR"}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
         [sys.executable, "-m", "spindle.cli", "verify", "all"],
@@ -759,8 +768,7 @@ def test_verify_all_output_is_pinned():
 def test_a_closed_pipe_ends_in_one_error_line():
     # a pipe of one page holds less than the output of verify all, so the
     # call is still writing when the reader closes it after one line
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("PYTHON") and k != "SPINDLE_CACHE_DIR"}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
@@ -880,9 +888,7 @@ def test_nonpositive_budgets_and_bounds_are_a_usage_error(capsys, argv):
     assert err == f"error: {flag} must be >= 1, got {value}\n"
 
 
-def test_cache_dir_that_is_a_file_warns_and_still_answers(tmp_path, capsys,
-                                                         monkeypatch):
-    monkeypatch.setenv("SPINDLE_CACHE_DIR", "")
+def test_cache_dir_that_is_a_file_warns_and_still_answers(tmp_path, capsys):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     argv = ["compute", "dynkin", "--type", "E", "--rank", "6",
@@ -901,8 +907,7 @@ UNUSED_AT_START_UP = {"dataclasses", "inspect", "hashlib", "json",
 
 
 def _modules_after(code):
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("PYTHON") and k != "SPINDLE_CACHE_DIR"}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -952,3 +957,43 @@ def test_suite_parameters_match_the_signatures():
         assert vf.suite_parameters(name) == tuple(params)
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD
                    and p.default is not p.empty for p in params.values())
+
+
+# Every value a caller can set, each with one spelling: the options of the
+# top-level parser and of its compute and verify parsers.  No environment
+# variable is read.
+SETTABLE = {
+    "--cache-dir",
+    "--type", "--rank", "--weight", "--mu", "--format", "--method", "--n",
+    "--m", "--kind", "--weyl-budget", "--dim-budget", "--matrix-budget",
+    "--max-rank", "--height-bound",
+}
+
+
+def _option_strings(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+        else:
+            yield from (o for o in action.option_strings
+                        if o not in ("-h", "--help"))
+
+
+def test_the_settable_values_are_pinned():
+    options = list(_option_strings(cli.build_parser()))
+    assert len(options) == len(SETTABLE) == 15
+    assert set(options) == SETTABLE
+    env_reads = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted((SRC / "spindle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            assert not env_reads.intersection(names), (path.name, node.lineno)
+    # pip's own flags in the install lines are not the CLI's
+    readme = (SRC.parent / "README.md").read_text().splitlines()
+    named = {flag for line in readme if not line.startswith("pip ")
+             for flag in re.findall(r"--[a-z][a-z-]*", line)}
+    assert named <= SETTABLE, named - SETTABLE

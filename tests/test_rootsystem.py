@@ -323,6 +323,18 @@ ALL_TYPES = (
 )
 
 
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_dual_weight_keeps_the_height(key):
+    # -w_0 fixes rho^vee, so (lam*, rho^vee) = (lam, rho^vee), which lets
+    # floor_profile read its base off lam; both sides are linear in lam,
+    # so the fundamental weights cover every weight
+    rs = build_root_system(*key)
+    weights = [tuple(int(k == i) for k in range(rs.rank))
+               for i in range(rs.rank)] + [tuple(range(1, rs.rank + 1))]
+    for lam in weights:
+        assert rs.doubled_height(rs.dual_weight(lam)) == rs.doubled_height(lam)
+
+
 def _reference_tables(rs):
     """Roots, root weights and coroots computed without the closure's
     carried weights and length classes: each pairing as sum_i r_i C_ij,
